@@ -9,6 +9,40 @@ Determinism is part of the contract: training rows are brought into a
 canonical order before fitting so the resulting model is bit-identical
 under any permutation of the input rows, and serialized models round-trip
 losslessly through JSON.
+
+The split search is the exact greedy algorithm on presorted columns
+(Chen & Guestrin 2016, arXiv:1603.02754), in numpy only.  A node is a
+(features, k) matrix of row indices, row f holding the node's rows in
+ascending order of feature f, plus the matching matrix of values; the root
+is one stable argsort per fit, and children keep their parent's order.
+For each node the kernel gathers the centred residuals into a (features,
+k) matrix, takes running sums along each row and evaluates
+``s_left**2/n_left + s_right**2/n_right - total**2/k`` at every position;
+the first maximum over (feature, position) wins.  Each step below is
+arranged so that every gain, and hence every tree, is bit-identical to
+evaluating that expression on the whole matrix with fresh arrays:
+
+* Only positions that leave ``min_samples_leaf`` rows on both sides are
+  evaluated.  The others would be -inf and could never win.
+* The expression runs term by term, in place, in the same order of
+  operations (square, divide, add, subtract), so each value is rounded the
+  same way.  Positions where the value does not change are set to -inf
+  after the arithmetic.
+* The residuals are centred before the gather, which gives the same
+  numbers as centring the gathered matrix.
+* A child's order and values are gathered from its parent's with 1-D
+  ``take`` at the positions of the parent's rows that go to that side.
+  This keeps each row's order and copies values, so it equals sorting and
+  gathering again.
+* The gain temporaries, the gathered residuals and the children's
+  matrices live in buffers allocated once per fit.  Fresh temporaries of
+  this size are returned to the system on release and page-fault again on
+  the next node, which costs more than the arithmetic.
+* Without subsampling the root's sorted value matrix is the same for every
+  tree and is computed once per fit.
+* Children at ``max_depth`` are leaves and read only their first order row
+  (its rows give the leaf mean, in the same summation order), so the last
+  split level partitions that row only.
 """
 
 from __future__ import annotations
@@ -26,13 +60,6 @@ from .errors import (
     TooFewRowsError,
     WrongFeatureCountError,
 )
-
-try:
-    from numba import njit
-
-    ACCELERATED = True
-except ImportError:  # numba is optional; the numpy path is the reference
-    ACCELERATED = False
 
 SERIALIZATION_FORMAT = "gbm-json-v1"
 
@@ -148,91 +175,77 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort((y,) + keys)
 
 
-def _best_splits(
-    V: np.ndarray, R: np.ndarray, node_mean: float, min_leaf: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best split gain and position for every feature of one node.
+def _leading(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The first cells of a flat buffer as a C-contiguous ``shape`` matrix."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
 
-    ``V`` and ``R`` are (features, k) matrices of values and residuals, each
-    row in that feature's ascending value order.  Gain is the SSE reduction
-    of splitting after position i; positions failing the distinct-value or
-    min_leaf constraints get -inf.
+
+class _Scratch(NamedTuple):
+    """Flat buffers for the temporaries of :func:`_split_gains`."""
+
+    gain: np.ndarray
+    right: np.ndarray
+    tie: np.ndarray
+
+    @classmethod
+    def of(cls, cells: int) -> "_Scratch":
+        return cls(np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool))
+
+
+def _split_gains(
+    V: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
+) -> np.ndarray:
+    """SSE gain of every legal split of one node, one row per feature.
+
+    ``V`` and ``C`` are (features, k) matrices of values and of residuals
+    minus the node mean, each row in that feature's ascending value order;
+    ``C`` is overwritten with its running sums.
+    Column j is the split after position ``min_leaf - 1 + j``: only
+    positions that leave ``min_leaf`` rows on both sides are computed.
+    Positions where the value does not change get -inf.  The result is a
+    view of ``scratch.gain``.
     """
     k = V.shape[1]
-    centered = R - node_mean
-    csum = np.cumsum(centered, axis=1)
+    lo, hi = min_leaf - 1, k - min_leaf
+    shape = (V.shape[0], max(hi - lo, 0))
+    gain = _leading(scratch.gain, shape)
+    right = _leading(scratch.right, shape)
+    tie = _leading(scratch.tie, shape)
+    csum = np.cumsum(C, axis=1, out=C)
     total = csum[:, -1:]
-    n_left = np.arange(1, k, dtype=np.float64)
-    n_right = k - n_left
-    s_left = csum[:, :-1]
-    s_right = total - s_left
-    gain = s_left**2 / n_left + s_right**2 / n_right - total**2 / k
-    valid = (V[:, :-1] < V[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    gain = np.where(valid, gain, -np.inf)
-    pos = np.argmax(gain, axis=1)
-    return gain[np.arange(V.shape[0]), pos], pos
+    s_left = csum[:, lo:hi]
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    # s_left**2/n_left + s_right**2/n_right - total**2/k, term by term
+    np.square(s_left, out=gain)
+    gain /= n_left
+    right[...] = total  # then subtract: faster than one broadcast subtract
+    right -= s_left
+    np.square(right, out=right)
+    right /= k - n_left
+    gain += right
+    gain -= np.square(total) / k
+    np.greater_equal(V[:, lo:hi], V[:, lo + 1 : hi + 1], out=tie)
+    np.putmask(gain, tie, -np.inf)
+    return gain
 
 
-if ACCELERATED:
+def _best_split(
+    V: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
+) -> tuple[int, int, float]:
+    """Best (feature, position, gain) of one node, or (-1, -1, -inf).
 
-    @njit(cache=True)
-    def _split_kernel(XT, residual, node_order, node_mean, min_leaf):
-        """Best (feature, position, gain) of one node, no temporaries.
-
-        ``XT`` is (features, rows).  Mirrors the numpy path exactly:
-        sequential left-to-right accumulation and the same per-position
-        gain expression, so both routes produce bit-identical trees.
-        """
-        n_features, k = node_order.shape
-        best_f = -1
-        best_pos = -1
-        best_gain = -np.inf
-        for f in range(n_features):
-            total = 0.0
-            for i in range(k):
-                total += residual[node_order[f, i]] - node_mean
-            feat_gain = -np.inf
-            feat_pos = -1
-            s_left = 0.0
-            for i in range(k - 1):
-                row = node_order[f, i]
-                s_left += residual[row] - node_mean
-                if i + 1 < min_leaf or k - i - 1 < min_leaf:
-                    continue
-                if not XT[f, row] < XT[f, node_order[f, i + 1]]:
-                    continue
-                n_left = float(i + 1)
-                n_right = float(k - i - 1)
-                s_right = total - s_left
-                gain = (
-                    s_left**2 / n_left + s_right**2 / n_right - total**2 / k
-                )
-                if gain > feat_gain:
-                    feat_gain = gain
-                    feat_pos = i
-            if feat_gain > best_gain:
-                best_gain = feat_gain
-                best_f = f
-                best_pos = feat_pos
-        return best_f, best_pos, best_gain
-
-    @njit(cache=True)
-    def _partition_kernel(node_order, in_left, k_left):
-        n_features, k = node_order.shape
-        left = np.empty((n_features, k_left), dtype=np.int64)
-        right = np.empty((n_features, k - k_left), dtype=np.int64)
-        for f in range(n_features):
-            li = 0
-            ri = 0
-            for i in range(k):
-                row = node_order[f, i]
-                if in_left[row]:
-                    left[f, li] = row
-                    li += 1
-                else:
-                    right[f, ri] = row
-                    ri += 1
-        return left, right
+    Position i splits after the (i+1)-th row of the feature's order.  Equal
+    gains go to the lowest feature, then the lowest position: the first
+    maximum of the gain matrix in row-major order.
+    """
+    gain = _split_gains(V, C, min_leaf, scratch)
+    if gain.size == 0:
+        return -1, -1, -np.inf
+    f, j = divmod(int(np.argmax(gain)), gain.shape[1])
+    best = float(gain[f, j])
+    if not np.isfinite(best):
+        return -1, -1, -np.inf
+    return f, j + min_leaf - 1, best
 
 
 def split_search(
@@ -256,63 +269,58 @@ def split_search(
     order = np.lexsort((targets, values))
     v = values[order]
     r = targets[order]
-    gains, pos = _best_splits(v[None, :], r[None, :], float(r.mean()), min_leaf)
-    if not np.isfinite(gains[0]) or gains[0] <= 0.0:
+    c = r - r.mean()
+    _, i, gain = _best_split(v[None, :], c[None, :], min_leaf, _Scratch.of(k))
+    if i < 0 or gain <= 0.0:
         return None
-    i = int(pos[0])
-    lo, hi = v[i], v[i + 1]
+    return _midpoint(v[i], v[i + 1]), gain
+
+
+def _midpoint(lo: float, hi: float) -> float:
     thr = (lo + hi) / 2.0
     if thr >= hi:  # adjacent floats: midpoint may round up to the right value
         thr = lo
-    return float(thr), float(gains[0])
+    return float(thr)
 
 
 class _TreeBuilder:
-    """Grows one tree on presorted per-feature row orders."""
+    """Grows the trees of one fit on presorted per-feature row orders.
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        XT: np.ndarray,
-        residual: np.ndarray,
-        min_leaf: int,
-        max_depth: int,
-    ) -> None:
-        self.X = X
-        self.XT = XT  # (features, rows) contiguous copy for the fast kernel
+    A node is a (features, k) matrix of row indices, row f listing the
+    node's rows in ascending order of feature f, and the matching matrix of
+    values; the leaves below the last split level keep order row 0 only.
+    The nodes of one depth own disjoint row slots ``[start, start + k)`` of
+    ``[0, rows)``: a left child takes the first k_left slots of its parent,
+    the right child the rest.  The matrices of the nodes at depth d + 1
+    live in ``_orders[d]`` and ``_values[d]`` at the cells of their slots,
+    so every pending node keeps them without allocation.
+    """
+
+    def __init__(self, n_features: int, residual: np.ndarray, cfg: GBMConfig) -> None:
+        self.n_rows = residual.size
         self.residual = residual
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.n_features = X.shape[1]
-        self._col = np.arange(self.n_features)[:, None]
-        # (rows, value) per leaf, for the fast residual-update path
+        self.min_leaf = cfg.min_samples_leaf
+        self.max_depth = cfg.max_depth
+        cells = n_features * self.n_rows
+        self._centered = np.empty(cells)
+        self._scratch = _Scratch.of(cells)
+        # children of the last split level are leaves and keep only row 0
+        self._orders = [
+            np.empty(cells if d + 1 < self.max_depth else self.n_rows, dtype=np.intp)
+            for d in range(self.max_depth)
+        ]
+        self._values = [np.empty(cells) for _ in range(self.max_depth - 1)]
+        # (rows, value) per leaf of the current tree, for the residual update
         self.leaves: list[tuple[np.ndarray, float]] = []
 
-    def _search(self, node_order: np.ndarray, value: float) -> tuple[int, int, float]:
-        if ACCELERATED:
-            return _split_kernel(
-                self.XT, self.residual, node_order, value, self.min_leaf
-            )
-        V = self.X[node_order, self._col]
-        R = self.residual[node_order]
-        gains, pos = _best_splits(V, R, value, self.min_leaf)
-        f = int(np.argmax(gains))
-        if not np.isfinite(gains[f]):
-            return -1, -1, -np.inf
-        return f, int(pos[f]), float(gains[f])
+    def grow(self, root: np.ndarray, V: np.ndarray) -> TreeNode:
+        """One tree from the root's order and value matrices."""
+        self.leaves = []
+        return self._build(root, V, 0, 0)
 
-    def _partition(
-        self, node_order: np.ndarray, in_left: np.ndarray, k_left: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if ACCELERATED:
-            return _partition_kernel(node_order, in_left, k_left)
-        mask = in_left[node_order]
-        k = node_order.shape[1]
-        left = node_order[mask].reshape(self.n_features, k_left)
-        right = node_order[~mask].reshape(self.n_features, k - k_left)
-        return left, right
-
-    def build(self, node_order: np.ndarray, depth: int) -> TreeNode:
+    def _build(
+        self, node_order: np.ndarray, V: np.ndarray | None, depth: int, start: int
+    ) -> TreeNode:
         rows = node_order[0]
         res = self.residual[rows]
         value = float(res.mean())
@@ -324,24 +332,55 @@ class _TreeBuilder:
         ):
             return self._leaf(rows, value)
 
-        f, i, gain = self._search(node_order, value)
-        if f < 0 or not np.isfinite(gain) or gain <= 0.0:
+        # centring the n residuals before the gather gives the same values
+        # as centring the (features, k) gathered matrix
+        C = (self.residual - value).take(
+            node_order, out=_leading(self._centered, node_order.shape), mode="clip"
+        )
+        f, i, gain = _best_split(V, C, self.min_leaf, self._scratch)
+        if f < 0 or gain <= 0.0:
             return self._leaf(rows, value)
-        lo = self.XT[f, node_order[f, i]]
-        hi = self.XT[f, node_order[f, i + 1]]
-        thr = (lo + hi) / 2.0
-        if thr >= hi:
-            thr = lo
+        thr = _midpoint(V[f, i], V[f, i + 1])
 
-        in_left = np.zeros(self.X.shape[0], dtype=bool)
+        in_left = np.zeros(self.n_rows, dtype=bool)
         in_left[node_order[f, : i + 1]] = True
-        left_order, right_order = self._partition(node_order, in_left, i + 1)
+        if depth + 1 == self.max_depth:
+            node_order = node_order[:1]  # the children are leaves
+        flat = node_order.ravel()
+        mask = in_left.take(flat, out=self._scratch.tie[: flat.size], mode="clip")
+        left_at = np.flatnonzero(mask)
+        np.logical_not(mask, out=mask)
+        right_at = np.flatnonzero(mask)
+        left = self._child(flat, V, left_at, depth, start, i + 1)
+        right = self._child(flat, V, right_at, depth, start + i + 1, k - i - 1)
         return TreeNode(
             feature=f,
-            threshold=float(thr),
-            left=self.build(left_order, depth + 1),
-            right=self.build(right_order, depth + 1),
+            threshold=thr,
+            left=self._build(*left),
+            right=self._build(*right),
         )
+
+    def _child(
+        self,
+        flat: np.ndarray,
+        V: np.ndarray,
+        at: np.ndarray,
+        depth: int,
+        slot: int,
+        size: int,
+    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+        """``_build`` arguments of the child at flat positions ``at`` of its
+        parent's order, stored at the child's slot of the depth buffers."""
+        n_orders = at.size // size
+        cells = slice(n_orders * slot, n_orders * (slot + size))
+        # take(mode="clip") writes into out= directly; compress() and
+        # mode="raise" copy through a temporary
+        order = flat.take(at, out=self._orders[depth][cells], mode="clip")
+        values = None
+        if depth + 1 < self.max_depth:
+            values = V.ravel().take(at, out=self._values[depth][cells], mode="clip")
+            values = values.reshape(n_orders, size)
+        return order.reshape(n_orders, size), values, depth + 1, slot
 
     def _leaf(self, rows: np.ndarray, value: float) -> TreeNode:
         self.leaves.append((rows, value))
@@ -377,22 +416,24 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
     rng = np.random.default_rng(cfg.seed)
     subsample = cfg.subsample_fraction < 1.0
     m_rows = max(2 * cfg.min_samples_leaf, int(cfg.subsample_fraction * n))
+    root = sorted_by_feature
+    # without subsampling every tree's root is the same sorted value matrix
+    root_values = np.take_along_axis(XT, root, axis=1)
 
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
     trees: list[TreeNode] = []
+    builder = _TreeBuilder(X.shape[1], residual, cfg)
     for _ in range(cfg.n_trees):
-        builder = _TreeBuilder(X, XT, residual, cfg.min_samples_leaf, cfg.max_depth)
         if subsample:
             chosen = rng.choice(n, size=min(m_rows, n), replace=False)
             in_sub = np.zeros(n, dtype=bool)
             in_sub[chosen] = True
-            root = sorted_by_feature[in_sub[sorted_by_feature]].reshape(
-                X.shape[1], int(in_sub.sum())
-            )
-        else:
-            root = sorted_by_feature
-        tree = builder.build(root, depth=0)
+            root = sorted_by_feature.ravel().compress(
+                in_sub.take(sorted_by_feature.ravel())
+            ).reshape(X.shape[1], chosen.size)
+            root_values = np.take_along_axis(XT, root, axis=1)
+        tree = builder.grow(root, root_values)
         if subsample:
             residual -= cfg.learning_rate * tree.apply_batch(X)
         else:

@@ -16,7 +16,7 @@ import calendar
 import datetime as dt
 import json
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "PredictionPoint",
     "ForecastSeries",
     "series_references",
+    "training_matrix",
     "build_s1",
     "fit_stage1",
     "build_s2",
@@ -189,9 +190,15 @@ class Forecaster:
     stage2: Stage2Model
 
     def predict_series(
-        self, data: Dataset, year: int, z_range: tuple[int, int]
+        self,
+        data: Dataset,
+        year: int,
+        z_range: tuple[int, int],
+        matrix: FeatureMatrix | None = None,
     ) -> ForecastSeries:
-        return predict_series(self.stage1, self.stage2, data, year, z_range)
+        return predict_series(
+            self.stage1, self.stage2, data, year, z_range, matrix=matrix
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +226,17 @@ def series_references(
     refs = [definition.delta_c]
     refs.extend(float(matrix[mask, s].mean()) for s in range(1, len(SERIES_NAMES)))
     return tuple(refs)
+
+
+def training_matrix(
+    data: Dataset, definition: SeasonDefinition, years: Iterable[int]
+) -> FeatureMatrix:
+    """The feature matrix of a training on ``years``, with their references.
+
+    Pass it as ``matrix=`` to :func:`train_forecaster` and to
+    :func:`predict_series` to build it once for both.
+    """
+    return build_feature_matrix(data, series_references(data, definition, years))
 
 
 def _days_in_year(year: int) -> int:
@@ -320,16 +338,8 @@ def fit_stage1(
 ) -> Stage1Model:
     """Fit the countdown model on a Stage-1 training set."""
     result = gbm.fit(training.features, training.targets, cfg)
-    model = gbm.GBMModel(
-        base_prediction=result.model.base_prediction,
-        trees=result.model.trees,
-        learning_rate=result.model.learning_rate,
-        feature_count=result.model.feature_count,
-        config=result.model.config,
-        catalog_version=CATALOG_VERSION,
-    )
     return Stage1Model(
-        model=model,
+        model=replace(result.model, catalog_version=CATALOG_VERSION),
         boundary=training.boundary,
         horizon=training.horizon,
         references=training.references,
@@ -444,11 +454,24 @@ def train_forecaster(
     stage2_cfg: gbm.GBMConfig | None = None,
     protocol: str = "loyo",
     include_doy: bool = True,
+    matrix: FeatureMatrix | None = None,
 ) -> Forecaster:
-    """Train both stages on the given years and return the bundled pair."""
+    """Train both stages on the given years and return the bundled pair.
+
+    ``matrix`` reuses a feature matrix built with these years' references
+    (see :func:`training_matrix`); by default it is built here.
+    """
     ys = tuple(sorted(set(years)))
     refs = series_references(data, definition, ys)
-    fm = build_feature_matrix(data, refs)
+    if matrix is None:
+        fm = build_feature_matrix(data, refs)
+    elif matrix.references != refs:
+        raise InvalidRecordError(
+            "feature matrix was built with other references than the "
+            "training years give"
+        )
+    else:
+        fm = matrix
     s1 = build_s1(
         data, definition, ys, boundary, horizon,
         references=refs, include_doy=include_doy, matrix=fm,
@@ -474,13 +497,15 @@ def predict_series(
     data: Dataset,
     year: int,
     z_range: tuple[int, int],
+    matrix: FeatureMatrix | None = None,
 ) -> ForecastSeries:
     """Per-day forecasts for one year over an inclusive day range.
 
     For each day z: ``y_hat = stage1(features(z))`` and
     ``u_hat = max(stage2([y_hat, *features(z)]), u_floor)``.  Features use
     only data dated at or before z (trailing windows), so each point is a
-    forecast that could have been made on that day.
+    forecast that could have been made on that day.  ``matrix`` reuses a
+    feature matrix of ``data`` built with the Stage-1 references.
     """
     z_lo, z_hi = int(z_range[0]), int(z_range[1])
     if z_lo > z_hi:
@@ -489,7 +514,14 @@ def predict_series(
         raise WindowUnavailableError(
             f"z_range {z_range} leaves year {year} (1..{_days_in_year(year)})"
         )
-    fm = build_feature_matrix(data, s1m.references)
+    if matrix is None:
+        fm = build_feature_matrix(data, s1m.references)
+    elif matrix.references != s1m.references:
+        raise InvalidRecordError(
+            "feature matrix was built with other references than the model's"
+        )
+    else:
+        fm = matrix
     flat = flatten_all(fm, s1m.include_doy)
     rows = []
     for z in range(z_lo, z_hi + 1):

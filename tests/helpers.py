@@ -5,6 +5,8 @@ from __future__ import annotations
 import datetime as dt
 from typing import Sequence
 
+import numpy as np
+
 from pollencast.data import DailyRecord, Dataset
 
 #: Valid placeholder covariates for records whose weather does not matter.
@@ -49,3 +51,40 @@ def year_dataset(pollen: Sequence[float], year: int = 2001) -> Dataset:
 
 def year_length(year: int) -> int:
     return (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days + 1
+
+
+def reference_split_gains(
+    V: np.ndarray, R: np.ndarray, node_mean: float, min_leaf: int
+) -> np.ndarray:
+    """Gain of the split after every position, in the plain expression the
+    split kernel must reproduce bit for bit.
+
+    ``V`` and ``R`` are (features, k) values and residuals, each row in that
+    feature's ascending value order.  Illegal positions get -inf.
+    """
+    k = V.shape[1]
+    centered = R - node_mean
+    csum = np.cumsum(centered, axis=1)
+    total = csum[:, -1:]
+    n_left = np.arange(1, k, dtype=np.float64)
+    n_right = k - n_left
+    s_left = csum[:, :-1]
+    s_right = total - s_left
+    gain = s_left**2 / n_left + s_right**2 / n_right - total**2 / k
+    valid = (V[:, :-1] < V[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    return np.where(valid, gain, -np.inf)
+
+
+def reference_best_split(
+    V: np.ndarray, R: np.ndarray, node_mean: float, min_leaf: int
+) -> tuple[int, int, float]:
+    """(feature, position, gain) chosen from :func:`reference_split_gains`:
+    each feature's first best position, then the first best feature;
+    (-1, -1, -inf) when no split is legal."""
+    gain = reference_split_gains(V, R, node_mean, min_leaf)
+    pos = np.argmax(gain, axis=1)
+    best = gain[np.arange(V.shape[0]), pos]
+    f = int(np.argmax(best))
+    if not np.isfinite(best[f]):
+        return -1, -1, -np.inf
+    return f, int(pos[f]), float(best[f])

@@ -1,6 +1,7 @@
 """Tests for the rolling-origin backtest harness and report emission."""
 
 import datetime as dt
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from pollencast import backtest as bt
+from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
 from pollencast.errors import (
     EmptyInputError,
@@ -16,6 +18,7 @@ from pollencast.errors import (
     LengthMismatchError,
     MissingLabelError,
 )
+from pollencast.features import build_feature_matrix
 from pollencast.gbm import GBMConfig
 
 LIGHT = GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
@@ -192,6 +195,34 @@ class TestRollingBacktest:
         cfg, report = small_report
         again = bt.rolling_backtest(seed42_dataset, cfg)
         assert bt._report_obj(again) == bt._report_obj(report)
+
+    def test_report_bytes_pinned(self, small_report, tmp_path):
+        # sha256 over file names and bytes of the emitted report, taken when
+        # every fold still built its feature matrix twice
+        _cfg, report = small_report
+        h = hashlib.sha256()
+        for path in bt.emit_report(report, str(tmp_path)):
+            h.update(os.path.basename(path).encode())
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        assert h.hexdigest() == (
+            "9540871d9941da32b197dafa449423c7ec1705ee66ee30dba5b324e9903d7b75"
+        )
+
+    def test_one_feature_matrix_per_fold(self, small_report, seed42_dataset,
+                                         monkeypatch):
+        cfg, report = small_report
+        built = []
+
+        def counting(data, references, *args, **kwargs):
+            built.append(tuple(references))
+            return build_feature_matrix(data, references, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "build_feature_matrix", counting)
+        again = bt.rolling_backtest(seed42_dataset, cfg)
+        assert bt._report_obj(again) == bt._report_obj(report)
+        assert len(built) == len(cfg.folds)
+        assert len(set(built)) == len(cfg.folds)  # each fold's own references
 
     def test_future_years_do_not_leak(self, seed42_dataset, season_def):
         fold = bt.Fold(train_years=(2003, 2004), test_year=2005)

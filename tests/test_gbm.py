@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from helpers import reference_best_split, reference_split_gains
+from pollencast import gbm
 from pollencast.errors import (
     InvalidRecordError,
     LengthMismatchError,
@@ -245,25 +249,89 @@ class TestDeterminism:
 
 
 class TestKernelEquivalence:
-    def test_accelerated_path_matches_reference(self, monkeypatch):
-        # The compiled split kernel must reproduce the numpy reference
-        # bit-for-bit, or determinism would depend on the environment.
-        import pollencast.gbm as gbm_mod
+    """The split kernel against the plain gain expression in ``helpers``."""
 
-        if not gbm_mod.ACCELERATED:
-            pytest.skip("accelerated kernel unavailable")
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            X = rng.normal(size=(150, 20))
-            X[:, :5] = rng.integers(0, 4, size=(150, 5))  # tie-heavy columns
-            y = X[:, 2] * 2.0 + rng.normal(size=150)
-            cfg = GBMConfig(n_trees=20, seed=seed)
-            fast, fast_curve = fit(X, y, cfg)
-            monkeypatch.setattr(gbm_mod, "ACCELERATED", False)
-            slow, slow_curve = fit(X, y, cfg)
-            monkeypatch.undo()
-            assert to_json(fast) == to_json(slow)
-            np.testing.assert_array_equal(fast_curve, slow_curve)
+    @staticmethod
+    def node(rng, n_features, k):
+        # integer columns: many ties, several constant rows at small k
+        X = rng.integers(0, 4, size=(n_features, k)).astype(float)
+        r = np.round(rng.normal(size=k), 2)  # ties in the residuals too
+        order = np.argsort(X, axis=1, kind="stable")
+        return np.take_along_axis(X, order, axis=1), r[order], float(r.mean())
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_gains_and_choice_match_reference(self, min_leaf):
+        rng = np.random.default_rng(min_leaf)
+        for k in range(2, 41):  # k < 2 * min_leaf leaves no legal split
+            for _ in range(3):
+                V, R, mean = self.node(rng, 7, k)
+                want = reference_split_gains(V, R, mean, min_leaf)
+                got = gbm._split_gains(
+                    V, R - mean, min_leaf, gbm._Scratch.of(V.size)
+                )
+                lo, hi = min_leaf - 1, k - min_leaf
+                # bit patterns, so that -0.0 and 0.0 differ too
+                np.testing.assert_array_equal(
+                    got.view(np.uint64), want[:, lo:hi].view(np.uint64)
+                )
+                assert np.all(want[:, :lo] == -np.inf)
+                assert np.all(want[:, max(hi, lo):] == -np.inf)
+                assert gbm._best_split(
+                    V, R - mean, min_leaf, gbm._Scratch.of(V.size)
+                ) == reference_best_split(V, R, mean, min_leaf)
+
+
+def pinned_data():
+    rng = np.random.default_rng(2005)
+    X = rng.normal(size=(240, 24))
+    X[:, :8] = rng.integers(0, 6, size=(240, 8))
+    X[:, 8:12] = np.round(X[:, 8:12], 1)
+    y = 3.0 * X[:, 2] + X[:, 9] - 2.0 * (X[:, 14] > 0) + rng.normal(size=240)
+    return X, y
+
+
+class TestPinnedFits:
+    """sha256 of the model JSON plus the training-curve bytes.
+
+    The digests were taken with the original split kernel; any change to
+    the fitted trees, thresholds, leaf values or curve shows here.
+    """
+
+    CASES = {
+        "default": (
+            GBMConfig(),
+            "0b02f4a46731b05ec56aa6c53fdc8d4590e144628df4bb4f83e701518bc9b68c",
+        ),
+        "depth0": (
+            GBMConfig(n_trees=40, max_depth=0),
+            "baeb9fe0bac9afe0f907a0cccd3c82d46113011c5ff9eefe361d08c410d04cd8",
+        ),
+        "depth1": (
+            GBMConfig(n_trees=60, max_depth=1),
+            "650f7a3861cef936f63e2109af53442f9443622ba4e05be040df7acc5c20d102",
+        ),
+        "depth2": (
+            GBMConfig(n_trees=60, max_depth=2),
+            "607156268b69183c268891293675d49ae4128cea06d1b683d983473eeca7a8dc",
+        ),
+        "min_leaf1": (
+            GBMConfig(n_trees=60, min_samples_leaf=1),
+            "ddb0d4391fc51f1da0f3d57892f17b1dea4b8dd9e61cec8777e4e94f5efbe2bf",
+        ),
+        "subsample": (
+            GBMConfig(n_trees=60, subsample_fraction=0.5, seed=7),
+            "2905a71d1e094ce01c246bc891491348ce9634a4e0fe196bd71da51ead1e4dc5",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        cfg, want = self.CASES[case]
+        X, y = pinned_data()
+        model, curve = fit(X, y, cfg)
+        h = hashlib.sha256(to_json(model).encode())
+        h.update(np.ascontiguousarray(curve, dtype="<f8").tobytes())
+        assert h.hexdigest() == want
 
 
 class TestTieBreaking:

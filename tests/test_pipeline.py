@@ -413,6 +413,16 @@ class TestPredictSeries:
         with pytest.raises(InvalidRecordError):
             ten.fc.predict_series(ten.data, 2014, (100, 90))
 
+    def test_prebuilt_matrix_gives_same_series(self, ten):
+        fm = build_feature_matrix(ten.data, ten.refs)
+        want = ten.fc.predict_series(ten.data, 2015, (60, 110))
+        assert ten.fc.predict_series(ten.data, 2015, (60, 110), matrix=fm) == want
+
+    def test_matrix_with_other_references_rejected(self, ten):
+        fm = pl.training_matrix(ten.data, ten.sd, (2003, 2004))
+        with pytest.raises(InvalidRecordError):
+            ten.fc.predict_series(ten.data, 2015, (60, 110), matrix=fm)
+
     def test_countdown_consistency_exact_slope(self, twin_years):
         b = twin_years.boundary
         stage1 = pl.Stage1Model(
@@ -484,6 +494,26 @@ class TestTrainForecaster:
         manual = pl.Forecaster(stage1=pl.fit_stage1(s1, LIGHT),
                                stage2=pl.fit_stage2(s2, LIGHT))
         assert pl.forecaster_to_json(manual) == pl.forecaster_to_json(fc)
+
+    def test_prebuilt_matrix_gives_same_bundle(self, seed42_dataset,
+                                               season_def):
+        years = (2003, 2004)
+        kwargs = dict(stage1_cfg=LIGHT, stage2_cfg=LIGHT)
+        fm = pl.training_matrix(seed42_dataset, season_def, years)
+        assert fm.references == pl.series_references(
+            seed42_dataset, season_def, years)
+        a = pl.train_forecaster(seed42_dataset, season_def, years, **kwargs)
+        b = pl.train_forecaster(seed42_dataset, season_def, years, matrix=fm,
+                                **kwargs)
+        assert pl.forecaster_to_json(b) == pl.forecaster_to_json(a)
+
+    def test_matrix_with_other_references_rejected(self, seed42_dataset,
+                                                   season_def):
+        # references from a later year would leak it into the training
+        fm = pl.training_matrix(seed42_dataset, season_def, (2003, 2004, 2005))
+        with pytest.raises(InvalidRecordError):
+            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                stage1_cfg=LIGHT, stage2_cfg=LIGHT, matrix=fm)
 
     def test_year_length_helper_consistency(self):
         # predict_series trusts day-of-year arithmetic; pin the two year kinds
