@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -347,13 +348,24 @@ def cmd_backtest(opts: Options) -> int:
     return EXIT_OK
 
 
+def _finite(value, key: str) -> float:
+    """``value`` as a finite float, else a usage error naming ``--key``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise UsageError(
+            f"--{key.replace('_', '-')} must be a finite number, got {value!r}"
+        )
+    return number
+
+
 def cmd_threshold(opts: Options) -> int:
-    beta0 = float(opts.require("beta0"))
-    beta1 = float(opts.require("beta1"))
     analysis = min_days(
-        beta0,
-        beta1,
-        z_start=float(opts.get("z_start", 0.0)),
+        _finite(opts.require("beta0"), "beta0"),
+        _finite(opts.require("beta1"), "beta1"),
+        z_start=_finite(opts.get("z_start", 0.0), "z_start"),
         n_max=int(opts.get("n_max", 100)),
     )
     out = opts.get("out")

@@ -4,8 +4,7 @@ A season is defined by two patient-specific thresholds: a day is "typical"
 when its pollen concentration strictly exceeds ``delta_c``, and the season
 starts on the earliest day whose 7-day leading window contains at least
 ``delta_n`` typical days.  The end date mirrors that rule with a trailing
-window.  ``label_season`` is the production path; ``label_brute_force`` is
-a deliberately literal re-implementation kept as an oracle.
+window.
 """
 
 from __future__ import annotations
@@ -173,8 +172,10 @@ class SeasonDefinition:
     window_days: int = SEASON_WINDOW_DAYS
 
     def __post_init__(self) -> None:
-        if self.delta_c <= 0:
-            raise InvalidRecordError("delta_c must be positive")
+        if not (math.isfinite(self.delta_c) and self.delta_c > 0):
+            raise InvalidRecordError(
+                f"delta_c must be finite and positive, got {self.delta_c}"
+            )
         if not 1 <= self.delta_n <= self.window_days:
             raise InvalidRecordError(
                 f"delta_n must be in [1, {self.window_days}], got {self.delta_n}"
@@ -237,12 +238,13 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     ``column_map`` maps canonical column names to the file's header names
     (identity by default).  Gaps of up to 3 consecutive missing days are
     forward-filled with the previous record's values; the filled dates are
-    recorded on the returned dataset.  Longer gaps are an error.
+    recorded on the returned dataset.  Longer gaps are an error.  A leading
+    UTF-8 byte-order mark is skipped.
     """
     mapping = dict(column_map or {})
     header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         headers = reader.fieldnames or []
         missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
@@ -360,46 +362,6 @@ def label_season(data: Dataset, definition: SeasonDefinition, year: int) -> Seas
     end_off = start_off + int(end_hits[-1])
 
     return SeasonLabel(year=year, start_day=start_off + 1, end_day=end_off + 1)
-
-
-def label_brute_force(data: Dataset, definition: SeasonDefinition, year: int) -> SeasonLabel:
-    """Oracle version of :func:`label_season`: a literal scan of every window.
-
-    Same contract, no vectorization, no shortcuts.
-    """
-    if not data.covers_year(year):
-        raise InsufficientDataError(f"dataset does not fully cover year {year}")
-
-    n = len(data)
-
-    def is_typical(idx: int) -> bool:
-        if idx < 0 or idx >= n:
-            return False
-        return data.records[idx].pollen > definition.delta_c
-
-    window = definition.window_days
-    i0 = data.index_of(dt.date(year, 1, 1))
-    i1 = data.index_of(dt.date(year, 12, 31))
-
-    start_candidates = []
-    for i in range(i0, i1 + 1):
-        count = sum(1 for j in range(i, i + window) if is_typical(j))
-        if count >= definition.delta_n:
-            start_candidates.append(i)
-    if not start_candidates:
-        return SeasonLabel(year=year, start_day=None, end_day=None)
-    start_idx = min(start_candidates)
-
-    end_candidates = []
-    for i in range(i0, i1 + 1):
-        count = sum(1 for j in range(i - window + 1, i + 1) if is_typical(j))
-        if count >= definition.delta_n and i >= start_idx:
-            end_candidates.append(i)
-    if not end_candidates:
-        return SeasonLabel(year=year, start_day=None, end_day=None)
-    end_idx = max(end_candidates)
-
-    return SeasonLabel(year=year, start_day=start_idx - i0 + 1, end_day=end_idx - i0 + 1)
 
 
 def label_years(

@@ -485,6 +485,25 @@ def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: JSON number types for :func:`json_field`; ``true`` is not a number.
+NUMBER = (int, float)
+
+
+def json_field(doc: object, key: str, kinds: tuple[type, ...], what: str = "model"):
+    """``doc[key]`` if ``doc`` is a JSON object holding one of ``kinds`` there.
+
+    JSON decoding yields exact built-in types, so the type is compared
+    exactly; anything else raises :class:`InvalidRecordError`.
+    """
+    present = isinstance(doc, dict) and key in doc
+    value = doc[key] if present else None
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        got = type(value).__name__ if present else "nothing"
+        raise InvalidRecordError(f"{what}: {key!r} must be {names}, got {got}")
+    return value
+
+
 def _node_to_obj(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"value": node.value}
@@ -496,20 +515,25 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _node_from_obj(obj: dict) -> TreeNode:
-    if "value" in obj:
-        return TreeNode(value=float(obj["value"]))
+def _node_from_obj(obj: object, feature_count: int, what: str) -> TreeNode:
+    if isinstance(obj, dict) and "value" in obj:
+        return TreeNode(value=float(json_field(obj, "value", NUMBER, what)))
+    feature = json_field(obj, "feature", (int,), what)
+    if not 0 <= feature < feature_count:
+        raise InvalidRecordError(
+            f"{what}: split feature {feature} outside [0, {feature_count})"
+        )
     return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
+        feature=feature,
+        threshold=float(json_field(obj, "threshold", NUMBER, what)),
+        left=_node_from_obj(json_field(obj, "left", (dict,), what), feature_count, what),
+        right=_node_from_obj(json_field(obj, "right", (dict,), what), feature_count, what),
     )
 
 
-def to_json(model: GBMModel) -> str:
-    """Lossless, versioned JSON form; stable bytes for identical models."""
-    doc = {
+def to_obj(model: GBMModel) -> dict:
+    """The JSON object of :func:`to_json`, for embedding in other documents."""
+    return {
         "format": SERIALIZATION_FORMAT,
         "config": asdict(model.config),
         "base_prediction": model.base_prediction,
@@ -518,20 +542,36 @@ def to_json(model: GBMModel) -> str:
         "catalog_version": model.catalog_version,
         "trees": [_node_to_obj(t) for t in model.trees],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def from_obj(doc: object, what: str = "model") -> GBMModel:
+    """Inverse of :func:`to_obj`; a malformed object raises
+    :class:`InvalidRecordError` naming ``what``."""
+    fmt = json_field(doc, "format", (str,), what)
+    if fmt != SERIALIZATION_FORMAT:
+        raise InvalidRecordError(f"{what}: unsupported model format {fmt!r}")
+    try:
+        config = GBMConfig(**json_field(doc, "config", (dict,), what))
+    except TypeError as exc:
+        raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
+    feature_count = json_field(doc, "feature_count", (int,), what)
+    return GBMModel(
+        base_prediction=float(json_field(doc, "base_prediction", NUMBER, what)),
+        trees=tuple(
+            _node_from_obj(t, feature_count, what)
+            for t in json_field(doc, "trees", (list,), what)
+        ),
+        learning_rate=float(json_field(doc, "learning_rate", NUMBER, what)),
+        feature_count=feature_count,
+        config=config,
+        catalog_version=json_field(doc, "catalog_version", (str,), what),
+    )
+
+
+def to_json(model: GBMModel) -> str:
+    """Lossless, versioned JSON form; stable bytes for identical models."""
+    return json.dumps(to_obj(model), sort_keys=True, indent=2)
 
 
 def from_json(text: str) -> GBMModel:
-    doc = json.loads(text)
-    if doc.get("format") != SERIALIZATION_FORMAT:
-        raise InvalidRecordError(
-            f"unsupported model format {doc.get('format')!r}"
-        )
-    return GBMModel(
-        base_prediction=float(doc["base_prediction"]),
-        trees=tuple(_node_from_obj(o) for o in doc["trees"]),
-        learning_rate=float(doc["learning_rate"]),
-        feature_count=int(doc["feature_count"]),
-        config=GBMConfig(**doc["config"]),
-        catalog_version=doc["catalog_version"],
-    )
+    return from_obj(json.loads(text))

@@ -7,7 +7,12 @@ uncertainty of each countdown estimate.  Stage 3 (see :mod:`.wls`) fuses a
 run of consecutive-day predictions into one final date with an error bar.
 
 This module builds the two training sets, fits and serializes the models,
-and turns a fitted pair plus fresh data into a ForecastSeries.
+and turns a fitted pair plus fresh data into a ForecastSeries.  Both stages
+and inference read one feature matrix, flattened to the fixed Stage-1
+layout of 361 columns: 12 series x 30 window statistics, then day-of-year.
+Stage 2 prepends the Stage-1 prediction.  :func:`training_matrix` builds
+that matrix once, to be passed as ``matrix=`` to :func:`train_forecaster`
+and :func:`predict_series`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import calendar
 import datetime as dt
 import json
-from collections.abc import Callable, Iterable, Sequence
+import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +30,6 @@ from . import gbm
 from .data import Dataset, SeasonDefinition, label_season
 from .errors import (
     HorizonOutOfRangeError,
-    IndexOutOfRangeError,
     InvalidRecordError,
     MissingLabelError,
     TooFewYearsError,
@@ -93,7 +98,6 @@ class Stage1TrainingSet:
     boundary: str
     horizon: int
     references: tuple[float, ...]
-    include_doy: bool
     years: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -130,7 +134,6 @@ class Stage2TrainingSet:
     boundary: str
     horizon: int
     references: tuple[float, ...]
-    include_doy: bool
     protocol: str
     years: tuple[int, ...]
 
@@ -162,7 +165,6 @@ class Stage1Model:
     boundary: str
     horizon: int
     references: tuple[float, ...]
-    include_doy: bool
     train_years: tuple[int, ...]
     curve: tuple[float, ...] | None = field(default=None, compare=False)
 
@@ -178,8 +180,8 @@ class Stage2Model:
     curve: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.u_floor <= 0:
-            raise InvalidRecordError("u_floor must be > 0")
+        if not (math.isfinite(self.u_floor) and self.u_floor > 0):
+            raise InvalidRecordError("u_floor must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -239,49 +241,71 @@ def training_matrix(
     return build_feature_matrix(data, series_references(data, definition, years))
 
 
-def _days_in_year(year: int) -> int:
-    return 366 if calendar.isleap(year) else 365
+def _day_rows(fm: FeatureMatrix, year: int, z_lo: int, z_hi: int,
+              error: type[Exception]) -> np.ndarray:
+    """Flat feature rows of days z_lo..z_hi of ``year``; ``error`` when a day
+    leaves the year or has no feature window (feature dates are consecutive)."""
+    n_days = 366 if calendar.isleap(year) else 365
+    if z_lo < 1 or z_hi > n_days:
+        raise error(f"year {year}: days {z_lo}..{z_hi} leave 1..{n_days}")
+    first = (dt.date(year, 1, 1) - fm.dates[0]).days + z_lo - 1
+    last = first + z_hi - z_lo
+    if first < 0 or last >= len(fm):
+        raise error(
+            f"year {year}, days {z_lo}..{z_hi}: no feature window "
+            f"(features cover {fm.dates[0]}..{fm.dates[-1]})"
+        )
+    rows = slice(first, last + 1)
+    return flatten_all(replace(fm, values=fm.values[rows], dates=fm.dates[rows]))
 
 
-def _doy_date(year: int, z: int) -> dt.date:
-    return dt.date(year, 1, 1) + dt.timedelta(days=z - 1)
+_YearRows = tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
 
 
-def _year_rows(
-    fm: FeatureMatrix,
-    flat: np.ndarray,
+def _labeled_years(
     data: Dataset,
     definition: SeasonDefinition,
-    year: int,
+    years: Iterable[int],
     boundary: str,
     horizon: int,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Feature rows and countdown targets for one labeled year."""
-    label = label_season(data, definition, year)
-    if not label.present:
-        raise MissingLabelError(
-            f"year {year} has no season under delta_c={definition.delta_c}, "
-            f"delta_n={definition.delta_n}"
-        )
-    b = label.boundary(boundary)
-    z_lo = b - horizon
-    if z_lo < 1:
-        raise HorizonOutOfRangeError(
-            f"year {year}: horizon {horizon} reaches before day 1 "
-            f"(boundary day {b})"
-        )
-    rows = []
-    for z in range(z_lo, b + 1):
-        try:
-            rows.append(fm.row_for_date(_doy_date(year, z)))
-        except IndexOutOfRangeError as exc:
-            raise HorizonOutOfRangeError(
-                f"year {year}, day {z}: no feature window ({exc})"
-            ) from exc
-    x = flat[np.array(rows, dtype=np.intp)]
-    t = np.array([float(b - z) for z in range(z_lo, b + 1)])
-    prov = [(year, z) for z in range(z_lo, b + 1)]
-    return x, t, prov
+    matrix: FeatureMatrix | None,
+    min_years: int,
+) -> tuple[tuple[int, ...], FeatureMatrix, dict[int, _YearRows]]:
+    """Sorted years, their feature matrix and each year's countdown rows.
+
+    Each year is labeled once; its rows are days z in [boundary-H, boundary]
+    with targets ``boundary - z``.  Without ``matrix`` one is built with the
+    years' own references.
+    """
+    if boundary not in ("start", "end"):
+        raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
+    if horizon < 1:
+        raise HorizonOutOfRangeError(f"horizon must be >= 1, got {horizon}")
+    ys = tuple(sorted(set(years)))
+    if len(ys) < min_years:
+        raise TooFewYearsError(f"need >= {min_years} training years, got {len(ys)}")
+    fm = matrix if matrix is not None else training_matrix(data, definition, ys)
+    targets = np.arange(horizon, -1, -1, dtype=np.float64)
+    per_year = {}
+    for year in ys:
+        label = label_season(data, definition, year)
+        if not label.present:
+            raise MissingLabelError(
+                f"year {year} has no season under delta_c={definition.delta_c}, "
+                f"delta_n={definition.delta_n}"
+            )
+        b = label.boundary(boundary)
+        rows = _day_rows(fm, year, b - horizon, b, HorizonOutOfRangeError)
+        prov = tuple((year, z) for z in range(b - horizon, b + 1))
+        per_year[year] = (rows, targets, prov)
+    return ys, fm, per_year
+
+
+def _stack(per_year: dict[int, _YearRows], years: tuple[int, ...]) -> _YearRows:
+    """The rows of ``years``, concatenated in that order."""
+    xs, ts, provs = zip(*(per_year[y] for y in years))
+    prov = tuple(zp for p in provs for zp in p)
+    return np.concatenate(xs, axis=0), np.concatenate(ts), prov
 
 
 def build_s1(
@@ -290,45 +314,25 @@ def build_s1(
     years: Iterable[int],
     boundary: str = "start",
     horizon: int = DEFAULT_HORIZON,
-    references: Sequence[float] | None = None,
-    include_doy: bool = True,
     matrix: FeatureMatrix | None = None,
 ) -> Stage1TrainingSet:
     """Stage-1 training set: one row per (year, z), z in [boundary-H, boundary].
 
-    ``references`` and ``matrix`` can be supplied to reuse a prebuilt feature
-    matrix; by default both are derived from ``years`` so nothing outside the
-    training years influences the count-feature references.
+    ``matrix`` reuses a prebuilt feature matrix and its references; by
+    default it is built from ``years`` so nothing outside the training years
+    influences the count-feature references.
     """
-    if boundary not in ("start", "end"):
-        raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
-    if horizon < 1:
-        raise HorizonOutOfRangeError(f"horizon must be >= 1, got {horizon}")
-    ys = tuple(sorted(set(years)))
-    if not ys:
-        raise TooFewYearsError("need at least one training year")
-    refs = (
-        tuple(float(r) for r in references)
-        if references is not None
-        else series_references(data, definition, ys)
+    ys, fm, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, matrix, min_years=1
     )
-    fm = matrix if matrix is not None else build_feature_matrix(data, refs)
-    flat = flatten_all(fm, include_doy)
-
-    xs, ts, prov = [], [], []
-    for year in ys:
-        x, t, p = _year_rows(fm, flat, data, definition, year, boundary, horizon)
-        xs.append(x)
-        ts.append(t)
-        prov.extend(p)
+    x, t, prov = _stack(per_year, ys)
     return Stage1TrainingSet(
-        features=np.concatenate(xs, axis=0),
-        targets=np.concatenate(ts),
-        provenance=tuple(prov),
+        features=x,
+        targets=t,
+        provenance=prov,
         boundary=boundary,
         horizon=horizon,
-        references=refs,
-        include_doy=include_doy,
+        references=fm.references,
         years=ys,
     )
 
@@ -343,7 +347,6 @@ def fit_stage1(
         boundary=training.boundary,
         horizon=training.horizon,
         references=training.references,
-        include_doy=training.include_doy,
         train_years=training.years,
         curve=tuple(float(v) for v in result.curve),
     )
@@ -371,8 +374,6 @@ def build_s2(
     horizon: int = DEFAULT_HORIZON,
     protocol: str = "loyo",
     stage1_cfg: gbm.GBMConfig | None = None,
-    references: Sequence[float] | None = None,
-    include_doy: bool = True,
     matrix: FeatureMatrix | None = None,
     stage1_fit: FitFn = gbm.fit,
 ) -> Stage2TrainingSet:
@@ -384,36 +385,20 @@ def build_s2(
     the first half of the years and scores the second half.  Rows are
     ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.
     """
-    ys = tuple(sorted(set(years)))
-    if len(ys) < 2:
-        raise TooFewYearsError(
-            f"stage-2 residuals need >= 2 years, got {len(ys)}"
-        )
-    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    refs = (
-        tuple(float(r) for r in references)
-        if references is not None
-        else series_references(data, definition, ys)
+    ys, fm, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, matrix, min_years=2
     )
-    fm = matrix if matrix is not None else build_feature_matrix(data, refs)
-    flat = flatten_all(fm, include_doy)
-
+    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
     xs, ts, prov, scorers = [], [], [], []
     for train_ys, scored_ys in _protocol_folds(ys, protocol):
-        fold = build_s1(
-            data, definition, train_ys, boundary, horizon,
-            references=refs, include_doy=include_doy, matrix=fm,
-        )
-        model = stage1_fit(fold.features, fold.targets, cfg).model
-        for year in scored_ys:
-            x, t, p = _year_rows(
-                fm, flat, data, definition, year, boundary, horizon
-            )
-            y_hat = gbm.predict_batch(model, x)
-            xs.append(np.concatenate([y_hat[:, None], x], axis=1))
-            ts.append(np.abs(y_hat - t))
-            prov.extend(p)
-            scorers.append((year, train_ys))
+        fold_x, fold_t, _ = _stack(per_year, train_ys)
+        model = stage1_fit(fold_x, fold_t, cfg).model
+        x, t, p = _stack(per_year, scored_ys)
+        y_hat = gbm.predict_batch(model, x)
+        xs.append(np.concatenate([y_hat[:, None], x], axis=1))
+        ts.append(np.abs(y_hat - t))
+        prov.extend(p)
+        scorers.extend((year, train_ys) for year in scored_ys)
     return Stage2TrainingSet(
         features=np.concatenate(xs, axis=0),
         targets=np.concatenate(ts),
@@ -421,8 +406,7 @@ def build_s2(
         scorer_train_years=tuple(scorers),
         boundary=boundary,
         horizon=horizon,
-        references=refs,
-        include_doy=include_doy,
+        references=fm.references,
         protocol=protocol,
         years=ys,
     )
@@ -444,6 +428,20 @@ def fit_stage2(
     )
 
 
+def _matrix(
+    data: Dataset, refs: tuple[float, ...], matrix: FeatureMatrix | None
+) -> FeatureMatrix:
+    """``matrix`` if it was built with ``refs``; a new one when it is None."""
+    if matrix is None:
+        return build_feature_matrix(data, refs)
+    if matrix.references != refs:
+        raise InvalidRecordError(
+            "feature matrix was built with other count-feature references "
+            "than these training years or this model use"
+        )
+    return matrix
+
+
 def train_forecaster(
     data: Dataset,
     definition: SeasonDefinition,
@@ -453,7 +451,6 @@ def train_forecaster(
     stage1_cfg: gbm.GBMConfig | None = None,
     stage2_cfg: gbm.GBMConfig | None = None,
     protocol: str = "loyo",
-    include_doy: bool = True,
     matrix: FeatureMatrix | None = None,
 ) -> Forecaster:
     """Train both stages on the given years and return the bundled pair.
@@ -462,28 +459,14 @@ def train_forecaster(
     (see :func:`training_matrix`); by default it is built here.
     """
     ys = tuple(sorted(set(years)))
-    refs = series_references(data, definition, ys)
-    if matrix is None:
-        fm = build_feature_matrix(data, refs)
-    elif matrix.references != refs:
-        raise InvalidRecordError(
-            "feature matrix was built with other references than the "
-            "training years give"
-        )
-    else:
-        fm = matrix
-    s1 = build_s1(
-        data, definition, ys, boundary, horizon,
-        references=refs, include_doy=include_doy, matrix=fm,
-    )
+    fm = _matrix(data, series_references(data, definition, ys), matrix)
+    s1 = build_s1(data, definition, ys, boundary, horizon, matrix=fm)
     stage1 = fit_stage1(s1, stage1_cfg)
     s2 = build_s2(
         data, definition, ys, boundary, horizon,
-        protocol=protocol, stage1_cfg=stage1_cfg,
-        references=refs, include_doy=include_doy, matrix=fm,
+        protocol=protocol, stage1_cfg=stage1_cfg, matrix=fm,
     )
-    stage2 = fit_stage2(s2, stage2_cfg)
-    return Forecaster(stage1=stage1, stage2=stage2)
+    return Forecaster(stage1=stage1, stage2=fit_stage2(s2, stage2_cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +493,8 @@ def predict_series(
     z_lo, z_hi = int(z_range[0]), int(z_range[1])
     if z_lo > z_hi:
         raise InvalidRecordError(f"empty z_range {z_range}")
-    if z_lo < 1 or z_hi > _days_in_year(year):
-        raise WindowUnavailableError(
-            f"z_range {z_range} leaves year {year} (1..{_days_in_year(year)})"
-        )
-    if matrix is None:
-        fm = build_feature_matrix(data, s1m.references)
-    elif matrix.references != s1m.references:
-        raise InvalidRecordError(
-            "feature matrix was built with other references than the model's"
-        )
-    else:
-        fm = matrix
-    flat = flatten_all(fm, s1m.include_doy)
-    rows = []
-    for z in range(z_lo, z_hi + 1):
-        try:
-            rows.append(fm.row_for_date(_doy_date(year, z)))
-        except IndexOutOfRangeError as exc:
-            raise WindowUnavailableError(
-                f"year {year}, day {z}: no feature window ({exc})"
-            ) from exc
-    x = flat[np.array(rows, dtype=np.intp)]
+    fm = _matrix(data, s1m.references, matrix)
+    x = _day_rows(fm, year, z_lo, z_hi, WindowUnavailableError)
     y_hat = gbm.predict_batch(s1m.model, x)
     u_raw = gbm.predict_batch(
         s2m.model, np.concatenate([y_hat[:, None], x], axis=1)
@@ -556,37 +519,75 @@ def forecaster_to_json(fc: Forecaster) -> str:
         "boundary": fc.stage1.boundary,
         "horizon": fc.stage1.horizon,
         "references": list(fc.stage1.references),
-        "include_doy": fc.stage1.include_doy,
+        "include_doy": True,
         "train_years": list(fc.stage1.train_years),
         "u_floor": fc.stage2.u_floor,
         "stage2_protocol": fc.stage2.protocol,
-        "stage1_model": json.loads(gbm.to_json(fc.stage1.model)),
-        "stage2_model": json.loads(gbm.to_json(fc.stage2.model)),
+        "stage1_model": gbm.to_obj(fc.stage1.model),
+        "stage2_model": gbm.to_obj(fc.stage2.model),
     }
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidRecordError(f"model bundle: non-finite number {text}")
+    return value
+
+
 def forecaster_from_json(text: str) -> Forecaster:
-    """Inverse of :func:`forecaster_to_json` (training curves are not kept)."""
-    obj = json.loads(text)
-    if obj.get("format") != BUNDLE_FORMAT:
+    """Inverse of :func:`forecaster_to_json` (training curves are not kept).
+
+    Anything but a well-formed bundle of this package's feature layout
+    raises :class:`InvalidRecordError`.
+    """
+    try:
+        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidRecordError(f"model bundle is not readable JSON: {exc}") from exc
+    return _forecaster_from_obj(obj)
+
+
+def _forecaster_from_obj(obj: object) -> Forecaster:
+    def get(key: str, kinds: tuple[type, ...]):
+        return gbm.json_field(obj, key, kinds, "model bundle")
+
+    if get("format", (str,)) != BUNDLE_FORMAT:
         raise InvalidRecordError(
-            f"expected format {BUNDLE_FORMAT!r}, got {obj.get('format')!r}"
+            f"expected format {BUNDLE_FORMAT!r}, got {obj['format']!r}"
         )
-    train_years = tuple(int(y) for y in obj["train_years"])
+    if get("include_doy", (bool,)) is not True:
+        raise InvalidRecordError(
+            "model bundle: include_doy must be true; day-of-year is the last "
+            "Stage-1 column"
+        )
+    refs = get("references", (list,))
+    if len(refs) != len(SERIES_NAMES) or any(type(r) not in gbm.NUMBER for r in refs):
+        raise InvalidRecordError(
+            f"model bundle: references must be {len(SERIES_NAMES)} numbers"
+        )
+    train_years = get("train_years", (list,))
+    if any(type(y) is not int for y in train_years):
+        raise InvalidRecordError("model bundle: train_years must be integers")
+    s1_model = gbm.from_obj(get("stage1_model", (dict,)), "stage1_model")
+    if s1_model.catalog_version != CATALOG_VERSION:
+        raise InvalidRecordError(
+            f"stage1_model: catalog_version {s1_model.catalog_version!r}, "
+            f"expected {CATALOG_VERSION!r}"
+        )
     stage1 = Stage1Model(
-        model=gbm.from_json(json.dumps(obj["stage1_model"])),
-        boundary=obj["boundary"],
-        horizon=int(obj["horizon"]),
-        references=tuple(float(r) for r in obj["references"]),
-        include_doy=bool(obj["include_doy"]),
-        train_years=train_years,
+        model=s1_model,
+        boundary=get("boundary", (str,)),
+        horizon=get("horizon", (int,)),
+        references=tuple(float(r) for r in refs),
+        train_years=tuple(train_years),
     )
     stage2 = Stage2Model(
-        model=gbm.from_json(json.dumps(obj["stage2_model"])),
-        u_floor=float(obj["u_floor"]),
-        protocol=obj["stage2_protocol"],
-        train_years=train_years,
+        model=gbm.from_obj(get("stage2_model", (dict,)), "stage2_model"),
+        u_floor=float(get("u_floor", gbm.NUMBER)),
+        protocol=get("stage2_protocol", (str,)),
+        train_years=tuple(train_years),
     )
     return Forecaster(stage1=stage1, stage2=stage2)
 
@@ -599,4 +600,8 @@ def save_forecaster(fc: Forecaster, path: str) -> None:
 
 def load_forecaster(path: str) -> Forecaster:
     with open(path, encoding="utf-8") as fh:
-        return forecaster_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidRecordError(f"model bundle {path} is not UTF-8: {exc}") from exc
+    return forecaster_from_json(text)

@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from pollencast.data import DailyRecord, Dataset
+from pollencast.data import DailyRecord, Dataset, SeasonDefinition, SeasonLabel
+from pollencast.errors import InsufficientDataError
 
 #: Valid placeholder covariates for records whose weather does not matter.
 NEUTRAL_WEATHER = dict(
@@ -51,6 +52,47 @@ def year_dataset(pollen: Sequence[float], year: int = 2001) -> Dataset:
 
 def year_length(year: int) -> int:
     return (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days + 1
+
+
+def label_brute_force(data: Dataset, definition: SeasonDefinition, year: int) -> SeasonLabel:
+    """Oracle version of ``pollencast.data.label_season``: a literal scan of
+    every window.
+
+    Same contract, no vectorization, no shortcuts.
+    """
+    if not data.covers_year(year):
+        raise InsufficientDataError(f"dataset does not fully cover year {year}")
+
+    n = len(data)
+
+    def is_typical(idx: int) -> bool:
+        if idx < 0 or idx >= n:
+            return False
+        return data.records[idx].pollen > definition.delta_c
+
+    window = definition.window_days
+    i0 = data.index_of(dt.date(year, 1, 1))
+    i1 = data.index_of(dt.date(year, 12, 31))
+
+    start_candidates = []
+    for i in range(i0, i1 + 1):
+        count = sum(1 for j in range(i, i + window) if is_typical(j))
+        if count >= definition.delta_n:
+            start_candidates.append(i)
+    if not start_candidates:
+        return SeasonLabel(year=year, start_day=None, end_day=None)
+    start_idx = min(start_candidates)
+
+    end_candidates = []
+    for i in range(i0, i1 + 1):
+        count = sum(1 for j in range(i - window + 1, i + 1) if is_typical(j))
+        if count >= definition.delta_n and i >= start_idx:
+            end_candidates.append(i)
+    if not end_candidates:
+        return SeasonLabel(year=year, start_day=None, end_day=None)
+    end_idx = max(end_candidates)
+
+    return SeasonLabel(year=year, start_day=start_idx - i0 + 1, end_day=end_idx - i0 + 1)
 
 
 def reference_split_gains(

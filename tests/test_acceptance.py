@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dataset_from_pollen
+from helpers import dataset_from_pollen, label_brute_force
 from pollencast import backtest as bt
 from pollencast import gbm
 from pollencast import pipeline as pl
-from pollencast.data import SeasonDefinition, emit_csv, label_brute_force, label_season
+from pollencast.data import SeasonDefinition, emit_csv, label_season
 from pollencast.synth import generate_synthetic
 from pollencast.wls import (
     PredictionPoint,

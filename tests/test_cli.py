@@ -2,16 +2,19 @@
 
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from helpers import year_dataset
+import pollencast
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pollencast.data import Dataset, emit_csv
+from pollencast.features import CATALOG_VERSION
 
 LIGHT_CONFIG = {
     "stage1": {"n_trees": 30, "max_depth": 2, "learning_rate": 0.25},
@@ -194,11 +197,12 @@ class TestTrainPredict:
     def test_degenerate_slope_is_runtime_error(self, synth_csv, tmp_path,
                                                capsys):
         flat = gbm.GBMModel(base_prediction=30.0, trees=(), learning_rate=1.0,
-                            feature_count=361, config=gbm.GBMConfig())
+                            feature_count=361, config=gbm.GBMConfig(),
+                            catalog_version=CATALOG_VERSION)
         fc = pl.Forecaster(
             stage1=pl.Stage1Model(model=flat, boundary="start", horizon=59,
                                   references=(120.0,) + (10.0,) * 11,
-                                  include_doy=True, train_years=(2003,)),
+                                  train_years=(2003,)),
             stage2=pl.Stage2Model(model=gbm.GBMModel(
                 base_prediction=1.0, trees=(), learning_rate=1.0,
                 feature_count=362, config=gbm.GBMConfig()),
@@ -315,22 +319,24 @@ class TestConfigFile:
                      "--out", str(tmp_path / "m.json")]) == EXIT_USAGE
 
 
+def run_module(*args):
+    """``python -m pollencast`` on the package these tests import."""
+    src = os.path.dirname(os.path.dirname(pollencast.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pollencast", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pollencast", "threshold",
-             "--beta0", "0", "--beta1", "1", "--n-max", "4"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("threshold", "--beta0", "0", "--beta1", "1",
+                          "--n-max", "4")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "n_min=2"
 
     def test_module_usage_error_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pollencast", "synth", "--years", "0",
-             "--out", "x.csv"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("synth", "--years", "0", "--out", "x.csv")
         assert proc.returncode == EXIT_USAGE
 
 
@@ -354,3 +360,106 @@ class TestWalkthrough:
         mae_line = [ln for ln in out.splitlines() if ln.startswith("mae=")][-1]
         doc = json.loads((report_dir / "report.json").read_text())
         assert float(mae_line.split("mae=")[1].split()[0]) == doc["mae"]
+
+
+def _first_split(bundle):
+    """The first split node of the Stage-1 trees of a bundle object."""
+    return next(t for t in bundle["stage1_model"]["trees"] if "feature" in t)
+
+
+#: Ways to break a valid bundle object; each must give exit 2 and one line.
+BROKEN_BUNDLES = {
+    "missing_key": lambda b: b.pop("u_floor"),
+    "missing_model_key": lambda b: b["stage2_model"].pop("trees"),
+    "wrong_type": lambda b: b.update(horizon="59"),
+    "bool_for_int": lambda b: b.update(horizon=True),
+    "include_doy_false": lambda b: b.update(include_doy=False),
+    "eleven_references": lambda b: b["references"].pop(),
+    "nan_reference": lambda b: b["references"].__setitem__(3, float("nan")),
+    "inf_reference": lambda b: b["references"].__setitem__(0, float("inf")),
+    "split_feature_past_end": lambda b: _first_split(b).update(
+        feature=b["stage1_model"]["feature_count"]),
+    "negative_split_feature": lambda b: _first_split(b).update(feature=-1),
+    "other_catalog_version": lambda b: b["stage1_model"].update(
+        catalog_version="w14s29-v0"),
+    "bad_model_config": lambda b: b["stage2_model"].update(config={"bogus": 1}),
+    "zero_u_floor": lambda b: b.update(u_floor=0),
+}
+
+
+def assert_one_error_line(capsys, code, want):
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    lines = err.strip("\n").splitlines()
+    assert lines[-1].startswith("error: ")
+    assert [ln for ln in lines if ln.startswith("error:")] == [lines[-1]]
+    return lines[-1]
+
+
+class TestBadInputs:
+    """Bad bundles, numbers and CSVs end with exit 2 or 64 and one
+    ``error:`` line, never a traceback."""
+
+    def predict(self, synth_csv, model):
+        return main(["predict", "--input", synth_csv, "--model", str(model),
+                     "--year", "2008", "--anchor", "110"])
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))
+    def test_broken_bundle(self, synth_csv, trained_model, tmp_path, capsys,
+                           case):
+        bundle = json.loads(open(trained_model).read())
+        BROKEN_BUNDLES[case](bundle)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(bundle))
+        line = assert_one_error_line(
+            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line
+
+    @pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe\x00garbage",
+                                      b"[1, 2]"],
+                             ids=["not_json", "empty", "not_utf8",
+                                  "not_an_object"])
+    def test_unreadable_bundle(self, synth_csv, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        line = assert_one_error_line(
+            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line
+
+    def test_valid_bundle_loads(self, synth_csv, trained_model, tmp_path):
+        # the mutations above start from a bundle that predicts
+        bundle = json.loads(open(trained_model).read())
+        path = tmp_path / "copy.json"
+        path.write_text(json.dumps(bundle))
+        assert self.predict(synth_csv, path) == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_c(self, synth_csv, capsys, value):
+        code = main(["label", "--input", synth_csv, "--delta-c", value])
+        assert_one_error_line(capsys, code, EXIT_USAGE)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--beta0", "nan"), ("--beta0", "inf"), ("--beta1", "inf"),
+        ("--beta1", "nan"), ("--z-start", "nan"), ("--z-start", "-inf"),
+    ])
+    def test_non_finite_threshold_number(self, capsys, flag, value):
+        argv = {"--beta0": "0", "--beta1": "1"}
+        argv[flag] = value
+        code = main(["threshold", *(x for kv in argv.items() for x in kv)])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert flag in line
+
+    def test_non_numeric_config_number(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"beta0": "ten", "beta1": 1}))
+        code = main(["--config", str(cfg), "threshold"])
+        assert_one_error_line(capsys, code, EXIT_USAGE)
+
+    def test_csv_with_byte_order_mark(self, synth_csv, tmp_path, capsys):
+        assert main(["label", "--input", synth_csv]) == EXIT_OK
+        plain = capsys.readouterr().out
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + open(synth_csv, "rb").read())
+        assert main(["label", "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == plain

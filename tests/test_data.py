@@ -12,7 +12,6 @@ from pollencast.data import (
     SeasonLabel,
     emit_csv,
     ingest_csv,
-    label_brute_force,
     label_season,
     label_years,
     season_stats,
@@ -27,7 +26,13 @@ from pollencast.errors import (
     TooFewSeasonsError,
 )
 
-from helpers import dataset_from_pollen, make_record, year_dataset, year_length
+from helpers import (
+    dataset_from_pollen,
+    label_brute_force,
+    make_record,
+    year_dataset,
+    year_length,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +205,13 @@ class TestIngestCsv:
         emit_csv(again, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        emit_csv(dataset_from_pollen([1.0, 2.0], dt.date(2020, 3, 1)), str(path))
+        plain = ingest_csv(str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ingest_csv(str(path)) == plain
+
     def test_round_trip_after_fill(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [full_row("2020-03-01", 9.0), full_row("2020-03-04", 2.0)])
@@ -224,6 +236,11 @@ class TestSeasonTypes:
     def test_delta_c_positive(self):
         with pytest.raises(InvalidRecordError):
             SeasonDefinition(delta_c=0.0, delta_n=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_delta_c_finite(self, bad):
+        with pytest.raises(InvalidRecordError):
+            SeasonDefinition(delta_c=bad, delta_n=4)
 
     def test_label_invariants(self):
         with pytest.raises(InvalidRecordError):

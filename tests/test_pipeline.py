@@ -1,6 +1,7 @@
 """Tests for the three-stage pipeline: training sets, fits, inference."""
 
 import datetime as dt
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -88,9 +89,9 @@ def ten(seed42_dataset, season_def):
     data, sd = seed42_dataset, season_def
     refs = pl.series_references(data, sd, TRAIN_YEARS)
     fm = build_feature_matrix(data, refs)
-    s1 = pl.build_s1(data, sd, TRAIN_YEARS, references=refs, matrix=fm)
+    s1 = pl.build_s1(data, sd, TRAIN_YEARS, matrix=fm)
     stage1 = pl.fit_stage1(s1)
-    s2 = pl.build_s2(data, sd, TRAIN_YEARS, references=refs, matrix=fm)
+    s2 = pl.build_s2(data, sd, TRAIN_YEARS, matrix=fm)
     stage2 = pl.fit_stage2(s2)
     return SimpleNamespace(
         data=data, sd=sd, refs=refs, s1=s1, s2=s2,
@@ -132,7 +133,38 @@ class TestSeriesReferences:
             pl.series_references(seed42_dataset, season_def, (1950,))
 
 
-class TestBuildS1:
+class TrainingSetChecks:
+    """Argument checks that build_s1 and build_s2 share; the test classes
+    below set ``build`` to the function under test."""
+
+    def test_absent_label_rejected(self, seed42_dataset):
+        sd = SeasonDefinition(delta_c=1e9, delta_n=4)
+        with pytest.raises(MissingLabelError):
+            self.build(seed42_dataset, sd, (2003, 2004))
+
+    def test_horizon_before_day_one_rejected(self, seed42_dataset, season_def):
+        with pytest.raises(HorizonOutOfRangeError):
+            self.build(seed42_dataset, season_def, (2003, 2004), horizon=200)
+
+    def test_horizon_without_feature_window_rejected(self, seed42_dataset,
+                                                     season_def, seed42_labels):
+        b = seed42_labels[2003].start_day
+        with pytest.raises(HorizonOutOfRangeError):
+            self.build(seed42_dataset, season_def, (2003, 2004), horizon=b - 5)
+
+    def test_nonpositive_horizon_rejected(self, seed42_dataset, season_def):
+        with pytest.raises(HorizonOutOfRangeError):
+            self.build(seed42_dataset, season_def, (2003, 2004), horizon=0)
+
+    def test_bad_boundary_rejected(self, seed42_dataset, season_def):
+        with pytest.raises(InvalidRecordError):
+            self.build(seed42_dataset, season_def, (2003, 2004),
+                       boundary="middle")
+
+
+class TestBuildS1(TrainingSetChecks):
+    build = staticmethod(pl.build_s1)
+
     def test_one_year_row_count_and_targets(self, seed42_dataset, season_def,
                                             seed42_labels):
         s1 = pl.build_s1(seed42_dataset, season_def, (2005,))
@@ -180,33 +212,6 @@ class TestBuildS1:
         for (year, z), row in zip(s1.provenance, s1.features):
             assert row[DOY_INDEX] == float(z)
 
-    def test_without_doy_column(self, seed42_dataset, season_def):
-        s1 = pl.build_s1(seed42_dataset, season_def, (2003,), include_doy=False)
-        assert s1.features.shape[1] == N_FLAT - 1
-
-    def test_absent_label_rejected(self, seed42_dataset):
-        sd = SeasonDefinition(delta_c=1e9, delta_n=4)
-        with pytest.raises(MissingLabelError):
-            pl.build_s1(seed42_dataset, sd, (2003,))
-
-    def test_horizon_before_day_one_rejected(self, seed42_dataset, season_def):
-        with pytest.raises(HorizonOutOfRangeError):
-            pl.build_s1(seed42_dataset, season_def, (2003,), horizon=200)
-
-    def test_horizon_without_feature_window_rejected(self, seed42_dataset,
-                                                     season_def, seed42_labels):
-        b = seed42_labels[2003].start_day
-        with pytest.raises(HorizonOutOfRangeError):
-            pl.build_s1(seed42_dataset, season_def, (2003,), horizon=b - 5)
-
-    def test_nonpositive_horizon_rejected(self, seed42_dataset, season_def):
-        with pytest.raises(HorizonOutOfRangeError):
-            pl.build_s1(seed42_dataset, season_def, (2003,), horizon=0)
-
-    def test_bad_boundary_rejected(self, seed42_dataset, season_def):
-        with pytest.raises(InvalidRecordError):
-            pl.build_s1(seed42_dataset, season_def, (2003,), boundary="middle")
-
     def test_no_years_rejected(self, seed42_dataset, season_def):
         with pytest.raises(TooFewYearsError):
             pl.build_s1(seed42_dataset, season_def, ())
@@ -222,7 +227,6 @@ class TestBuildS1:
                 boundary=s1.boundary,
                 horizon=s1.horizon,
                 references=s1.references,
-                include_doy=s1.include_doy,
                 years=s1.years,
             )
 
@@ -238,7 +242,6 @@ class TestFitStage1:
             boundary="start",
             horizon=59,
             references=(1.0,) * 12,
-            include_doy=False,
             years=(2001,),
         )
         m = pl.fit_stage1(training, LIGHT)
@@ -264,7 +267,9 @@ class TestFitStage1:
         assert mae < 59 / 4
 
 
-class TestBuildS2:
+class TestBuildS2(TrainingSetChecks):
+    build = staticmethod(pl.build_s2)
+
     def test_single_year_rejected(self, seed42_dataset, season_def):
         with pytest.raises(TooFewYearsError):
             pl.build_s2(seed42_dataset, season_def, (2003,))
@@ -272,20 +277,17 @@ class TestBuildS2:
     def test_two_years_scored_by_the_other_model(self, seed42_dataset,
                                                  season_def):
         years = (2003, 2004)
-        refs = pl.series_references(seed42_dataset, season_def, years)
-        fm = build_feature_matrix(seed42_dataset, refs)
+        fm = pl.training_matrix(seed42_dataset, season_def, years)
         s2 = pl.build_s2(seed42_dataset, season_def, years,
-                         stage1_cfg=LIGHT, references=refs, matrix=fm)
+                         stage1_cfg=LIGHT, matrix=fm)
         assert len(s2) == 120
         assert s2.features.shape[1] == N_FLAT + 1
         assert dict(s2.scorer_train_years) == {2003: (2004,), 2004: (2003,)}
 
         # recompute year 2003's rows by hand from the 2004-trained model
-        fold = pl.build_s1(seed42_dataset, season_def, (2004,),
-                           references=refs, matrix=fm)
+        fold = pl.build_s1(seed42_dataset, season_def, (2004,), matrix=fm)
         model = gbm.fit(fold.features, fold.targets, LIGHT).model
-        own = pl.build_s1(seed42_dataset, season_def, (2003,),
-                          references=refs, matrix=fm)
+        own = pl.build_s1(seed42_dataset, season_def, (2003,), matrix=fm)
         y_hat = gbm.predict_batch(model, own.features)
         assert np.array_equal(s2.features[:60, 0], y_hat)
         assert np.array_equal(s2.targets[:60], np.abs(y_hat - own.targets))
@@ -332,7 +334,6 @@ class TestBuildS2:
                 boundary=s2.boundary,
                 horizon=s2.horizon,
                 references=s2.references,
-                include_doy=s2.include_doy,
                 protocol=s2.protocol,
                 years=s2.years,
             )
@@ -353,7 +354,6 @@ class TestFitStage2:
             boundary="start",
             horizon=59,
             references=(1.0,) * 12,
-            include_doy=False,
             protocol="loyo",
             years=(2001, 2002),
         )
@@ -430,7 +430,6 @@ class TestPredictSeries:
             boundary="start",
             horizon=20,
             references=(120.0,) + (10.0,) * 11,
-            include_doy=True,
             train_years=(2001,),
         )
         stage2 = pl.Stage2Model(
@@ -485,12 +484,10 @@ class TestTrainForecaster:
         years = (2003, 2004)
         fc = pl.train_forecaster(seed42_dataset, season_def, years,
                                  stage1_cfg=LIGHT, stage2_cfg=LIGHT)
-        refs = pl.series_references(seed42_dataset, season_def, years)
-        fm = build_feature_matrix(seed42_dataset, refs)
-        s1 = pl.build_s1(seed42_dataset, season_def, years,
-                         references=refs, matrix=fm)
+        fm = pl.training_matrix(seed42_dataset, season_def, years)
+        s1 = pl.build_s1(seed42_dataset, season_def, years, matrix=fm)
         s2 = pl.build_s2(seed42_dataset, season_def, years, stage1_cfg=LIGHT,
-                         references=refs, matrix=fm)
+                         matrix=fm)
         manual = pl.Forecaster(stage1=pl.fit_stage1(s1, LIGHT),
                                stage2=pl.fit_stage2(s2, LIGHT))
         assert pl.forecaster_to_json(manual) == pl.forecaster_to_json(fc)
@@ -519,3 +516,25 @@ class TestTrainForecaster:
         # predict_series trusts day-of-year arithmetic; pin the two year kinds
         assert year_length(2004) == 366
         assert year_length(2003) == 365
+
+
+class TestPinnedBundles:
+    """sha256 of the bundle JSON for both Stage-2 protocols.
+
+    The digests were taken before each training year was labeled and
+    featurized once; any change to the rows, folds or fits shows here.
+    """
+
+    DIGESTS = {
+        "loyo": "d38fb76ed0b46498e5098df60f4ef3267ca7aba4f62079a19fa1ba960bffc89e",
+        "holdout": "a74e7df38d153e8fe85d67e610cef9c9ba02f53c6d61030f76d7ee3b462f4fe8",
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(DIGESTS))
+    def test_digest(self, seed42_dataset, season_def, protocol):
+        years = (y for y in range(2003, 2007))  # one-shot iterables work
+        fc = pl.train_forecaster(seed42_dataset, season_def, years,
+                                 stage1_cfg=LIGHT, stage2_cfg=LIGHT,
+                                 protocol=protocol)
+        text = pl.forecaster_to_json(fc)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[protocol]
