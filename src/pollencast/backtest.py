@@ -65,7 +65,8 @@ class BacktestConfig:
     ``z_range_policy`` decides which days the test year is forecast on:
     ``train_mean`` anchors the window at the rounded mean training-year
     boundary (no test-year information), ``truth`` anchors it at the test
-    year's actual boundary (diagnostic only).
+    year's actual boundary (diagnostic only).  ``jobs`` is passed to each fold's training (see
+    :func:`~.pipeline.train_forecaster`); the folds themselves run in turn.
     """
 
     folds: tuple[Fold, ...]
@@ -76,6 +77,7 @@ class BacktestConfig:
     stage1_cfg: GBMConfig = GBMConfig()
     stage2_cfg: GBMConfig = GBMConfig()
     stage2_protocol: str = "loyo"
+    jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.z_range_policy not in ("train_mean", "truth"):
@@ -208,6 +210,42 @@ def _convergence_trace(
     return tuple(points)
 
 
+def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
+    """Train, forecast and fuse one fold.  Its feature matrix and models are
+    released on return, before the next fold builds its own."""
+    truth = label_season(data, cfg.definition, fold.test_year).boundary(
+        cfg.boundary
+    )
+    if truth is None:
+        raise MissingLabelError(f"test year {fold.test_year} has no season")
+    fm = training_matrix(data, cfg.definition, fold.train_years)
+    fc = train_forecaster(
+        data, cfg.definition, fold.train_years,
+        boundary=cfg.boundary, horizon=cfg.horizon,
+        stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
+        protocol=cfg.stage2_protocol, matrix=fm, jobs=cfg.jobs,
+    )
+    z_range = _fold_z_range(data, cfg, fold)
+    series = fc.predict_series(data, fold.test_year, z_range, matrix=fm)
+    fit = fit_wls(series)
+    final = final_forecast(fit)
+    analysis = min_days(fit.beta0, fit.beta1, z_start=float(z_range[0]))
+    last = series.points[-1]
+    return FoldResult(
+        test_year=fold.test_year,
+        truth=truth,
+        y_star=final.y_star,
+        sigma_y_star=final.sigma_y_star,
+        abs_error=abs(final.y_star - truth),
+        stage1_last_day=last.z + last.y_hat,
+        z_range=z_range,
+        beta0=fit.beta0,
+        beta1=fit.beta1,
+        n_min=analysis.n_min,
+        trace=_convergence_trace(series, analysis.n_min),
+    )
+
+
 def rolling_backtest(data: Dataset, cfg: BacktestConfig) -> BacktestReport:
     """Evaluate every fold and aggregate the error metrics.
 
@@ -219,41 +257,7 @@ def rolling_backtest(data: Dataset, cfg: BacktestConfig) -> BacktestReport:
     """
     if not cfg.folds:
         raise EmptyInputError("backtest needs at least one fold")
-    results = []
-    for fold in cfg.folds:
-        truth = label_season(data, cfg.definition, fold.test_year).boundary(
-            cfg.boundary
-        )
-        if truth is None:
-            raise MissingLabelError(f"test year {fold.test_year} has no season")
-        fm = training_matrix(data, cfg.definition, fold.train_years)
-        fc = train_forecaster(
-            data, cfg.definition, fold.train_years,
-            boundary=cfg.boundary, horizon=cfg.horizon,
-            stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
-            protocol=cfg.stage2_protocol, matrix=fm,
-        )
-        z_range = _fold_z_range(data, cfg, fold)
-        series = fc.predict_series(data, fold.test_year, z_range, matrix=fm)
-        fit = fit_wls(series)
-        final = final_forecast(fit)
-        analysis = min_days(fit.beta0, fit.beta1, z_start=float(z_range[0]))
-        last = series.points[-1]
-        results.append(
-            FoldResult(
-                test_year=fold.test_year,
-                truth=truth,
-                y_star=final.y_star,
-                sigma_y_star=final.sigma_y_star,
-                abs_error=abs(final.y_star - truth),
-                stage1_last_day=last.z + last.y_hat,
-                z_range=z_range,
-                beta0=fit.beta0,
-                beta1=fit.beta1,
-                n_min=analysis.n_min,
-                trace=_convergence_trace(series, analysis.n_min),
-            )
-        )
+    results = [_fold_result(data, cfg, fold) for fold in cfg.folds]
     folds = tuple(results)
     truths = [float(r.truth) for r in folds]
     return BacktestReport(

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from . import backtest as bt
 from .data import SeasonDefinition, ingest_csv, label_years
@@ -62,6 +62,13 @@ def _global_flags(parser: argparse.ArgumentParser, top_level: bool = False) -> N
                         help="log progress to stderr")
 
 
+def _jobs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="processes for the independent Stage-1 fits "
+                             "(default: the available cores); any N gives "
+                             "the same model")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pollencast",
                      description="Pollen allergy-season forecasting toolkit")
@@ -93,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("loyo", "holdout"))
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
+    _jobs_flag(p)
     p.add_argument("--out", help="forecaster JSON path")
 
     p = sub.add_parser("predict",
@@ -120,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("loyo", "holdout"))
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
+    _jobs_flag(p)
     p.add_argument("--out-dir", help="report directory")
 
     p = sub.add_parser("threshold",
@@ -145,11 +154,11 @@ OPTION_KEYS = {
     "synth": ("years", "out", "profile"),
     "label": ("input", "delta_c", "delta_n"),
     "train": ("input", "years", "boundary", "horizon", "protocol",
-              "delta_c", "delta_n", "out"),
+              "delta_c", "delta_n", "jobs", "out"),
     "predict": ("input", "model", "year", "anchor", "z_start", "z_end",
                 "out_series", "out_forecast"),
     "backtest": ("input", "test_years", "boundary", "horizon", "policy",
-                 "protocol", "delta_c", "delta_n", "out_dir"),
+                 "protocol", "delta_c", "delta_n", "jobs", "out_dir"),
     "threshold": ("beta0", "beta1", "z_start", "n_max", "out"),
 }
 
@@ -199,8 +208,6 @@ class Options:
 
 
 def _parse_years(value) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,)
     if isinstance(value, str):
         text = value.strip()
         if "-" in text:
@@ -213,9 +220,9 @@ def _parse_years(value) -> tuple[int, ...]:
             return tuple(int(part) for part in text.split(","))
         except ValueError as exc:
             raise UsageError(f"bad year list {value!r}") from exc
-    if isinstance(value, Iterable):
-        return tuple(int(v) for v in value)
-    raise UsageError(f"bad years value {value!r}")
+    if isinstance(value, list):
+        return tuple(_int(v, "years") for v in value)
+    return (_int(value, "years"),)
 
 
 def _gbm_config(raw, label: str) -> GBMConfig:
@@ -232,8 +239,8 @@ def _gbm_config(raw, label: str) -> GBMConfig:
 def _season(opts: Options) -> SeasonDefinition:
     try:
         return SeasonDefinition(
-            delta_c=float(opts.get("delta_c", 120.0)),
-            delta_n=int(opts.get("delta_n", 4)),
+            delta_c=_finite(opts.get("delta_c", 120.0), "delta_c"),
+            delta_n=_int(opts.get("delta_n", 4), "delta_n"),
         )
     except PollencastError as exc:
         raise UsageError(str(exc)) from exc
@@ -245,11 +252,9 @@ def _season(opts: Options) -> SeasonDefinition:
 
 
 def cmd_synth(opts: Options) -> int:
-    years = int(opts.require("years"))
-    if years < 1:
-        raise UsageError(f"--years must be >= 1, got {years}")
+    years = _int(opts.require("years"), "years", minimum=1)
     out = opts.require("out")
-    seed = int(opts.get("seed", 0))
+    seed = _int(opts.get("seed", 0), "seed", minimum=0)
     profile_path = opts.get("profile")
     profile = GeneratorProfile.from_json(profile_path) if profile_path else None
     log.info("generating %d years with seed %d", years, seed)
@@ -284,10 +289,11 @@ def cmd_train(opts: Options) -> int:
         _season(opts),
         years,
         boundary=opts.get("boundary", "start"),
-        horizon=int(opts.get("horizon", DEFAULT_HORIZON)),
+        horizon=_int(opts.get("horizon", DEFAULT_HORIZON), "horizon"),
         stage1_cfg=_gbm_config(opts.get("stage1"), "stage1"),
         stage2_cfg=_gbm_config(opts.get("stage2"), "stage2"),
         protocol=opts.get("protocol", "loyo"),
+        jobs=_int(opts.get("jobs"), "jobs", minimum=1),
     )
     save_forecaster(fc, out)
     print(f"wrote {out}: trained on years "
@@ -298,13 +304,14 @@ def cmd_train(opts: Options) -> int:
 def cmd_predict(opts: Options) -> int:
     data = ingest_csv(opts.require("input"))
     fc = load_forecaster(opts.require("model"))
-    year = int(opts.require("year"))
-    z_start, z_end = opts.get("z_start"), opts.get("z_end")
-    anchor = opts.get("anchor")
+    year = _int(opts.require("year"), "year")
+    z_start = _int(opts.get("z_start"), "z_start")
+    z_end = _int(opts.get("z_end"), "z_end")
+    anchor = _int(opts.get("anchor"), "anchor")
     if z_start is not None and z_end is not None:
-        z_range = (int(z_start), int(z_end))
+        z_range = (z_start, z_end)
     elif anchor is not None:
-        z_range = (int(anchor) - fc.stage1.horizon, int(anchor))
+        z_range = (anchor - fc.stage1.horizon, anchor)
     else:
         raise UsageError("need --anchor or both --z-start and --z-end")
     series = fc.predict_series(data, year, z_range)
@@ -326,18 +333,17 @@ def cmd_predict(opts: Options) -> int:
 def cmd_backtest(opts: Options) -> int:
     data = ingest_csv(opts.require("input"))
     out_dir = opts.require("out_dir")
-    n_test = int(opts.get("test_years", 5))
-    if n_test < 1:
-        raise UsageError(f"--test-years must be >= 1, got {n_test}")
+    n_test = _int(opts.get("test_years", 5), "test_years", minimum=1)
     cfg = bt.BacktestConfig(
         folds=bt.expanding_folds(data.years(), n_test),
         definition=_season(opts),
         boundary=opts.get("boundary", "start"),
-        horizon=int(opts.get("horizon", DEFAULT_HORIZON)),
+        horizon=_int(opts.get("horizon", DEFAULT_HORIZON), "horizon"),
         z_range_policy=opts.get("policy", "train_mean"),
         stage1_cfg=_gbm_config(opts.get("stage1"), "stage1"),
         stage2_cfg=_gbm_config(opts.get("stage2"), "stage2"),
         stage2_protocol=opts.get("protocol", "loyo"),
+        jobs=_int(opts.get("jobs"), "jobs", minimum=1),
     )
     log.info("running %d folds", len(cfg.folds))
     report = bt.rolling_backtest(data, cfg)
@@ -351,7 +357,7 @@ def cmd_backtest(opts: Options) -> int:
 def _finite(value, key: str) -> float:
     """``value`` as a finite float, else a usage error naming ``--key``."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -361,12 +367,34 @@ def _finite(value, key: str) -> float:
     return number
 
 
+def _int(value, key: str, minimum: int | None = None) -> int | None:
+    """``value`` as an integer of at least ``minimum``, else a usage error
+    naming ``--key``.  Integral floats and digit strings are accepted; an
+    unset option (None) stays None."""
+    if value is None:
+        return None
+    number = None
+    if isinstance(value, float) and value.is_integer():
+        number = int(value)
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    if number is None or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise UsageError(
+            f"--{key.replace('_', '-')} must be an integer{bound}, got {value!r}"
+        )
+    return number
+
+
 def cmd_threshold(opts: Options) -> int:
     analysis = min_days(
         _finite(opts.require("beta0"), "beta0"),
         _finite(opts.require("beta1"), "beta1"),
         z_start=_finite(opts.get("z_start", 0.0), "z_start"),
-        n_max=int(opts.get("n_max", 100)),
+        n_max=_int(opts.get("n_max", 100), "n_max"),
     )
     out = opts.get("out")
     if out:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -239,55 +240,60 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     (identity by default).  Gaps of up to 3 consecutive missing days are
     forward-filled with the previous record's values; the filled dates are
     recorded on the returned dataset.  Longer gaps are an error.  A leading
-    UTF-8 byte-order mark is skipped.
+    UTF-8 byte-order mark is skipped; a file that is not UTF-8 raises
+    :class:`InvalidRecordError`.
     """
     mapping = dict(column_map or {})
     header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        headers = reader.fieldnames or []
-        missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
-        if missing:
-            raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    headers = reader.fieldnames or []
+    missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
+    if missing:
+        raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
 
-        records: list[DailyRecord] = []
-        filled: list[dt.date] = []
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = row[header_for["date"]]
-            try:
-                date = dt.date.fromisoformat(raw_date)
-            except (TypeError, ValueError):
+    records: list[DailyRecord] = []
+    filled: list[dt.date] = []
+    for lineno, row in enumerate(reader, start=2):
+        raw_date = row[header_for["date"]]
+        try:
+            date = dt.date.fromisoformat(raw_date)
+        except (TypeError, ValueError):
+            raise NonMonotoneDatesError(
+                f"line {lineno}: bad date {raw_date!r}"
+            ) from None
+        values = {
+            name: _parse_float(row[header_for[name]], name, lineno)
+            for name in SERIES_NAMES
+        }
+        rec = DailyRecord(date=date, **values)
+        if records:
+            gap = (date - records[-1].date).days - 1
+            if gap < 0:
                 raise NonMonotoneDatesError(
-                    f"line {lineno}: bad date {raw_date!r}"
-                ) from None
-            values = {
-                name: _parse_float(row[header_for[name]], name, lineno)
-                for name in SERIES_NAMES
-            }
-            rec = DailyRecord(date=date, **values)
-            if records:
-                gap = (date - records[-1].date).days - 1
-                if gap < 0:
-                    raise NonMonotoneDatesError(
-                        f"line {lineno}: date {date} not after {records[-1].date}"
+                    f"line {lineno}: date {date} not after {records[-1].date}"
+                )
+            if gap > MAX_FILL_GAP_DAYS:
+                raise GapTooLargeError(
+                    f"{gap}-day gap before {date} exceeds "
+                    f"{MAX_FILL_GAP_DAYS}-day fill limit"
+                )
+            last = records[-1]
+            for k in range(1, gap + 1):
+                fill_date = last.date + dt.timedelta(days=k)
+                records.append(
+                    DailyRecord(
+                        date=fill_date,
+                        **{name: getattr(last, name) for name in SERIES_NAMES},
                     )
-                if gap > MAX_FILL_GAP_DAYS:
-                    raise GapTooLargeError(
-                        f"{gap}-day gap before {date} exceeds "
-                        f"{MAX_FILL_GAP_DAYS}-day fill limit"
-                    )
-                last = records[-1]
-                for k in range(1, gap + 1):
-                    fill_date = last.date + dt.timedelta(days=k)
-                    records.append(
-                        DailyRecord(
-                            date=fill_date,
-                            **{name: getattr(last, name) for name in SERIES_NAMES},
-                        )
-                    )
-                    filled.append(fill_date)
-            records.append(rec)
+                )
+                filled.append(fill_date)
+        records.append(rec)
 
     return Dataset(records=tuple(records), filled_dates=tuple(filled))
 

@@ -239,44 +239,37 @@ def _doy(date: dt.date) -> float:
     return float(date.timetuple().tm_yday)
 
 
-def flatten_row(m: FeatureMatrix, day: int, include_doy: bool = True) -> np.ndarray:
-    """One flat feature vector: series-major concatenation, optional day-of-year.
+def flatten_row(m: FeatureMatrix, day: int) -> np.ndarray:
+    """One flat feature vector: series-major concatenation, then day-of-year.
 
     Layout: series 1 features 1..30, series 2 features 1..30, and so on;
-    with ``include_doy`` the day-of-year is appended as the last entry.
+    the day-of-year is the last entry.
     """
     if not 0 <= day < len(m):
         raise IndexOutOfRangeError(f"row {day} outside 0..{len(m) - 1}")
-    flat = m.values[day].T.reshape(-1)
-    if include_doy:
-        flat = np.concatenate([flat, [_doy(m.dates[day])]])
-    return flat
+    return np.concatenate([m.values[day].T.reshape(-1), [_doy(m.dates[day])]])
 
 
-def flatten_all(m: FeatureMatrix, include_doy: bool = True) -> np.ndarray:
+def flatten_all(m: FeatureMatrix) -> np.ndarray:
     """All rows flattened at once; row r equals ``flatten_row(m, r)``."""
     flat = m.values.transpose(0, 2, 1).reshape(len(m), -1)
-    if include_doy:
-        doy = np.array([_doy(d) for d in m.dates], dtype=np.float64)
-        flat = np.concatenate([flat, doy[:, None]], axis=1)
-    return flat
+    doy = np.array([_doy(d) for d in m.dates], dtype=np.float64)
+    return np.concatenate([flat, doy[:, None]], axis=1)
 
 
-def flat_feature_names(include_doy: bool = True) -> tuple[str, ...]:
+def flat_feature_names() -> tuple[str, ...]:
     """Column names matching :func:`flatten_row` order."""
     names = [
         f"{series}__{feat}" for series in SERIES_NAMES for feat in FEATURE_NAMES
     ]
-    if include_doy:
-        names.append(DOY_NAME)
-    return tuple(names)
+    return (*names, DOY_NAME)
 
 
-def emit_feature_csv(m: FeatureMatrix, path: str, include_doy: bool = True) -> None:
+def emit_feature_csv(m: FeatureMatrix, path: str) -> None:
     """Write the flattened matrix for inspection, one row per day."""
-    flat = flatten_all(m, include_doy)
+    flat = flatten_all(m)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(flat_feature_names(include_doy))
+        writer.writerow(flat_feature_names())
         for row in flat:
             writer.writerow([repr(float(v)) for v in row])

@@ -13,6 +13,12 @@ layout of 361 columns: 12 series x 30 window statistics, then day-of-year.
 Stage 2 prepends the Stage-1 prediction.  :func:`training_matrix` builds
 that matrix once, to be passed as ``matrix=`` to :func:`train_forecaster`
 and :func:`predict_series`.
+
+The Stage-1 fits of one training are independent: the full fit and one per
+out-of-fold split of the Stage-2 protocol.  ``jobs`` runs them on that many
+forked worker processes (default: the available cores).  Each fit is
+deterministic and its result is collected in task order, so the models are
+byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -21,8 +27,12 @@ import calendar
 import datetime as dt
 import json
 import math
+import multiprocessing
+import os
 from collections.abc import Callable, Iterable
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +91,10 @@ BUNDLE_FORMAT = "forecaster-json-v1"
 #: Model-fitting hook used for the internal Stage-1 fits; replaceable for
 #: alternative learners or exact-model tests.
 FitFn = Callable[[np.ndarray, np.ndarray, gbm.GBMConfig], gbm.FitResult]
+
+#: One independent fit, called without arguments: it returns the fit's
+#: result, or for an out-of-fold fit the Stage-1 predictions it scores.
+_FitTask = Callable[[], "gbm.FitResult | np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -308,6 +322,22 @@ def _stack(per_year: dict[int, _YearRows], years: tuple[int, ...]) -> _YearRows:
     return np.concatenate(xs, axis=0), np.concatenate(ts), prov
 
 
+def _stage1_set(
+    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
+    boundary: str, horizon: int,
+) -> Stage1TrainingSet:
+    x, t, prov = _stack(per_year, ys)
+    return Stage1TrainingSet(
+        features=x,
+        targets=t,
+        provenance=prov,
+        boundary=boundary,
+        horizon=horizon,
+        references=fm.references,
+        years=ys,
+    )
+
+
 def build_s1(
     data: Dataset,
     definition: SeasonDefinition,
@@ -325,23 +355,10 @@ def build_s1(
     ys, fm, per_year = _labeled_years(
         data, definition, years, boundary, horizon, matrix, min_years=1
     )
-    x, t, prov = _stack(per_year, ys)
-    return Stage1TrainingSet(
-        features=x,
-        targets=t,
-        provenance=prov,
-        boundary=boundary,
-        horizon=horizon,
-        references=fm.references,
-        years=ys,
-    )
+    return _stage1_set(ys, fm, per_year, boundary, horizon)
 
 
-def fit_stage1(
-    training: Stage1TrainingSet, cfg: gbm.GBMConfig | None = None
-) -> Stage1Model:
-    """Fit the countdown model on a Stage-1 training set."""
-    result = gbm.fit(training.features, training.targets, cfg)
+def _stage1_model(training: Stage1TrainingSet, result: gbm.FitResult) -> Stage1Model:
     return Stage1Model(
         model=replace(result.model, catalog_version=CATALOG_VERSION),
         boundary=training.boundary,
@@ -352,9 +369,68 @@ def fit_stage1(
     )
 
 
-def _protocol_folds(
-    years: tuple[int, ...], protocol: str
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def fit_stage1(
+    training: Stage1TrainingSet, cfg: gbm.GBMConfig | None = None
+) -> Stage1Model:
+    """Fit the countdown model on a Stage-1 training set."""
+    return _stage1_model(training, gbm.fit(training.features, training.targets, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Independent fits
+# ---------------------------------------------------------------------------
+
+#: The tasks of the running :func:`_fit_all` call.  Only a pool's
+#: initializer sets it, inside the forked worker processes.
+_worker_tasks: list[_FitTask] = []
+
+
+def _set_worker_tasks(tasks: list[_FitTask]) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_worker_task(i: int) -> gbm.FitResult | np.ndarray:
+    return _worker_tasks[i]()
+
+
+def _fit_all(
+    tasks: list[_FitTask], jobs: int | None
+) -> list[gbm.FitResult | np.ndarray]:
+    """``task()`` for every task, in task order, on ``jobs`` processes.
+
+    ``jobs=None`` means the available cores.  With two or more workers the
+    tasks run on a ``fork`` pool that lives for this call only.  The workers
+    inherit ``tasks`` through the fork (the fork context does not pickle
+    ``initargs``), so neither the training rows nor the fit functions are
+    pickled and closures work; only the results come back.  Where ``fork``
+    is not available the tasks run inline.  A task's error is re-raised here.
+    """
+    if jobs is None:
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    if jobs < 1:
+        raise InvalidRecordError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task() for task in tasks]
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_tasks, initargs=(tasks,),
+    ) as pool:
+        return list(pool.map(_run_worker_task, range(len(tasks))))
+
+
+# ---------------------------------------------------------------------------
+# Stage 2
+# ---------------------------------------------------------------------------
+
+
+#: (train_years, scored_years) per out-of-fold split.
+_Folds = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _protocol_folds(years: tuple[int, ...], protocol: str) -> _Folds:
     """(train_years, scored_years) folds for the Stage-2 protocol."""
     if protocol == "loyo":
         return [
@@ -366,35 +442,39 @@ def _protocol_folds(
     raise InvalidRecordError(f"unknown stage-2 protocol {protocol!r}")
 
 
-def build_s2(
-    data: Dataset,
-    definition: SeasonDefinition,
-    years: Iterable[int],
-    boundary: str = "start",
-    horizon: int = DEFAULT_HORIZON,
-    protocol: str = "loyo",
-    stage1_cfg: gbm.GBMConfig | None = None,
-    matrix: FeatureMatrix | None = None,
-    stage1_fit: FitFn = gbm.fit,
-) -> Stage2TrainingSet:
-    """Stage-2 training set of held-out residual sizes.
+def _fold_predictions(
+    fit_fn: FitFn, per_year: dict[int, _YearRows], train_ys: tuple[int, ...],
+    scored_ys: tuple[int, ...], cfg: gbm.GBMConfig,
+) -> np.ndarray:
+    """Fit Stage 1 on ``train_ys`` (concatenated in sorted order) and predict
+    the rows of ``scored_ys``."""
+    x, t, _ = _stack(per_year, train_ys)
+    model = fit_fn(x, t, cfg).model
+    return gbm.predict_batch(model, _stack(per_year, scored_ys)[0])
 
-    Default protocol ``loyo``: for each year Y a Stage-1 model is fitted on
-    the remaining years and scores Y's rows, so every y_hat is an honest
-    out-of-year prediction.  Protocol ``holdout`` instead fits one model on
-    the first half of the years and scores the second half.  Rows are
-    ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.
-    """
-    ys, fm, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, matrix, min_years=2
-    )
-    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
+
+def _fold_tasks(
+    per_year: dict[int, _YearRows], ys: tuple[int, ...], protocol: str,
+    fit_fn: FitFn, cfg: gbm.GBMConfig,
+) -> tuple[_Folds, list[_FitTask]]:
+    """The protocol's folds and, per fold, the task that fits it and scores
+    its held-out rows.  A task stacks its rows when it runs and returns only
+    the predictions, so a process holds one fold's rows and model at a time."""
+    folds = _protocol_folds(ys, protocol)
+    tasks = [partial(_fold_predictions, fit_fn, per_year, train_ys, scored_ys, cfg)
+             for train_ys, scored_ys in folds]
+    return folds, tasks
+
+
+def _score_folds(
+    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
+    folds: _Folds, predictions: list[np.ndarray],
+    boundary: str, horizon: int, protocol: str,
+) -> Stage2TrainingSet:
+    """Stage-2 rows from each fold's predictions of its held-out years."""
     xs, ts, prov, scorers = [], [], [], []
-    for train_ys, scored_ys in _protocol_folds(ys, protocol):
-        fold_x, fold_t, _ = _stack(per_year, train_ys)
-        model = stage1_fit(fold_x, fold_t, cfg).model
+    for (train_ys, scored_ys), y_hat in zip(folds, predictions):
         x, t, p = _stack(per_year, scored_ys)
-        y_hat = gbm.predict_batch(model, x)
         xs.append(np.concatenate([y_hat[:, None], x], axis=1))
         ts.append(np.abs(y_hat - t))
         prov.extend(p)
@@ -410,6 +490,36 @@ def build_s2(
         protocol=protocol,
         years=ys,
     )
+
+
+def build_s2(
+    data: Dataset,
+    definition: SeasonDefinition,
+    years: Iterable[int],
+    boundary: str = "start",
+    horizon: int = DEFAULT_HORIZON,
+    protocol: str = "loyo",
+    stage1_cfg: gbm.GBMConfig | None = None,
+    matrix: FeatureMatrix | None = None,
+    stage1_fit: FitFn = gbm.fit,
+    jobs: int | None = None,
+) -> Stage2TrainingSet:
+    """Stage-2 training set of held-out residual sizes.
+
+    Default protocol ``loyo``: for each year Y a Stage-1 model is fitted on
+    the remaining years and scores Y's rows, so every y_hat is an honest
+    out-of-year prediction.  Protocol ``holdout`` instead fits one model on
+    the first half of the years and scores the second half.  Rows are
+    ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.  The
+    fold fits run on ``jobs`` processes (default: the available cores).
+    """
+    ys, fm, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, matrix, min_years=2
+    )
+    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
+    folds, tasks = _fold_tasks(per_year, ys, protocol, stage1_fit, cfg)
+    return _score_folds(ys, fm, per_year, folds, _fit_all(tasks, jobs),
+                        boundary, horizon, protocol)
 
 
 def fit_stage2(
@@ -452,21 +562,31 @@ def train_forecaster(
     stage2_cfg: gbm.GBMConfig | None = None,
     protocol: str = "loyo",
     matrix: FeatureMatrix | None = None,
+    jobs: int | None = None,
 ) -> Forecaster:
     """Train both stages on the given years and return the bundled pair.
 
     ``matrix`` reuses a feature matrix built with these years' references
-    (see :func:`training_matrix`); by default it is built here.
+    (see :func:`training_matrix`); by default it is built here.  The full
+    Stage-1 fit and the out-of-fold Stage-1 fits of the Stage-2 protocol
+    run together on ``jobs`` processes (default: the available cores), the
+    largest first; Stage 2 is fitted here once their residuals are in.
     """
     ys = tuple(sorted(set(years)))
     fm = _matrix(data, series_references(data, definition, ys), matrix)
-    s1 = build_s1(data, definition, ys, boundary, horizon, matrix=fm)
-    stage1 = fit_stage1(s1, stage1_cfg)
-    s2 = build_s2(
-        data, definition, ys, boundary, horizon,
-        protocol=protocol, stage1_cfg=stage1_cfg, matrix=fm,
+    ys, fm, per_year = _labeled_years(
+        data, definition, ys, boundary, horizon, fm, min_years=2
     )
-    return Forecaster(stage1=stage1, stage2=fit_stage2(s2, stage2_cfg))
+    s1 = _stage1_set(ys, fm, per_year, boundary, horizon)
+    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
+    folds, tasks = _fold_tasks(per_year, ys, protocol, gbm.fit, cfg)
+    full, *predictions = _fit_all(
+        [partial(gbm.fit, s1.features, s1.targets, cfg), *tasks], jobs
+    )
+    s2 = _score_folds(ys, fm, per_year, folds, predictions, boundary, horizon,
+                      protocol)
+    return Forecaster(stage1=_stage1_model(s1, full),
+                      stage2=fit_stage2(s2, stage2_cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def small_report(seed42_dataset, season_def):
         bt.Fold(train_years=(2003, 2004), test_year=2005),
         bt.Fold(train_years=(2003, 2004, 2005), test_year=2006),
     )
-    cfg = light_config(folds, season_def)
+    cfg = light_config(folds, season_def, jobs=2)
     return cfg, bt.rolling_backtest(seed42_dataset, cfg)
 
 
@@ -198,7 +198,8 @@ class TestRollingBacktest:
 
     def test_report_bytes_pinned(self, small_report, tmp_path):
         # sha256 over file names and bytes of the emitted report, taken when
-        # every fold still built its feature matrix twice
+        # every fold still built its feature matrix twice and fitted inline;
+        # small_report trains on a pool of two workers
         _cfg, report = small_report
         h = hashlib.sha256()
         for path in bt.emit_report(report, str(tmp_path)):

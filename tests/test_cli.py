@@ -463,3 +463,66 @@ class TestBadInputs:
         path.write_bytes(b"\xef\xbb\xbf" + open(synth_csv, "rb").read())
         assert main(["label", "--input", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == plain
+
+    def test_csv_not_utf8(self, synth_csv, tmp_path, capsys):
+        lines = open(synth_csv, "rb").read().split(b"\n")
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\n".join([lines[0], b"\xff\xfe", *lines[1:]]))
+        line = assert_one_error_line(
+            capsys, main(["label", "--input", str(path)]), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line and "latin.csv" in line
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("label", {"delta_c": "abc"}, "--delta-c"),
+        ("label", {"delta_n": 2.5}, "--delta-n"),
+        ("label", {"delta_c": True}, "--delta-c"),
+        ("train", {"horizon": "x"}, "--horizon"),
+        ("train", {"years": ["a"]}, "--years"),
+        ("train", {"years": [2003, True]}, "--years"),
+        ("train", {"jobs": 0}, "--jobs"),
+        ("train", {"jobs": "two"}, "--jobs"),
+        ("backtest", {"test_years": [1]}, "--test-years"),
+        ("backtest", {"test_years": 0}, "--test-years"),
+        ("backtest", {"jobs": -1}, "--jobs"),
+        ("predict", {"year": "next"}, "--year"),
+        ("predict", {"year": 2008, "anchor": {}}, "--anchor"),
+        ("predict", {"year": 2008, "z_start": 50, "z_end": "x"}, "--z-end"),
+        ("threshold", {"beta0": 0, "beta1": 1, "n_max": "many"}, "--n-max"),
+        ("synth", {"seed": "x", "years": 1}, "--seed"),
+        ("synth", {"seed": -1, "years": 1}, "--seed"),
+        ("synth", {"years": 1.5}, "--years"),
+    ])
+    def test_config_number_of_wrong_type(self, synth_csv, trained_model,
+                                         tmp_path, capsys, command, config,
+                                         key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = {
+            "synth": ["--out", str(tmp_path / "s.csv")],
+            "label": ["--input", synth_csv],
+            "train": ["--input", synth_csv, "--out", str(tmp_path / "m.json")],
+            "predict": ["--input", synth_csv, "--model", trained_model],
+            "backtest": ["--input", synth_csv, "--out-dir", str(tmp_path)],
+            "threshold": [],
+        }[command]
+        code = main(["--config", str(path), command, *argv])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert key in line
+
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_bad_jobs_flag(self, synth_csv, tmp_path, capsys, command, value):
+        out = ["--out", str(tmp_path / "m.json")] if command == "train" \
+            else ["--out-dir", str(tmp_path)]
+        code = main([command, "--input", synth_csv, "--jobs", value, *out])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert "--jobs" in line
+
+    def test_fit_error_in_worker_exits_2(self, synth_csv, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"stage1": {"min_samples_leaf": 100}})
+        code = main(["--config", cfg, "train", "--input", synth_csv,
+                     "--years", "2003-2004", "--jobs", "2",
+                     "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert "TooFewRowsError" in line
+

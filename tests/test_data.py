@@ -212,6 +212,13 @@ class TestIngestCsv:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert ingest_csv(str(path)) == plain
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        emit_csv(dataset_from_pollen([1.0, 2.0], dt.date(2020, 3, 1)), str(path))
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(InvalidRecordError, match="d.csv is not UTF-8"):
+            ingest_csv(str(path))
+
     def test_round_trip_after_fill(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [full_row("2020-03-01", 9.0), full_row("2020-03-04", 2.0)])

@@ -267,15 +267,14 @@ class TestFlatten:
         return build_feature_matrix(data, NEUTRAL_REFS)
 
     def test_lengths(self, matrix):
-        assert flatten_row(matrix, 0, include_doy=False).shape == (360,)
-        assert flatten_row(matrix, 0, include_doy=True).shape == (361,)
+        assert flatten_row(matrix, 0).shape == (361,)
 
     def test_doy_appended(self, matrix):
-        row = flatten_row(matrix, 0, include_doy=True)
+        row = flatten_row(matrix, 0)
         assert row[-1] == float(matrix.dates[0].timetuple().tm_yday)
 
     def test_series_major_order(self, matrix):
-        row = flatten_row(matrix, 2, include_doy=False)
+        row = flatten_row(matrix, 2)
         for s in range(12):
             np.testing.assert_array_equal(
                 row[s * 30 : (s + 1) * 30], matrix.values[2, :, s]
@@ -284,13 +283,13 @@ class TestFlatten:
     def test_constant_dataset_rows_identical_but_doy(self):
         data = dataset_from_pollen([7.0] * 20, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
-        a = flatten_row(m, 0, include_doy=True)
-        b = flatten_row(m, 3, include_doy=True)
+        a = flatten_row(m, 0)
+        b = flatten_row(m, 3)
         np.testing.assert_array_equal(a[:-1], b[:-1])
         assert b[-1] - a[-1] == 3.0
 
     def test_flatten_all_matches_rows(self, matrix):
-        flat = flatten_all(matrix, include_doy=True)
+        flat = flatten_all(matrix)
         assert flat.shape == (len(matrix), 361)
         for r in range(len(matrix)):
             np.testing.assert_array_equal(flat[r], flatten_row(matrix, r))
@@ -300,7 +299,7 @@ class TestFlatten:
             flatten_row(matrix, len(matrix))
 
     def test_names(self):
-        names = flat_feature_names(include_doy=True)
+        names = flat_feature_names()
         assert len(names) == 361
         assert names[0] == "pollen__mean"
         assert names[30] == f"{SERIES_NAMES[1]}__mean"
@@ -315,7 +314,7 @@ class TestCsvExport:
         path = tmp_path / "features.csv"
         emit_feature_csv(m, str(path))
         lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",") == list(flat_feature_names(True))
+        assert lines[0].split(",") == list(flat_feature_names())
         assert len(lines) == 1 + len(m)
         first_row = np.array([float(v) for v in lines[1].split(",")])
         np.testing.assert_array_equal(first_row, flatten_row(m, 0))

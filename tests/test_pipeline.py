@@ -3,6 +3,8 @@
 import datetime as dt
 import hashlib
 import json
+import multiprocessing
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from pollencast.errors import (
     HorizonOutOfRangeError,
     InvalidRecordError,
     MissingLabelError,
+    TooFewRowsError,
     TooFewYearsError,
     WindowUnavailableError,
 )
@@ -293,10 +296,11 @@ class TestBuildS2(TrainingSetChecks):
         assert np.array_equal(s2.targets[:60], np.abs(y_hat - own.targets))
 
     def test_perfect_stage1_gives_zero_targets(self, twin_years):
+        # the closure hook reaches forked workers without being pickled
         exact = chain_model(twin_years.boundary, twin_years.boundary - 20,
                             twin_years.boundary)
         s2 = pl.build_s2(twin_years.data, twin_years.sd, (2001, 2002),
-                         horizon=20, stage1_fit=exact_fit_hook(exact))
+                         horizon=20, stage1_fit=exact_fit_hook(exact), jobs=2)
         assert np.array_equal(s2.targets, np.zeros(42))
         assert np.array_equal(s2.features[:, 0],
                               np.tile(np.arange(20, -1, -1, dtype=float), 2))
@@ -522,7 +526,9 @@ class TestPinnedBundles:
     """sha256 of the bundle JSON for both Stage-2 protocols.
 
     The digests were taken before each training year was labeled and
-    featurized once; any change to the rows, folds or fits shows here.
+    featurized once, and before the Stage-1 fits ran on a process pool;
+    any change to the rows, folds, fits or their order shows here, for
+    every ``jobs`` value.
     """
 
     DIGESTS = {
@@ -530,11 +536,53 @@ class TestPinnedBundles:
         "holdout": "a74e7df38d153e8fe85d67e610cef9c9ba02f53c6d61030f76d7ee3b462f4fe8",
     }
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("protocol", sorted(DIGESTS))
-    def test_digest(self, seed42_dataset, season_def, protocol):
+    def test_digest(self, seed42_dataset, season_def, protocol, jobs):
         years = (y for y in range(2003, 2007))  # one-shot iterables work
         fc = pl.train_forecaster(seed42_dataset, season_def, years,
                                  stage1_cfg=LIGHT, stage2_cfg=LIGHT,
-                                 protocol=protocol)
+                                 protocol=protocol, jobs=jobs)
         text = pl.forecaster_to_json(fc)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[protocol]
+
+
+class TestFitPool:
+    def test_fit_error_in_worker_keeps_its_type(self, seed42_dataset,
+                                                season_def):
+        # 120 rows cannot hold two leaves of 100 rows: every Stage-1 fit
+        # raises TooFewRowsError inside a worker
+        with pytest.raises(TooFewRowsError):
+            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                stage1_cfg=gbm.GBMConfig(min_samples_leaf=100),
+                                jobs=2)
+
+    def test_hook_error_in_worker_keeps_its_type(self, twin_years):
+        def failing(X, y, cfg):
+            raise TooFewRowsError(f"refused {len(y)} rows")
+
+        with pytest.raises(TooFewRowsError, match="refused 21 rows"):
+            pl.build_s2(twin_years.data, twin_years.sd, (2001, 2002),
+                        horizon=20, stage1_fit=failing, jobs=2)
+
+    def test_no_workers_left_after_training(self, seed42_dataset, season_def):
+        pl.train_forecaster(seed42_dataset, season_def, (2003, 2004, 2005),
+                            stage1_cfg=LIGHT, stage2_cfg=LIGHT, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_results_in_task_order(self):
+        # results come back in task order, however the pool schedules them
+        def constant_fit(value):
+            return gbm.FitResult(model=constant_model(value, 1),
+                                 curve=np.zeros(1))
+
+        tasks = [partial(constant_fit, v) for v in range(5)]
+        for jobs in (1, 2, 3):
+            got = [r.model.base_prediction for r in pl._fit_all(tasks, jobs)]
+            assert got == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_jobs_rejected(self, seed42_dataset, season_def, jobs):
+        with pytest.raises(InvalidRecordError, match="jobs"):
+            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                stage1_cfg=LIGHT, stage2_cfg=LIGHT, jobs=jobs)
