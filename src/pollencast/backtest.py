@@ -65,8 +65,7 @@ class BacktestConfig:
     ``z_range_policy`` decides which days the test year is forecast on:
     ``train_mean`` anchors the window at the rounded mean training-year
     boundary (no test-year information), ``truth`` anchors it at the test
-    year's actual boundary (diagnostic only).  ``jobs`` is passed to each fold's training (see
-    :func:`~.pipeline.train_forecaster`); the folds themselves run in turn.
+    year's actual boundary (diagnostic only).
     """
 
     folds: tuple[Fold, ...]
@@ -77,7 +76,6 @@ class BacktestConfig:
     stage1_cfg: GBMConfig = GBMConfig()
     stage2_cfg: GBMConfig = GBMConfig()
     stage2_protocol: str = "loyo"
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.z_range_policy not in ("train_mean", "truth"):
@@ -223,7 +221,7 @@ def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
         data, cfg.definition, fold.train_years,
         boundary=cfg.boundary, horizon=cfg.horizon,
         stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
-        protocol=cfg.stage2_protocol, matrix=fm, jobs=cfg.jobs,
+        protocol=cfg.stage2_protocol, matrix=fm,
     )
     z_range = _fold_z_range(data, cfg, fold)
     series = fc.predict_series(data, fold.test_year, z_range, matrix=fm)

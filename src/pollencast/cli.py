@@ -62,13 +62,6 @@ def _global_flags(parser: argparse.ArgumentParser, top_level: bool = False) -> N
                         help="log progress to stderr")
 
 
-def _jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="processes for the independent Stage-1 fits "
-                             "(default: the available cores); any N gives "
-                             "the same model")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pollencast",
                      description="Pollen allergy-season forecasting toolkit")
@@ -100,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("loyo", "holdout"))
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
-    _jobs_flag(p)
     p.add_argument("--out", help="forecaster JSON path")
 
     p = sub.add_parser("predict",
@@ -128,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("loyo", "holdout"))
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
-    _jobs_flag(p)
     p.add_argument("--out-dir", help="report directory")
 
     p = sub.add_parser("threshold",
@@ -154,11 +145,11 @@ OPTION_KEYS = {
     "synth": ("years", "out", "profile"),
     "label": ("input", "delta_c", "delta_n"),
     "train": ("input", "years", "boundary", "horizon", "protocol",
-              "delta_c", "delta_n", "jobs", "out"),
+              "delta_c", "delta_n", "out"),
     "predict": ("input", "model", "year", "anchor", "z_start", "z_end",
                 "out_series", "out_forecast"),
     "backtest": ("input", "test_years", "boundary", "horizon", "policy",
-                 "protocol", "delta_c", "delta_n", "jobs", "out_dir"),
+                 "protocol", "delta_c", "delta_n", "out_dir"),
     "threshold": ("beta0", "beta1", "z_start", "n_max", "out"),
 }
 
@@ -293,7 +284,6 @@ def cmd_train(opts: Options) -> int:
         stage1_cfg=_gbm_config(opts.get("stage1"), "stage1"),
         stage2_cfg=_gbm_config(opts.get("stage2"), "stage2"),
         protocol=opts.get("protocol", "loyo"),
-        jobs=_int(opts.get("jobs"), "jobs", minimum=1),
     )
     save_forecaster(fc, out)
     print(f"wrote {out}: trained on years "
@@ -343,7 +333,6 @@ def cmd_backtest(opts: Options) -> int:
         stage1_cfg=_gbm_config(opts.get("stage1"), "stage1"),
         stage2_cfg=_gbm_config(opts.get("stage2"), "stage2"),
         stage2_protocol=opts.get("protocol", "loyo"),
-        jobs=_int(opts.get("jobs"), "jobs", minimum=1),
     )
     log.info("running %d folds", len(cfg.folds))
     report = bt.rolling_backtest(data, cfg)

@@ -86,6 +86,10 @@ class WindowUnavailableError(PollencastError):
     """No feature window exists for a requested prediction day."""
 
 
+class WorkerLostError(PollencastError):
+    """A worker process ended before it returned its fit's result."""
+
+
 # --- weighted linear fusion ----------------------------------------------------
 
 class TooFewPointsError(PollencastError):

@@ -15,10 +15,10 @@ that matrix once, to be passed as ``matrix=`` to :func:`train_forecaster`
 and :func:`predict_series`.
 
 The Stage-1 fits of one training are independent: the full fit and one per
-out-of-fold split of the Stage-2 protocol.  ``jobs`` runs them on that many
-forked worker processes (default: the available cores).  Each fit is
-deterministic and its result is collected in task order, so the models are
-byte-identical for every ``jobs`` value.
+out-of-fold split of the Stage-2 protocol.  They run on forked worker
+processes, one per available core.  Each fit is deterministic and its result
+is collected in task order, so the models are byte-identical for any number
+of cores.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import calendar
 import datetime as dt
 import json
 import math
-import multiprocessing
 import os
+import threading
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -44,6 +43,7 @@ from .errors import (
     MissingLabelError,
     TooFewYearsError,
     WindowUnavailableError,
+    WorkerLostError,
 )
 from .features import (
     CATALOG_VERSION,
@@ -92,9 +92,9 @@ BUNDLE_FORMAT = "forecaster-json-v1"
 #: alternative learners or exact-model tests.
 FitFn = Callable[[np.ndarray, np.ndarray, gbm.GBMConfig], gbm.FitResult]
 
-#: One independent fit, called without arguments: it returns the fit's
-#: result, or for an out-of-fold fit the Stage-1 predictions it scores.
-_FitTask = Callable[[], "gbm.FitResult | np.ndarray"]
+#: One independent fit, called without arguments: it returns the fitted
+#: Stage-1 model, or for an out-of-fold fit the Stage-1 predictions it scores.
+_FitTask = Callable[[], "Stage1Model | np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,11 @@ def build_s1(
     return _stage1_set(ys, fm, per_year, boundary, horizon)
 
 
-def _stage1_model(training: Stage1TrainingSet, result: gbm.FitResult) -> Stage1Model:
+def fit_stage1(
+    training: Stage1TrainingSet, cfg: gbm.GBMConfig | None = None
+) -> Stage1Model:
+    """Fit the countdown model on a Stage-1 training set."""
+    result = gbm.fit(training.features, training.targets, cfg)
     return Stage1Model(
         model=replace(result.model, catalog_version=CATALOG_VERSION),
         boundary=training.boundary,
@@ -367,13 +371,6 @@ def _stage1_model(training: Stage1TrainingSet, result: gbm.FitResult) -> Stage1M
         train_years=training.years,
         curve=tuple(float(v) for v in result.curve),
     )
-
-
-def fit_stage1(
-    training: Stage1TrainingSet, cfg: gbm.GBMConfig | None = None
-) -> Stage1Model:
-    """Fit the countdown model on a Stage-1 training set."""
-    return _stage1_model(training, gbm.fit(training.features, training.targets, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -390,35 +387,57 @@ def _set_worker_tasks(tasks: list[_FitTask]) -> None:
     _worker_tasks = tasks
 
 
-def _run_worker_task(i: int) -> gbm.FitResult | np.ndarray:
+def _run_worker_task(i: int) -> Stage1Model | np.ndarray:
     return _worker_tasks[i]()
 
 
-def _fit_all(
-    tasks: list[_FitTask], jobs: int | None
-) -> list[gbm.FitResult | np.ndarray]:
-    """``task()`` for every task, in task order, on ``jobs`` processes.
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``jobs=None`` means the available cores.  With two or more workers the
-    tasks run on a ``fork`` pool that lives for this call only.  The workers
-    inherit ``tasks`` through the fork (the fork context does not pickle
-    ``initargs``), so neither the training rows nor the fit functions are
-    pickled and closures work; only the results come back.  Where ``fork``
-    is not available the tasks run inline.  A task's error is re-raised here.
+
+def _fit_all(
+    tasks: list[_FitTask], jobs: int
+) -> list[Stage1Model | np.ndarray]:
+    """``task()`` for every task, in task order, on up to ``jobs`` processes.
+
+    With two or more workers the tasks run on a ``fork`` pool that lives for
+    this call only.  The workers inherit ``tasks`` through the fork (the
+    fork context does not pickle ``initargs``), so neither the training rows
+    nor the fit functions are pickled and closures work; only the results
+    come back.  A task's error is re-raised here, and a worker that dies
+    raises :class:`WorkerLostError`.
+
+    The tasks run inline where forking is unavailable or unsafe: without the
+    ``fork`` start method, inside a daemonic process (a ``multiprocessing``
+    pool worker may not have children) and while other threads run, since a
+    forked child inherits their locks.  The executor starts every ``fork``
+    worker before its own manager thread only from the fix of CPython issue
+    90622 (3.10.9, 3.11.1), hence the ``requires-python`` of this package.
     """
-    if jobs is None:
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    if jobs < 1:
-        raise InvalidRecordError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or threading.active_count() > 1:
         return [task() for task in tasks]
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_tasks, initargs=(tasks,),
-    ) as pool:
-        return list(pool.map(_run_worker_task, range(len(tasks))))
+    # imported here, so that commands which never fit do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [task() for task in tasks]
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_tasks, initargs=(tasks,),
+        ) as pool:
+            return list(pool.map(_run_worker_task, range(len(tasks))))
+    except BrokenProcessPool as exc:
+        raise WorkerLostError(
+            f"a fit worker process ended without a result: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -453,33 +472,30 @@ def _fold_predictions(
     return gbm.predict_batch(model, _stack(per_year, scored_ys)[0])
 
 
-def _fold_tasks(
-    per_year: dict[int, _YearRows], ys: tuple[int, ...], protocol: str,
-    fit_fn: FitFn, cfg: gbm.GBMConfig,
-) -> tuple[_Folds, list[_FitTask]]:
-    """The protocol's folds and, per fold, the task that fits it and scores
-    its held-out rows.  A task stacks its rows when it runs and returns only
-    the predictions, so a process holds one fold's rows and model at a time."""
+def _out_of_fold(
+    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
+    boundary: str, horizon: int, protocol: str, fit_fn: FitFn,
+    cfg: gbm.GBMConfig, first: tuple[_FitTask, ...] = (),
+) -> tuple[list[Stage1Model | np.ndarray], Stage2TrainingSet]:
+    """The results of the ``first`` tasks and the Stage-2 training set.
+
+    ``first`` and one task per out-of-fold split of the protocol run in one
+    :func:`_fit_all` call.  A fold's task stacks its rows when it runs and
+    returns only its predictions of the held-out rows, so a process holds
+    one fold's rows and model at a time.
+    """
     folds = _protocol_folds(ys, protocol)
     tasks = [partial(_fold_predictions, fit_fn, per_year, train_ys, scored_ys, cfg)
              for train_ys, scored_ys in folds]
-    return folds, tasks
-
-
-def _score_folds(
-    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
-    folds: _Folds, predictions: list[np.ndarray],
-    boundary: str, horizon: int, protocol: str,
-) -> Stage2TrainingSet:
-    """Stage-2 rows from each fold's predictions of its held-out years."""
+    results = _fit_all([*first, *tasks], _cores())
     xs, ts, prov, scorers = [], [], [], []
-    for (train_ys, scored_ys), y_hat in zip(folds, predictions):
+    for (train_ys, scored_ys), y_hat in zip(folds, results[len(first):]):
         x, t, p = _stack(per_year, scored_ys)
         xs.append(np.concatenate([y_hat[:, None], x], axis=1))
         ts.append(np.abs(y_hat - t))
         prov.extend(p)
         scorers.extend((year, train_ys) for year in scored_ys)
-    return Stage2TrainingSet(
+    return results[:len(first)], Stage2TrainingSet(
         features=np.concatenate(xs, axis=0),
         targets=np.concatenate(ts),
         provenance=tuple(prov),
@@ -502,7 +518,6 @@ def build_s2(
     stage1_cfg: gbm.GBMConfig | None = None,
     matrix: FeatureMatrix | None = None,
     stage1_fit: FitFn = gbm.fit,
-    jobs: int | None = None,
 ) -> Stage2TrainingSet:
     """Stage-2 training set of held-out residual sizes.
 
@@ -511,15 +526,15 @@ def build_s2(
     out-of-year prediction.  Protocol ``holdout`` instead fits one model on
     the first half of the years and scores the second half.  Rows are
     ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.  The
-    fold fits run on ``jobs`` processes (default: the available cores).
+    fold fits run on a process per available core.
     """
     ys, fm, per_year = _labeled_years(
         data, definition, years, boundary, horizon, matrix, min_years=2
     )
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    folds, tasks = _fold_tasks(per_year, ys, protocol, stage1_fit, cfg)
-    return _score_folds(ys, fm, per_year, folds, _fit_all(tasks, jobs),
-                        boundary, horizon, protocol)
+    _, s2 = _out_of_fold(ys, fm, per_year, boundary, horizon, protocol,
+                         stage1_fit, cfg)
+    return s2
 
 
 def fit_stage2(
@@ -562,15 +577,14 @@ def train_forecaster(
     stage2_cfg: gbm.GBMConfig | None = None,
     protocol: str = "loyo",
     matrix: FeatureMatrix | None = None,
-    jobs: int | None = None,
 ) -> Forecaster:
     """Train both stages on the given years and return the bundled pair.
 
     ``matrix`` reuses a feature matrix built with these years' references
     (see :func:`training_matrix`); by default it is built here.  The full
     Stage-1 fit and the out-of-fold Stage-1 fits of the Stage-2 protocol
-    run together on ``jobs`` processes (default: the available cores), the
-    largest first; Stage 2 is fitted here once their residuals are in.
+    run together on a process per available core, the largest first;
+    Stage 2 is fitted here once their residuals are in.
     """
     ys = tuple(sorted(set(years)))
     fm = _matrix(data, series_references(data, definition, ys), matrix)
@@ -579,14 +593,11 @@ def train_forecaster(
     )
     s1 = _stage1_set(ys, fm, per_year, boundary, horizon)
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    folds, tasks = _fold_tasks(per_year, ys, protocol, gbm.fit, cfg)
-    full, *predictions = _fit_all(
-        [partial(gbm.fit, s1.features, s1.targets, cfg), *tasks], jobs
+    (stage1,), s2 = _out_of_fold(
+        ys, fm, per_year, boundary, horizon, protocol, gbm.fit, cfg,
+        first=(partial(fit_stage1, s1, cfg),),
     )
-    s2 = _score_folds(ys, fm, per_year, folds, predictions, boundary, horizon,
-                      protocol)
-    return Forecaster(stage1=_stage1_model(s1, full),
-                      stage2=fit_stage2(s2, stage2_cfg))
+    return Forecaster(stage1=stage1, stage2=fit_stage2(s2, stage2_cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 from typing import Sequence
 
 import numpy as np
+import pytest
 
+from pollencast import pipeline
 from pollencast.data import DailyRecord, Dataset, SeasonDefinition, SeasonLabel
 from pollencast.errors import InsufficientDataError
 
@@ -24,6 +27,14 @@ NEUTRAL_WEATHER = dict(
     cloud_cover=40.0,
     soil_temp=8.0,
 )
+
+
+@contextlib.contextmanager
+def cores(n: int):
+    """Train as if this process had ``n`` cores: the fit pool's size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_cores", lambda: n)
+        yield
 
 
 def make_record(date: dt.date, pollen: float, **overrides: float) -> DailyRecord:

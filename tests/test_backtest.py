@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import cores
 from pollencast import backtest as bt
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -41,8 +42,9 @@ def small_report(seed42_dataset, season_def):
         bt.Fold(train_years=(2003, 2004), test_year=2005),
         bt.Fold(train_years=(2003, 2004, 2005), test_year=2006),
     )
-    cfg = light_config(folds, season_def, jobs=2)
-    return cfg, bt.rolling_backtest(seed42_dataset, cfg)
+    cfg = light_config(folds, season_def)
+    with cores(2):
+        return cfg, bt.rolling_backtest(seed42_dataset, cfg)
 
 
 def tiny_fold_result(test_year=2005, truth=100, y_star=100.0):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from helpers import year_dataset
+from helpers import cores, year_dataset
 import pollencast
 from pollencast import gbm
 from pollencast import pipeline as pl
@@ -479,11 +479,8 @@ class TestBadInputs:
         ("train", {"horizon": "x"}, "--horizon"),
         ("train", {"years": ["a"]}, "--years"),
         ("train", {"years": [2003, True]}, "--years"),
-        ("train", {"jobs": 0}, "--jobs"),
-        ("train", {"jobs": "two"}, "--jobs"),
         ("backtest", {"test_years": [1]}, "--test-years"),
         ("backtest", {"test_years": 0}, "--test-years"),
-        ("backtest", {"jobs": -1}, "--jobs"),
         ("predict", {"year": "next"}, "--year"),
         ("predict", {"year": 2008, "anchor": {}}, "--anchor"),
         ("predict", {"year": 2008, "z_start": 50, "z_end": "x"}, "--z-end"),
@@ -509,20 +506,28 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, code, EXIT_USAGE)
         assert key in line
 
-    @pytest.mark.parametrize("command", ["train", "backtest"])
-    @pytest.mark.parametrize("value", ["0", "x"])
-    def test_bad_jobs_flag(self, synth_csv, tmp_path, capsys, command, value):
-        out = ["--out", str(tmp_path / "m.json")] if command == "train" \
-            else ["--out-dir", str(tmp_path)]
-        code = main([command, "--input", synth_csv, "--jobs", value, *out])
-        line = assert_one_error_line(capsys, code, EXIT_USAGE)
-        assert "--jobs" in line
-
     def test_fit_error_in_worker_exits_2(self, synth_csv, tmp_path, capsys):
         cfg = write_config(tmp_path, {"stage1": {"min_samples_leaf": 100}})
-        code = main(["--config", cfg, "train", "--input", synth_csv,
-                     "--years", "2003-2004", "--jobs", "2",
-                     "--out", str(tmp_path / "m.json")])
+        with cores(2):
+            code = main(["--config", cfg, "train", "--input", synth_csv,
+                         "--years", "2003-2004",
+                         "--out", str(tmp_path / "m.json")])
         line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert "TooFewRowsError" in line
+
+    def test_dead_worker_exits_2(self, synth_csv, tmp_path, capsys,
+                                 monkeypatch):
+        parent, fit = os.getpid(), gbm.fit
+
+        def dying_fit(X, y, cfg=None):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fit(X, y, cfg)
+
+        monkeypatch.setattr(gbm, "fit", dying_fit)
+        with cores(2):
+            code = main(["train", "--input", synth_csv, "--years", "2003-2004",
+                         "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert "WorkerLostError" in line
 

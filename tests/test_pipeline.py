@@ -4,13 +4,15 @@ import datetime as dt
 import hashlib
 import json
 import multiprocessing
+import os
+import threading
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import year_dataset, year_length
+from helpers import cores, year_dataset, year_length
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -21,6 +23,7 @@ from pollencast.errors import (
     TooFewRowsError,
     TooFewYearsError,
     WindowUnavailableError,
+    WorkerLostError,
 )
 from pollencast.features import build_feature_matrix, flatten_row
 from pollencast.wls import final_forecast, fit_wls
@@ -299,8 +302,9 @@ class TestBuildS2(TrainingSetChecks):
         # the closure hook reaches forked workers without being pickled
         exact = chain_model(twin_years.boundary, twin_years.boundary - 20,
                             twin_years.boundary)
-        s2 = pl.build_s2(twin_years.data, twin_years.sd, (2001, 2002),
-                         horizon=20, stage1_fit=exact_fit_hook(exact), jobs=2)
+        with cores(2):
+            s2 = pl.build_s2(twin_years.data, twin_years.sd, (2001, 2002),
+                             horizon=20, stage1_fit=exact_fit_hook(exact))
         assert np.array_equal(s2.targets, np.zeros(42))
         assert np.array_equal(s2.features[:, 0],
                               np.tile(np.arange(20, -1, -1, dtype=float), 2))
@@ -528,7 +532,7 @@ class TestPinnedBundles:
     The digests were taken before each training year was labeled and
     featurized once, and before the Stage-1 fits ran on a process pool;
     any change to the rows, folds, fits or their order shows here, for
-    every ``jobs`` value.
+    every pool size.
     """
 
     DIGESTS = {
@@ -536,13 +540,14 @@ class TestPinnedBundles:
         "holdout": "a74e7df38d153e8fe85d67e610cef9c9ba02f53c6d61030f76d7ee3b462f4fe8",
     }
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("n_cores", [1, 2, 3])
     @pytest.mark.parametrize("protocol", sorted(DIGESTS))
-    def test_digest(self, seed42_dataset, season_def, protocol, jobs):
+    def test_digest(self, seed42_dataset, season_def, protocol, n_cores):
         years = (y for y in range(2003, 2007))  # one-shot iterables work
-        fc = pl.train_forecaster(seed42_dataset, season_def, years,
-                                 stage1_cfg=LIGHT, stage2_cfg=LIGHT,
-                                 protocol=protocol, jobs=jobs)
+        with cores(n_cores):
+            fc = pl.train_forecaster(seed42_dataset, season_def, years,
+                                     stage1_cfg=LIGHT, stage2_cfg=LIGHT,
+                                     protocol=protocol)
         text = pl.forecaster_to_json(fc)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[protocol]
 
@@ -552,22 +557,22 @@ class TestFitPool:
                                                 season_def):
         # 120 rows cannot hold two leaves of 100 rows: every Stage-1 fit
         # raises TooFewRowsError inside a worker
-        with pytest.raises(TooFewRowsError):
+        with cores(2), pytest.raises(TooFewRowsError):
             pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
-                                stage1_cfg=gbm.GBMConfig(min_samples_leaf=100),
-                                jobs=2)
+                                stage1_cfg=gbm.GBMConfig(min_samples_leaf=100))
 
     def test_hook_error_in_worker_keeps_its_type(self, twin_years):
         def failing(X, y, cfg):
             raise TooFewRowsError(f"refused {len(y)} rows")
 
-        with pytest.raises(TooFewRowsError, match="refused 21 rows"):
+        with cores(2), pytest.raises(TooFewRowsError, match="refused 21 rows"):
             pl.build_s2(twin_years.data, twin_years.sd, (2001, 2002),
-                        horizon=20, stage1_fit=failing, jobs=2)
+                        horizon=20, stage1_fit=failing)
 
     def test_no_workers_left_after_training(self, seed42_dataset, season_def):
-        pl.train_forecaster(seed42_dataset, season_def, (2003, 2004, 2005),
-                            stage1_cfg=LIGHT, stage2_cfg=LIGHT, jobs=2)
+        with cores(2):
+            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004, 2005),
+                                stage1_cfg=LIGHT, stage2_cfg=LIGHT)
         assert multiprocessing.active_children() == []
 
     def test_results_in_task_order(self):
@@ -581,8 +586,45 @@ class TestFitPool:
             got = [r.model.base_prediction for r in pl._fit_all(tasks, jobs)]
             assert got == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_nonpositive_jobs_rejected(self, seed42_dataset, season_def, jobs):
-        with pytest.raises(InvalidRecordError, match="jobs"):
-            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
-                                stage1_cfg=LIGHT, stage2_cfg=LIGHT, jobs=jobs)
+    def test_tasks_run_in_workers(self):
+        pids = pl._fit_all([os.getpid] * 3, 2)
+        assert os.getpid() not in pids and len(set(pids)) <= 2
+
+    def test_inline_while_other_threads_run(self):
+        # a forked child would inherit the other thread's locks
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert pl._fit_all([os.getpid] * 3, 2) == [os.getpid()] * 3
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_training_in_a_daemonic_process(self, seed42_dataset, season_def):
+        # multiprocessing pool workers are daemonic and may not fork; their
+        # trainings run inline and give the same bundle
+        def train(conn):
+            try:
+                fc = pl.train_forecaster(seed42_dataset, season_def,
+                                         (2003, 2004), stage1_cfg=LIGHT,
+                                         stage2_cfg=LIGHT)
+                conn.send(pl.forecaster_to_json(fc))
+            except BaseException as exc:
+                conn.send(repr(exc))
+
+        with cores(2):
+            expected = pl.forecaster_to_json(pl.train_forecaster(
+                seed42_dataset, season_def, (2003, 2004), stage1_cfg=LIGHT,
+                stage2_cfg=LIGHT))
+            ctx = multiprocessing.get_context("fork")
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(target=train, args=(child,), daemon=True)
+            proc.start()
+            got = parent.recv()
+            proc.join()
+        assert got == expected
+
+    def test_dead_worker_is_a_pollencast_error(self):
+        with pytest.raises(WorkerLostError):
+            pl._fit_all([partial(os._exit, 1)] * 2, 2)
