@@ -414,8 +414,8 @@ def _fit_all(
     ``fork`` start method, inside a daemonic process (a ``multiprocessing``
     pool worker may not have children) and while other threads run, since a
     forked child inherits their locks.  The executor starts every ``fork``
-    worker before its own manager thread only from the fix of CPython issue
-    90622 (3.10.9, 3.11.1), hence the ``requires-python`` of this package.
+    worker before its own manager thread only since CPython's gh-90622 fix
+    (3.10.9, 3.11.1), hence the ``requires-python`` of this package.
     """
     workers = min(jobs, len(tasks))
     if workers < 2 or threading.active_count() > 1:
