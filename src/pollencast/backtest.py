@@ -26,7 +26,7 @@ from .errors import (
     MissingLabelError,
 )
 from .gbm import GBMConfig
-from .pipeline import DEFAULT_HORIZON, train_forecaster, training_matrix
+from .pipeline import DEFAULT_HORIZON, train_forecaster
 from .wls import ForecastSeries, final_forecast, fit_wls, min_days
 
 __all__ = [
@@ -209,22 +209,21 @@ def _convergence_trace(
 
 
 def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
-    """Train, forecast and fuse one fold.  Its feature matrix and models are
-    released on return, before the next fold builds its own."""
+    """Train, forecast and fuse one fold.  Its models are released on
+    return, before the next fold trains its own."""
     truth = label_season(data, cfg.definition, fold.test_year).boundary(
         cfg.boundary
     )
     if truth is None:
         raise MissingLabelError(f"test year {fold.test_year} has no season")
-    fm = training_matrix(data, cfg.definition, fold.train_years)
     fc = train_forecaster(
         data, cfg.definition, fold.train_years,
         boundary=cfg.boundary, horizon=cfg.horizon,
         stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
-        protocol=cfg.stage2_protocol, matrix=fm,
+        protocol=cfg.stage2_protocol,
     )
     z_range = _fold_z_range(data, cfg, fold)
-    series = fc.predict_series(data, fold.test_year, z_range, matrix=fm)
+    series = fc.predict_series(data, fold.test_year, z_range)
     fit = fit_wls(series)
     final = final_forecast(fit)
     analysis = min_days(fit.beta0, fit.beta1, z_start=float(z_range[0]))
@@ -251,7 +250,6 @@ def rolling_backtest(data: Dataset, cfg: BacktestConfig) -> BacktestReport:
     year over the policy's day range, fuse with Stage 3, and trace the
     fused estimate at every prefix length.  Folds never see their test
     year (or any other year outside their training set) during fitting.
-    Each fold builds its feature matrix once, for training and forecasting.
     """
     if not cfg.folds:
         raise EmptyInputError("backtest needs at least one fold")

@@ -64,7 +64,7 @@ N_FEATURES = len(FEATURE_NAMES)  # 30
 
 CATALOG_VERSION = "w14s30-v1"
 
-#: Appended column name when day-of-year is included.
+#: Name of the last flat column, the day-of-year.
 DOY_NAME = "day_of_year"
 
 
@@ -93,7 +93,8 @@ def _window_stats(windows: np.ndarray, reference: float) -> np.ndarray:
     wmax = w.max(axis=1)
     q25 = np.quantile(w, 0.25, axis=1)
     q75 = np.quantile(w, 0.75, axis=1)
-    slope = centered @ t_centered / s_tt
+    # row by row, so a row's bits do not depend on the rows around it
+    slope = (centered * t_centered).sum(axis=1) / s_tt
     intercept = mean - slope * t.mean()
     diffs = np.diff(w, axis=1)
     autocorr = _safe_ratio(
@@ -193,42 +194,36 @@ class FeatureMatrix:
         return idx
 
 
-def build_feature_matrix(
-    data: Dataset,
-    references: Sequence[float],
-    window_len: int = WINDOW_LEN,
-) -> FeatureMatrix:
+def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureMatrix:
     """Feature tensor for every day with a full trailing window.
 
-    Row r describes the day at dataset index ``r + window_len - 1``; its
+    Row r describes the day at dataset index ``r + 13``; its
     statistics read only that day and the 13 before it.  ``references``
     gives the ``n_above_ref`` threshold per series (pollen first); use the
     season concentration threshold for pollen and training-period means for
     covariates, computed from training years only so no future information
     leaks in.
     """
-    if window_len != WINDOW_LEN:
-        raise WrongWindowLengthError(f"window_len is fixed at {WINDOW_LEN}")
     refs = tuple(float(r) for r in references)
     if len(refs) != len(SERIES_NAMES):
         raise WrongWindowLengthError(
             f"need {len(SERIES_NAMES)} references, got {len(refs)}"
         )
     matrix = data.series_matrix()
-    if matrix.shape[0] < window_len:
+    if matrix.shape[0] < WINDOW_LEN:
         raise DatasetTooShortError(
-            f"need at least {window_len} days, got {matrix.shape[0]}"
+            f"need at least {WINDOW_LEN} days, got {matrix.shape[0]}"
         )
 
     per_series = []
     for s in range(len(SERIES_NAMES)):
-        windows = np.lib.stride_tricks.sliding_window_view(matrix[:, s], window_len)
+        windows = np.lib.stride_tricks.sliding_window_view(matrix[:, s], WINDOW_LEN)
         per_series.append(_window_stats(windows, refs[s]))
     values = np.stack(per_series, axis=2)
     values.setflags(write=False)
 
     first, _ = data.span
-    offset = window_len - 1
+    offset = WINDOW_LEN - 1
     dates = tuple(
         first + dt.timedelta(days=offset + r) for r in range(values.shape[0])
     )

@@ -113,12 +113,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def apply(self, x: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0], dtype=np.float64)
         stack = [(self, np.arange(X.shape[0]))]
@@ -461,8 +455,7 @@ def predict(model: GBMModel, x: np.ndarray) -> float:
         )
     if not np.isfinite(x).all():
         raise NonFiniteError("feature vector contains non-finite values")
-    acc = sum(tree.apply(x) for tree in model.trees)
-    return model.base_prediction + model.learning_rate * acc
+    return float(predict_batch(model, x[None, :])[0])
 
 
 def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:

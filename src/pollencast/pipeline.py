@@ -8,11 +8,11 @@ run of consecutive-day predictions into one final date with an error bar.
 
 This module builds the two training sets, fits and serializes the models,
 and turns a fitted pair plus fresh data into a ForecastSeries.  Both stages
-and inference read one feature matrix, flattened to the fixed Stage-1
-layout of 361 columns: 12 series x 30 window statistics, then day-of-year.
-Stage 2 prepends the Stage-1 prediction.  :func:`training_matrix` builds
-that matrix once, to be passed as ``matrix=`` to :func:`train_forecaster`
-and :func:`predict_series`.
+and inference read flat feature rows in the fixed Stage-1 layout of 361
+columns: 12 series x 30 window statistics, then day-of-year.  Stage 2
+prepends the Stage-1 prediction.  A row depends only on its own 14-day
+window, so each training year and each forecast builds the rows of just the
+days it reads.
 
 The Stage-1 fits of one training are independent: the full fit and one per
 out-of-fold split of the Stage-2 protocol.  They run on forked worker
@@ -48,7 +48,7 @@ from .errors import (
 from .features import (
     CATALOG_VERSION,
     SERIES_NAMES,
-    FeatureMatrix,
+    WINDOW_LEN,
     build_feature_matrix,
     flatten_all,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "PredictionPoint",
     "ForecastSeries",
     "series_references",
-    "training_matrix",
     "build_s1",
     "fit_stage1",
     "build_s2",
@@ -210,11 +209,8 @@ class Forecaster:
         data: Dataset,
         year: int,
         z_range: tuple[int, int],
-        matrix: FeatureMatrix | None = None,
     ) -> ForecastSeries:
-        return predict_series(
-            self.stage1, self.stage2, data, year, z_range, matrix=matrix
-        )
+        return predict_series(self.stage1, self.stage2, data, year, z_range)
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +240,24 @@ def series_references(
     return tuple(refs)
 
 
-def training_matrix(
-    data: Dataset, definition: SeasonDefinition, years: Iterable[int]
-) -> FeatureMatrix:
-    """The feature matrix of a training on ``years``, with their references.
-
-    Pass it as ``matrix=`` to :func:`train_forecaster` and to
-    :func:`predict_series` to build it once for both.
-    """
-    return build_feature_matrix(data, series_references(data, definition, years))
-
-
-def _day_rows(fm: FeatureMatrix, year: int, z_lo: int, z_hi: int,
-              error: type[Exception]) -> np.ndarray:
-    """Flat feature rows of days z_lo..z_hi of ``year``; ``error`` when a day
-    leaves the year or has no feature window (feature dates are consecutive)."""
+def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
+              z_hi: int, error: type[Exception]) -> np.ndarray:
+    """Flat feature rows of days z_lo..z_hi of ``year``, built from those
+    days' windows only; ``error`` when a day leaves the year or has no full
+    window in ``data`` (dataset dates are consecutive)."""
     n_days = 366 if calendar.isleap(year) else 365
     if z_lo < 1 or z_hi > n_days:
         raise error(f"year {year}: days {z_lo}..{z_hi} leave 1..{n_days}")
-    first = (dt.date(year, 1, 1) - fm.dates[0]).days + z_lo - 1
-    last = first + z_hi - z_lo
-    if first < 0 or last >= len(fm):
+    start, end = data.span
+    first = (dt.date(year, 1, 1) - start).days + z_lo - WINDOW_LEN
+    last = first + WINDOW_LEN - 1 + z_hi - z_lo
+    if first < 0 or last >= len(data):
         raise error(
             f"year {year}, days {z_lo}..{z_hi}: no feature window "
-            f"(features cover {fm.dates[0]}..{fm.dates[-1]})"
+            f"(features cover {start + dt.timedelta(WINDOW_LEN - 1)}..{end})"
         )
-    rows = slice(first, last + 1)
-    return flatten_all(replace(fm, values=fm.values[rows], dates=fm.dates[rows]))
+    window = Dataset(records=data.records[first:last + 1])
+    return flatten_all(build_feature_matrix(window, refs))
 
 
 _YearRows = tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
@@ -282,14 +269,12 @@ def _labeled_years(
     years: Iterable[int],
     boundary: str,
     horizon: int,
-    matrix: FeatureMatrix | None,
     min_years: int,
-) -> tuple[tuple[int, ...], FeatureMatrix, dict[int, _YearRows]]:
-    """Sorted years, their feature matrix and each year's countdown rows.
+) -> tuple[tuple[int, ...], tuple[float, ...], dict[int, _YearRows]]:
+    """Sorted years, their references and each year's countdown rows.
 
     Each year is labeled once; its rows are days z in [boundary-H, boundary]
-    with targets ``boundary - z``.  Without ``matrix`` one is built with the
-    years' own references.
+    with targets ``boundary - z``, built with the years' own references.
     """
     if boundary not in ("start", "end"):
         raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
@@ -298,7 +283,7 @@ def _labeled_years(
     ys = tuple(sorted(set(years)))
     if len(ys) < min_years:
         raise TooFewYearsError(f"need >= {min_years} training years, got {len(ys)}")
-    fm = matrix if matrix is not None else training_matrix(data, definition, ys)
+    refs = series_references(data, definition, ys)
     targets = np.arange(horizon, -1, -1, dtype=np.float64)
     per_year = {}
     for year in ys:
@@ -309,10 +294,10 @@ def _labeled_years(
                 f"delta_n={definition.delta_n}"
             )
         b = label.boundary(boundary)
-        rows = _day_rows(fm, year, b - horizon, b, HorizonOutOfRangeError)
+        rows = _day_rows(data, refs, year, b - horizon, b, HorizonOutOfRangeError)
         prov = tuple((year, z) for z in range(b - horizon, b + 1))
         per_year[year] = (rows, targets, prov)
-    return ys, fm, per_year
+    return ys, refs, per_year
 
 
 def _stack(per_year: dict[int, _YearRows], years: tuple[int, ...]) -> _YearRows:
@@ -323,7 +308,7 @@ def _stack(per_year: dict[int, _YearRows], years: tuple[int, ...]) -> _YearRows:
 
 
 def _stage1_set(
-    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
+    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
     boundary: str, horizon: int,
 ) -> Stage1TrainingSet:
     x, t, prov = _stack(per_year, ys)
@@ -333,7 +318,7 @@ def _stage1_set(
         provenance=prov,
         boundary=boundary,
         horizon=horizon,
-        references=fm.references,
+        references=refs,
         years=ys,
     )
 
@@ -344,18 +329,16 @@ def build_s1(
     years: Iterable[int],
     boundary: str = "start",
     horizon: int = DEFAULT_HORIZON,
-    matrix: FeatureMatrix | None = None,
 ) -> Stage1TrainingSet:
     """Stage-1 training set: one row per (year, z), z in [boundary-H, boundary].
 
-    ``matrix`` reuses a prebuilt feature matrix and its references; by
-    default it is built from ``years`` so nothing outside the training years
-    influences the count-feature references.
+    The count-feature references come from ``years`` only, so nothing
+    outside the training years influences them.
     """
-    ys, fm, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, matrix, min_years=1
+    ys, refs, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, min_years=1
     )
-    return _stage1_set(ys, fm, per_year, boundary, horizon)
+    return _stage1_set(ys, refs, per_year, boundary, horizon)
 
 
 def fit_stage1(
@@ -473,7 +456,7 @@ def _fold_predictions(
 
 
 def _out_of_fold(
-    ys: tuple[int, ...], fm: FeatureMatrix, per_year: dict[int, _YearRows],
+    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
     boundary: str, horizon: int, protocol: str, fit_fn: FitFn,
     cfg: gbm.GBMConfig, first: tuple[_FitTask, ...] = (),
 ) -> tuple[list[Stage1Model | np.ndarray], Stage2TrainingSet]:
@@ -502,7 +485,7 @@ def _out_of_fold(
         scorer_train_years=tuple(scorers),
         boundary=boundary,
         horizon=horizon,
-        references=fm.references,
+        references=refs,
         protocol=protocol,
         years=ys,
     )
@@ -516,7 +499,6 @@ def build_s2(
     horizon: int = DEFAULT_HORIZON,
     protocol: str = "loyo",
     stage1_cfg: gbm.GBMConfig | None = None,
-    matrix: FeatureMatrix | None = None,
     stage1_fit: FitFn = gbm.fit,
 ) -> Stage2TrainingSet:
     """Stage-2 training set of held-out residual sizes.
@@ -528,11 +510,11 @@ def build_s2(
     ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.  The
     fold fits run on a process per available core.
     """
-    ys, fm, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, matrix, min_years=2
+    ys, refs, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, min_years=2
     )
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    _, s2 = _out_of_fold(ys, fm, per_year, boundary, horizon, protocol,
+    _, s2 = _out_of_fold(ys, refs, per_year, boundary, horizon, protocol,
                          stage1_fit, cfg)
     return s2
 
@@ -553,20 +535,6 @@ def fit_stage2(
     )
 
 
-def _matrix(
-    data: Dataset, refs: tuple[float, ...], matrix: FeatureMatrix | None
-) -> FeatureMatrix:
-    """``matrix`` if it was built with ``refs``; a new one when it is None."""
-    if matrix is None:
-        return build_feature_matrix(data, refs)
-    if matrix.references != refs:
-        raise InvalidRecordError(
-            "feature matrix was built with other count-feature references "
-            "than these training years or this model use"
-        )
-    return matrix
-
-
 def train_forecaster(
     data: Dataset,
     definition: SeasonDefinition,
@@ -576,25 +544,20 @@ def train_forecaster(
     stage1_cfg: gbm.GBMConfig | None = None,
     stage2_cfg: gbm.GBMConfig | None = None,
     protocol: str = "loyo",
-    matrix: FeatureMatrix | None = None,
 ) -> Forecaster:
     """Train both stages on the given years and return the bundled pair.
 
-    ``matrix`` reuses a feature matrix built with these years' references
-    (see :func:`training_matrix`); by default it is built here.  The full
-    Stage-1 fit and the out-of-fold Stage-1 fits of the Stage-2 protocol
-    run together on a process per available core, the largest first;
-    Stage 2 is fitted here once their residuals are in.
+    The full Stage-1 fit and the out-of-fold Stage-1 fits of the Stage-2
+    protocol run together on a process per available core, the largest
+    first; Stage 2 is fitted here once their residuals are in.
     """
-    ys = tuple(sorted(set(years)))
-    fm = _matrix(data, series_references(data, definition, ys), matrix)
-    ys, fm, per_year = _labeled_years(
-        data, definition, ys, boundary, horizon, fm, min_years=2
+    ys, refs, per_year = _labeled_years(
+        data, definition, years, boundary, horizon, min_years=2
     )
-    s1 = _stage1_set(ys, fm, per_year, boundary, horizon)
+    s1 = _stage1_set(ys, refs, per_year, boundary, horizon)
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
     (stage1,), s2 = _out_of_fold(
-        ys, fm, per_year, boundary, horizon, protocol, gbm.fit, cfg,
+        ys, refs, per_year, boundary, horizon, protocol, gbm.fit, cfg,
         first=(partial(fit_stage1, s1, cfg),),
     )
     return Forecaster(stage1=stage1, stage2=fit_stage2(s2, stage2_cfg))
@@ -611,21 +574,18 @@ def predict_series(
     data: Dataset,
     year: int,
     z_range: tuple[int, int],
-    matrix: FeatureMatrix | None = None,
 ) -> ForecastSeries:
     """Per-day forecasts for one year over an inclusive day range.
 
     For each day z: ``y_hat = stage1(features(z))`` and
     ``u_hat = max(stage2([y_hat, *features(z)]), u_floor)``.  Features use
     only data dated at or before z (trailing windows), so each point is a
-    forecast that could have been made on that day.  ``matrix`` reuses a
-    feature matrix of ``data`` built with the Stage-1 references.
+    forecast that could have been made on that day.
     """
     z_lo, z_hi = int(z_range[0]), int(z_range[1])
     if z_lo > z_hi:
         raise InvalidRecordError(f"empty z_range {z_range}")
-    fm = _matrix(data, s1m.references, matrix)
-    x = _day_rows(fm, year, z_lo, z_hi, WindowUnavailableError)
+    x = _day_rows(data, s1m.references, year, z_lo, z_hi, WindowUnavailableError)
     y_hat = gbm.predict_batch(s1m.model, x)
     u_raw = gbm.predict_batch(
         s2m.model, np.concatenate([y_hat[:, None], x], axis=1)

@@ -141,3 +141,16 @@ def reference_best_split(
     if not np.isfinite(best[f]):
         return -1, -1, -np.inf
     return f, int(pos[f]), float(best[f])
+
+
+def reference_predict(model, x: np.ndarray) -> float:
+    """Scalar reference for ``gbm.predict_batch``: walk each tree from its
+    root with the split rule ``x[feature] <= threshold`` goes left, and add
+    the leaves in tree order."""
+    acc = 0.0
+    for tree in model.trees:
+        node = tree
+        while not node.is_leaf:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        acc += node.value
+    return model.base_prediction + model.learning_rate * acc

@@ -10,7 +10,6 @@ import pytest
 
 from helpers import cores
 from pollencast import backtest as bt
-from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
 from pollencast.errors import (
     EmptyInputError,
@@ -19,7 +18,6 @@ from pollencast.errors import (
     LengthMismatchError,
     MissingLabelError,
 )
-from pollencast.features import build_feature_matrix
 from pollencast.gbm import GBMConfig
 
 LIGHT = GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
@@ -211,21 +209,6 @@ class TestRollingBacktest:
         assert h.hexdigest() == (
             "9540871d9941da32b197dafa449423c7ec1705ee66ee30dba5b324e9903d7b75"
         )
-
-    def test_one_feature_matrix_per_fold(self, small_report, seed42_dataset,
-                                         monkeypatch):
-        cfg, report = small_report
-        built = []
-
-        def counting(data, references, *args, **kwargs):
-            built.append(tuple(references))
-            return build_feature_matrix(data, references, *args, **kwargs)
-
-        monkeypatch.setattr(pl, "build_feature_matrix", counting)
-        again = bt.rolling_backtest(seed42_dataset, cfg)
-        assert bt._report_obj(again) == bt._report_obj(report)
-        assert len(built) == len(cfg.folds)
-        assert len(set(built)) == len(cfg.folds)  # each fold's own references
 
     def test_future_years_do_not_leak(self, seed42_dataset, season_def):
         fold = bt.Fold(train_years=(2003, 2004), test_year=2005)

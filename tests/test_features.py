@@ -253,11 +253,6 @@ class TestBuildFeatureMatrix:
         with pytest.raises(WrongWindowLengthError):
             build_feature_matrix(data, (120.0,) * 5)
 
-    def test_window_len_fixed(self):
-        data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
-        with pytest.raises(WrongWindowLengthError):
-            build_feature_matrix(data, NEUTRAL_REFS, window_len=10)
-
 
 class TestFlatten:
     @pytest.fixture()

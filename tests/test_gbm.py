@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import reference_best_split, reference_split_gains
+from helpers import reference_best_split, reference_predict, reference_split_gains
 from pollencast import gbm
 from pollencast.errors import (
     InvalidRecordError,
@@ -391,6 +391,7 @@ class TestPredict:
         batch = predict_batch(model, probes)
         for i in range(len(probes)):
             assert batch[i] == predict(model, probes[i])
+            assert batch[i] == reference_predict(model, probes[i])
 
     def test_handcrafted_tree(self):
         tree = TreeNode(

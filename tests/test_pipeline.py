@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import cores, year_dataset, year_length
 from pollencast import gbm
@@ -25,7 +27,7 @@ from pollencast.errors import (
     WindowUnavailableError,
     WorkerLostError,
 )
-from pollencast.features import build_feature_matrix, flatten_row
+from pollencast.features import build_feature_matrix, flatten_all, flatten_row
 from pollencast.wls import final_forecast, fit_wls
 
 LIGHT = gbm.GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
@@ -93,14 +95,12 @@ def twin_years():
 def ten(seed42_dataset, season_def):
     """Default-config forecaster trained on the first ten seed-42 years."""
     data, sd = seed42_dataset, season_def
-    refs = pl.series_references(data, sd, TRAIN_YEARS)
-    fm = build_feature_matrix(data, refs)
-    s1 = pl.build_s1(data, sd, TRAIN_YEARS, matrix=fm)
+    s1 = pl.build_s1(data, sd, TRAIN_YEARS)
     stage1 = pl.fit_stage1(s1)
-    s2 = pl.build_s2(data, sd, TRAIN_YEARS, matrix=fm)
+    s2 = pl.build_s2(data, sd, TRAIN_YEARS)
     stage2 = pl.fit_stage2(s2)
     return SimpleNamespace(
-        data=data, sd=sd, refs=refs, s1=s1, s2=s2,
+        data=data, sd=sd, s1=s1, s2=s2,
         fc=pl.Forecaster(stage1=stage1, stage2=stage2),
     )
 
@@ -283,20 +283,21 @@ class TestBuildS2(TrainingSetChecks):
     def test_two_years_scored_by_the_other_model(self, seed42_dataset,
                                                  season_def):
         years = (2003, 2004)
-        fm = pl.training_matrix(seed42_dataset, season_def, years)
-        s2 = pl.build_s2(seed42_dataset, season_def, years,
-                         stage1_cfg=LIGHT, matrix=fm)
+        s2 = pl.build_s2(seed42_dataset, season_def, years, stage1_cfg=LIGHT)
         assert len(s2) == 120
         assert s2.features.shape[1] == N_FLAT + 1
         assert dict(s2.scorer_train_years) == {2003: (2004,), 2004: (2003,)}
 
-        # recompute year 2003's rows by hand from the 2004-trained model
-        fold = pl.build_s1(seed42_dataset, season_def, (2004,), matrix=fm)
-        model = gbm.fit(fold.features, fold.targets, LIGHT).model
-        own = pl.build_s1(seed42_dataset, season_def, (2003,), matrix=fm)
-        y_hat = gbm.predict_batch(model, own.features)
+        # recompute year 2003's rows by hand from the 2004-trained model;
+        # both years' rows carry the two-year references
+        both = pl.build_s1(seed42_dataset, season_def, years)
+        assert {y for y, _z in both.provenance[:60]} == {2003}
+        assert {y for y, _z in both.provenance[60:]} == {2004}
+        model = gbm.fit(both.features[60:], both.targets[60:], LIGHT).model
+        y_hat = gbm.predict_batch(model, both.features[:60])
         assert np.array_equal(s2.features[:60, 0], y_hat)
-        assert np.array_equal(s2.targets[:60], np.abs(y_hat - own.targets))
+        assert np.array_equal(s2.features[:60, 1:], both.features[:60])
+        assert np.array_equal(s2.targets[:60], np.abs(y_hat - both.targets[:60]))
 
     def test_perfect_stage1_gives_zero_targets(self, twin_years):
         # the closure hook reaches forked workers without being pickled
@@ -421,16 +422,6 @@ class TestPredictSeries:
         with pytest.raises(InvalidRecordError):
             ten.fc.predict_series(ten.data, 2014, (100, 90))
 
-    def test_prebuilt_matrix_gives_same_series(self, ten):
-        fm = build_feature_matrix(ten.data, ten.refs)
-        want = ten.fc.predict_series(ten.data, 2015, (60, 110))
-        assert ten.fc.predict_series(ten.data, 2015, (60, 110), matrix=fm) == want
-
-    def test_matrix_with_other_references_rejected(self, ten):
-        fm = pl.training_matrix(ten.data, ten.sd, (2003, 2004))
-        with pytest.raises(InvalidRecordError):
-            ten.fc.predict_series(ten.data, 2015, (60, 110), matrix=fm)
-
     def test_countdown_consistency_exact_slope(self, twin_years):
         b = twin_years.boundary
         stage1 = pl.Stage1Model(
@@ -454,6 +445,68 @@ class TestPredictSeries:
         fit = fit_wls(series)
         assert fit.beta1 == pytest.approx(-1.0, abs=1e-12)
         assert final_forecast(fit).y_star == pytest.approx(b, abs=1e-9)
+
+
+@st.composite
+def seed42_spans(draw):
+    """A year of the seed-42 data (2003-01-01..2019-12-31) and a span of its
+    days whose windows lie in the data."""
+    year = draw(st.sampled_from(range(2003, 2020)))
+    z_lo = draw(st.integers(14 if year == 2003 else 1, year_length(year)))
+    z_hi = draw(st.integers(z_lo, min(year_length(year), z_lo + 70)))
+    return year, z_lo, z_hi
+
+
+class TestDayRows:
+    """A flat row depends only on its own 14-day window, so the rows the
+    pipeline builds for a span equal the same dates' rows of the whole
+    dataset's feature matrix, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def full(self, seed42_dataset, season_def):
+        refs = pl.series_references(seed42_dataset, season_def, TRAIN_YEARS)
+        return refs, flatten_all(build_feature_matrix(seed42_dataset, refs))
+
+    @given(span=seed42_spans())
+    @example(span=(2003, 14, 14))  # the first day with a full window
+    @example(span=(2019, 300, 365))  # the last days of the data
+    @settings(max_examples=40, deadline=None)
+    def test_span_rows_equal_full_matrix_rows(self, seed42_dataset, full,
+                                              span):
+        data, (refs, flat) = seed42_dataset, full
+        year, z_lo, z_hi = span
+        last = data.index_of(dt.date(year, 1, 1) + dt.timedelta(z_hi - 1))
+        want = flat[last - (z_hi - z_lo) - 13:last - 13 + 1]
+        # the data ends on z_hi, as it does for a forecast made that day
+        cut = Dataset(records=data.records[:last + 1])
+        for source in (cut, data):
+            got = pl._day_rows(source, refs, year, z_lo, z_hi,
+                               WindowUnavailableError)
+            assert got.shape == (z_hi - z_lo + 1, N_FLAT)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("error", [WindowUnavailableError,
+                                       HorizonOutOfRangeError])
+    @pytest.mark.parametrize("year, z_lo, z_hi", [
+        (2003, 13, 40),   # day 13 of the first year has 12 days before it
+        (2003, 0, 40),    # day 0 is not a day of the year
+        (2004, 300, 367),  # a leap year has 366 days
+        (2019, 360, 366),  # 2019 has 365
+        (2002, 100, 120),  # before the data
+        (2020, 1, 10),    # after the data
+    ])
+    def test_span_outside_the_data_rejected(self, seed42_dataset, full,
+                                            error, year, z_lo, z_hi):
+        with pytest.raises(error):
+            pl._day_rows(seed42_dataset, full[0], year, z_lo, z_hi, error)
+
+    def test_span_past_a_cut_rejected(self, seed42_dataset, full):
+        cut = Dataset(records=seed42_dataset.records[
+            :seed42_dataset.index_of(dt.date(2010, 4, 9)) + 1])
+        assert pl._day_rows(cut, full[0], 2010, 90, 99,
+                            WindowUnavailableError).shape == (10, N_FLAT)
+        with pytest.raises(WindowUnavailableError):
+            pl._day_rows(cut, full[0], 2010, 90, 100, WindowUnavailableError)
 
 
 class TestPersistence:
@@ -492,33 +545,11 @@ class TestTrainForecaster:
         years = (2003, 2004)
         fc = pl.train_forecaster(seed42_dataset, season_def, years,
                                  stage1_cfg=LIGHT, stage2_cfg=LIGHT)
-        fm = pl.training_matrix(seed42_dataset, season_def, years)
-        s1 = pl.build_s1(seed42_dataset, season_def, years, matrix=fm)
-        s2 = pl.build_s2(seed42_dataset, season_def, years, stage1_cfg=LIGHT,
-                         matrix=fm)
+        s1 = pl.build_s1(seed42_dataset, season_def, years)
+        s2 = pl.build_s2(seed42_dataset, season_def, years, stage1_cfg=LIGHT)
         manual = pl.Forecaster(stage1=pl.fit_stage1(s1, LIGHT),
                                stage2=pl.fit_stage2(s2, LIGHT))
         assert pl.forecaster_to_json(manual) == pl.forecaster_to_json(fc)
-
-    def test_prebuilt_matrix_gives_same_bundle(self, seed42_dataset,
-                                               season_def):
-        years = (2003, 2004)
-        kwargs = dict(stage1_cfg=LIGHT, stage2_cfg=LIGHT)
-        fm = pl.training_matrix(seed42_dataset, season_def, years)
-        assert fm.references == pl.series_references(
-            seed42_dataset, season_def, years)
-        a = pl.train_forecaster(seed42_dataset, season_def, years, **kwargs)
-        b = pl.train_forecaster(seed42_dataset, season_def, years, matrix=fm,
-                                **kwargs)
-        assert pl.forecaster_to_json(b) == pl.forecaster_to_json(a)
-
-    def test_matrix_with_other_references_rejected(self, seed42_dataset,
-                                                   season_def):
-        # references from a later year would leak it into the training
-        fm = pl.training_matrix(seed42_dataset, season_def, (2003, 2004, 2005))
-        with pytest.raises(InvalidRecordError):
-            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
-                                stage1_cfg=LIGHT, stage2_cfg=LIGHT, matrix=fm)
 
     def test_year_length_helper_consistency(self):
         # predict_series trusts day-of-year arithmetic; pin the two year kinds
@@ -529,15 +560,15 @@ class TestTrainForecaster:
 class TestPinnedBundles:
     """sha256 of the bundle JSON for both Stage-2 protocols.
 
-    The digests were taken before each training year was labeled and
-    featurized once, and before the Stage-1 fits ran on a process pool;
-    any change to the rows, folds, fits or their order shows here, for
-    every pool size.
+    The digests were taken when the window slope became a row-by-row sum,
+    which moved a few split thresholds on slope and intercept columns by
+    1-2 ulp; any change to the rows, folds, fits or their order shows here,
+    for every pool size.
     """
 
     DIGESTS = {
-        "loyo": "d38fb76ed0b46498e5098df60f4ef3267ca7aba4f62079a19fa1ba960bffc89e",
-        "holdout": "a74e7df38d153e8fe85d67e610cef9c9ba02f53c6d61030f76d7ee3b462f4fe8",
+        "loyo": "421d4845ec87897d579165a14b475f25cc93deb98be8525f947a338bd74142d9",
+        "holdout": "15521e88190b9e45a57230469bc517ca0fbef48b359694610b4805da0bc7f0c4",
     }
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3])
