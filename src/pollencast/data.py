@@ -14,7 +14,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import (
     MissingColumnError,
     NonFiniteError,
     NonMonotoneDatesError,
-    TooFewSeasonsError,
 )
 
 #: Covariate columns, in canonical CSV order (pollen comes first).
@@ -79,13 +78,11 @@ class DailyRecord:
     soil_temp: float
 
     def __post_init__(self) -> None:
-        vals = self.values()
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, self.values())):
             raise NonFiniteError(f"non-finite value in record for {self.date}")
         if self.pollen < 0:
             raise InvalidRecordError(f"{self.date}: pollen must be >= 0")
-        for name in ("humidity", "cloud_cover"):
-            v = getattr(self, name)
+        for name, v in (("humidity", self.humidity), ("cloud_cover", self.cloud_cover)):
             if not 0.0 <= v <= 100.0:
                 raise InvalidRecordError(f"{self.date}: {name}={v} outside [0, 100]")
         if not self.tmin <= self.tavg <= self.tmax:
@@ -95,8 +92,10 @@ class DailyRecord:
             )
 
     def values(self) -> tuple[float, ...]:
-        """The 12 value fields in canonical series order."""
-        return tuple(getattr(self, name) for name in SERIES_NAMES)
+        """The 12 value fields in canonical series order (``SERIES_NAMES``)."""
+        return (self.pollen, self.tmax, self.tmin, self.tavg, self.precip,
+                self.humidity, self.wind_speed, self.pressure, self.sunshine_hours,
+                self.dew_point, self.cloud_cover, self.soil_temp)
 
 
 @dataclass(frozen=True)
@@ -376,31 +375,3 @@ def label_years(
     """Labels for each requested year (default: every fully covered year)."""
     ys = tuple(years) if years is not None else data.years()
     return {y: label_season(data, definition, y) for y in ys}
-
-
-@dataclass(frozen=True)
-class SeasonStats:
-    """Sample standard deviations of start day, end day, and length."""
-
-    std_start: float
-    std_end: float
-    std_length: float
-    n_seasons: int
-
-
-def season_stats(labels: Sequence[SeasonLabel]) -> SeasonStats:
-    """Across-year variability of the labeled seasons (present labels only)."""
-    present = [lab for lab in labels if lab.present]
-    if len(present) < 2:
-        raise TooFewSeasonsError(
-            f"need at least 2 present labels, got {len(present)}"
-        )
-    starts = np.array([lab.start_day for lab in present], dtype=np.float64)
-    ends = np.array([lab.end_day for lab in present], dtype=np.float64)
-    lengths = np.array([lab.length_days for lab in present], dtype=np.float64)
-    return SeasonStats(
-        std_start=float(np.std(starts, ddof=1)),
-        std_end=float(np.std(ends, ddof=1)),
-        std_length=float(np.std(lengths, ddof=1)),
-        n_seasons=len(present),
-    )

@@ -36,10 +36,6 @@ class InsufficientDataError(PollencastError):
     """The dataset does not cover the span required by the operation."""
 
 
-class TooFewSeasonsError(PollencastError):
-    """Fewer than two labeled seasons were supplied."""
-
-
 # --- feature extraction -----------------------------------------------------
 
 class WrongWindowLengthError(PollencastError):

@@ -9,7 +9,6 @@ layout they were trained on.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,6 +66,10 @@ CATALOG_VERSION = "w14s30-v1"
 #: Name of the last flat column, the day-of-year.
 DOY_NAME = "day_of_year"
 
+#: Windows per statistics pass: one pass covers a forecast's or a training
+#: year's rows, and a long dataset's temporaries stay small.
+_WINDOW_BLOCK = 4096
+
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den with the convention that a zero denominator yields 0."""
@@ -75,8 +78,9 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.0, out)
 
 
-def _window_stats(windows: np.ndarray, reference: float) -> np.ndarray:
-    """The 30 catalog statistics for each row of a (rows, 14) window matrix."""
+def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """The 30 catalog statistics for each row of a (rows, 14) window matrix,
+    with ``references[i]`` as row i's ``n_above_ref`` threshold."""
     w = windows
     n = w.shape[1]
     t = np.arange(n, dtype=np.float64)
@@ -136,25 +140,10 @@ def _window_stats(windows: np.ndarray, reference: float) -> np.ndarray:
         ewma,
         w[:, -3:].mean(axis=1),
         w[:, :3].mean(axis=1),
-        (w > reference).sum(axis=1).astype(np.float64),
+        (w > references[:, None]).sum(axis=1).astype(np.float64),
         ((diffs[:, :-1] * diffs[:, 1:]) < 0).sum(axis=1).astype(np.float64),
     ]
     return np.stack(cols, axis=1)
-
-
-def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarray:
-    """The 30 catalog statistics of one 14-value window, in catalog order.
-
-    ``reference`` is the series threshold behind the ``n_above_ref`` count.
-    """
-    arr = np.asarray(window, dtype=np.float64)
-    if arr.shape != (WINDOW_LEN,):
-        raise WrongWindowLengthError(
-            f"window must have exactly {WINDOW_LEN} values, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("window contains non-finite values")
-    return _window_stats(arr[None, :], reference)[0]
 
 
 @dataclass(frozen=True)
@@ -186,13 +175,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def row_for_date(self, date: dt.date) -> int:
-        first = self.dates[0]
-        idx = (date - first).days
-        if idx < 0 or idx >= len(self.dates):
-            raise IndexOutOfRangeError(f"{date} has no feature row")
-        return idx
-
 
 def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureMatrix:
     """Feature tensor for every day with a full trailing window.
@@ -215,11 +197,18 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
             f"need at least {WINDOW_LEN} days, got {matrix.shape[0]}"
         )
 
-    per_series = []
-    for s in range(len(SERIES_NAMES)):
-        windows = np.lib.stride_tricks.sliding_window_view(matrix[:, s], WINDOW_LEN)
-        per_series.append(_window_stats(windows, refs[s]))
-    values = np.stack(per_series, axis=2)
+    # every (day, series) window as one row, (rows, 12, 14) -> (rows * 12, 14);
+    # each block is copied so that numpy reduces every window as a contiguous
+    # row, pairwise like a lone window (the view would add values one by one)
+    windows = np.lib.stride_tricks.sliding_window_view(matrix, WINDOW_LEN, axis=0)
+    n_rows, n_series = windows.shape[:2]
+    windows = windows.reshape(n_rows * n_series, WINDOW_LEN)
+    row_refs = np.tile(refs, n_rows)
+    stats = np.empty((len(windows), N_FEATURES))
+    for lo in range(0, len(windows), _WINDOW_BLOCK):
+        part = slice(lo, lo + _WINDOW_BLOCK)
+        stats[part] = _window_stats(np.ascontiguousarray(windows[part]), row_refs[part])
+    values = stats.reshape(n_rows, n_series, N_FEATURES).transpose(0, 2, 1)
     values.setflags(write=False)
 
     first, _ = data.span
@@ -258,13 +247,3 @@ def flat_feature_names() -> tuple[str, ...]:
         f"{series}__{feat}" for series in SERIES_NAMES for feat in FEATURE_NAMES
     ]
     return (*names, DOY_NAME)
-
-
-def emit_feature_csv(m: FeatureMatrix, path: str) -> None:
-    """Write the flattened matrix for inspection, one row per day."""
-    flat = flatten_all(m)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(flat_feature_names())
-        for row in flat:
-            writer.writerow([repr(float(v)) for v in row])

@@ -43,13 +43,23 @@ evaluating that expression on the whole matrix with fresh arrays:
 * Children at ``max_depth`` are leaves and read only their first order row
   (its rows give the leaf mean, in the same summation order), so the last
   split level partitions that row only.
+
+A model keeps all its trees in one set of flat node arrays
+(:class:`TreeArrays`), written in preorder by the builder and by the
+iterative ``gbm-json-v1`` decoder.  A leaf is its own child, so prediction
+moves every (tree, row) pair down one level per step, as many steps as the
+deepest tree has levels.  The leaf values are then added tree by tree from
+0.0 with a running sum, which rounds as adding one tree at a time does;
+``np.sum`` may add pairwise and round differently.  ``GBMModel.trees``
+rebuilds nested :class:`TreeNode` views on access; prediction never reads
+them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,11 +96,9 @@ class GBMConfig:
             raise InvalidRecordError("subsample_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Either a split (feature, threshold, left, right) or a leaf (value).
-
-    Split rule: rows with ``x[feature] <= threshold`` go left.
+class TreeNode(NamedTuple):
+    """A read-only view of one node: a split (feature, threshold, left,
+    right) or a leaf (value).  Rows with ``x[feature] <= threshold`` go left.
     """
 
     feature: int | None = None
@@ -99,49 +107,91 @@ class TreeNode:
     right: "TreeNode | None" = None
     value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.is_leaf:
-            if self.value is None:
-                raise InvalidRecordError("leaf node needs a value")
-        else:
-            if self.left is None or self.right is None or self.threshold is None:
-                raise InvalidRecordError("split node needs threshold and children")
-            if not np.isfinite(self.threshold):
-                raise NonFiniteError("split threshold must be finite")
-
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(self, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if node.is_leaf:
-                out[rows] = node.value
-            else:
-                goes_left = X[rows, node.feature] <= node.threshold
-                stack.append((node.left, rows[goes_left]))
-                stack.append((node.right, rows[~goes_left]))
-        return out
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+class TreeArrays(NamedTuple):
+    """Every node of an ensemble, one array per field.
+
+    Node i splits rows on ``feature[i] <= threshold[i]`` into ``left[i]``
+    and ``right[i]``; a leaf points to itself on both sides, holds
+    ``value[i]`` and has feature 0 and threshold 0.0.  Each tree's nodes
+    are contiguous, in preorder, so a parent comes before its children.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray  # each tree's root, in tree order
+    levels: int  # depth of the deepest tree: the steps of a traversal
+
+    def nested(self, leaf: Callable, split: Callable) -> list:
+        """Each tree built bottom-up with ``leaf(value)`` and
+        ``split(feature, threshold, left, right)``, in tree order."""
+        feature, threshold, left, right, value = (a.tolist() for a in self[:5])
+        made: list = [None] * len(value)
+        for i in range(len(value) - 1, -1, -1):  # children before parents
+            made[i] = leaf(value[i]) if left[i] == i else split(
+                feature[i], threshold[i], made[left[i]], made[right[i]])
+        return [made[r] for r in self.roots.tolist()]
 
 
-@dataclass(frozen=True)
+class _Nodes:
+    """Node fields appended in preorder, turned into :class:`TreeArrays`."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+        self.roots: list[int] = []
+        self.levels = 0
+
+    def add(self, feature: int, threshold: float, value: float, depth: int) -> int:
+        """Append a node pointing to itself; a split's caller links its
+        children once they exist."""
+        i = len(self.value)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(i)
+        self.right.append(i)
+        self.value.append(value)
+        self.levels = max(self.levels, depth)
+        return i
+
+    def arrays(self, first: int = 0) -> TreeArrays:
+        """The trees from node ``first`` on, indexed from 0, read-only."""
+        cols = [
+            np.array(self.feature[first:], dtype=np.intp),
+            np.array(self.threshold[first:], dtype=np.float64),
+            np.array(self.left[first:], dtype=np.intp) - first,
+            np.array(self.right[first:], dtype=np.intp) - first,
+            np.array(self.value[first:], dtype=np.float64),
+            np.array([r for r in self.roots if r >= first], dtype=np.intp) - first,
+        ]
+        for a in cols:
+            a.setflags(write=False)
+        return TreeArrays(*cols, levels=self.levels)
+
+
+@dataclass(frozen=True, eq=False)
 class GBMModel:
     base_prediction: float
-    trees: tuple[TreeNode, ...]
+    arrays: TreeArrays
     learning_rate: float
     feature_count: int
     config: GBMConfig
     catalog_version: str = ""
+
+    @property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The trees as nested :class:`TreeNode` views, built on each access."""
+        return tuple(self.arrays.nested(lambda v: TreeNode(value=v), TreeNode))
 
 
 class FitResult(NamedTuple):
@@ -242,34 +292,6 @@ def _best_split(
     return f, j + min_leaf - 1, best
 
 
-def split_search(
-    values: np.ndarray, targets: np.ndarray, min_leaf: int = 1
-) -> tuple[float, float] | None:
-    """Best (threshold, gain) for one feature, or None when no legal split.
-
-    Thresholds are midpoints between consecutive distinct sorted values;
-    gain is the variance-reduction SSE gain; equal gains resolve to the
-    smallest threshold.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if values.shape != targets.shape or values.ndim != 1:
-        raise LengthMismatchError(
-            f"values {values.shape} and targets {targets.shape} must match"
-        )
-    k = values.size
-    if k < 2 or np.all(targets == targets[0]):
-        return None
-    order = np.lexsort((targets, values))
-    v = values[order]
-    r = targets[order]
-    c = r - r.mean()
-    _, i, gain = _best_split(v[None, :], c[None, :], min_leaf, _Scratch.of(k))
-    if i < 0 or gain <= 0.0:
-        return None
-    return _midpoint(v[i], v[i + 1]), gain
-
-
 def _midpoint(lo: float, hi: float) -> float:
     thr = (lo + hi) / 2.0
     if thr >= hi:  # adjacent floats: midpoint may round up to the right value
@@ -304,17 +326,20 @@ class _TreeBuilder:
             for d in range(self.max_depth)
         ]
         self._values = [np.empty(cells) for _ in range(self.max_depth - 1)]
+        self.nodes = _Nodes()
         # (rows, value) per leaf of the current tree, for the residual update
         self.leaves: list[tuple[np.ndarray, float]] = []
 
-    def grow(self, root: np.ndarray, V: np.ndarray) -> TreeNode:
-        """One tree from the root's order and value matrices."""
+    def grow(self, root: np.ndarray, V: np.ndarray) -> int:
+        """One tree from the root's order and value matrices; returns its root."""
         self.leaves = []
-        return self._build(root, V, 0, 0)
+        i = self._build(root, V, 0, 0)
+        self.nodes.roots.append(i)
+        return i
 
     def _build(
         self, node_order: np.ndarray, V: np.ndarray | None, depth: int, start: int
-    ) -> TreeNode:
+    ) -> int:
         rows = node_order[0]
         res = self.residual[rows]
         value = float(res.mean())
@@ -324,7 +349,7 @@ class _TreeBuilder:
             or k < 2 * self.min_leaf
             or bool(np.all(res == res[0]))
         ):
-            return self._leaf(rows, value)
+            return self._leaf(rows, value, depth)
 
         # centring the n residuals before the gather gives the same values
         # as centring the (features, k) gathered matrix
@@ -333,7 +358,7 @@ class _TreeBuilder:
         )
         f, i, gain = _best_split(V, C, self.min_leaf, self._scratch)
         if f < 0 or gain <= 0.0:
-            return self._leaf(rows, value)
+            return self._leaf(rows, value, depth)
         thr = _midpoint(V[f, i], V[f, i + 1])
 
         in_left = np.zeros(self.n_rows, dtype=bool)
@@ -347,12 +372,10 @@ class _TreeBuilder:
         right_at = np.flatnonzero(mask)
         left = self._child(flat, V, left_at, depth, start, i + 1)
         right = self._child(flat, V, right_at, depth, start + i + 1, k - i - 1)
-        return TreeNode(
-            feature=f,
-            threshold=thr,
-            left=self._build(*left),
-            right=self._build(*right),
-        )
+        node = self.nodes.add(f, thr, 0.0, depth)
+        self.nodes.left[node] = self._build(*left)
+        self.nodes.right[node] = self._build(*right)
+        return node
 
     def _child(
         self,
@@ -376,9 +399,9 @@ class _TreeBuilder:
             values = values.reshape(n_orders, size)
         return order.reshape(n_orders, size), values, depth + 1, slot
 
-    def _leaf(self, rows: np.ndarray, value: float) -> TreeNode:
+    def _leaf(self, rows: np.ndarray, value: float, depth: int) -> int:
         self.leaves.append((rows, value))
-        return TreeNode(value=value)
+        return self.nodes.add(0, 0.0, value, depth)
 
 
 def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult:
@@ -416,9 +439,8 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
 
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
-    trees: list[TreeNode] = []
     builder = _TreeBuilder(X.shape[1], residual, cfg)
-    for _ in range(cfg.n_trees):
+    for m in range(1, cfg.n_trees + 1):
         if subsample:
             chosen = rng.choice(n, size=min(m_rows, n), replace=False)
             in_sub = np.zeros(n, dtype=bool)
@@ -427,18 +449,18 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
                 in_sub.take(sorted_by_feature.ravel())
             ).reshape(X.shape[1], chosen.size)
             root_values = np.take_along_axis(XT, root, axis=1)
-        tree = builder.grow(root, root_values)
+        first = builder.grow(root, root_values)
         if subsample:
-            residual -= cfg.learning_rate * tree.apply_batch(X)
+            tree = builder.nodes.arrays(first)
+            residual -= cfg.learning_rate * tree.value[_leaf_nodes(tree, X)[0]]
         else:
             for rows, value in builder.leaves:
                 residual[rows] -= cfg.learning_rate * value
-        trees.append(tree)
-        curve[len(trees)] = float(np.mean(residual**2))
+        curve[m] = float(np.mean(residual**2))
 
     model = GBMModel(
         base_prediction=base,
-        trees=tuple(trees),
+        arrays=builder.nodes.arrays(),
         learning_rate=cfg.learning_rate,
         feature_count=X.shape[1],
         config=cfg,
@@ -458,6 +480,23 @@ def predict(model: GBMModel, x: np.ndarray) -> float:
     return float(predict_batch(model, x[None, :])[0])
 
 
+def _leaf_nodes(t: TreeArrays, X: np.ndarray) -> np.ndarray:
+    """The leaf that each row of ``X`` reaches in each tree, (trees, rows):
+    ``t.levels`` steps of one level each, where a leaf is its own child."""
+    node = np.repeat(t.roots[:, None], X.shape[0], axis=1)
+    row_start = np.arange(X.shape[0]) * X.shape[1]  # offsets into flat
+    flat = np.ascontiguousarray(X).ravel()
+    for _ in range(t.levels):
+        x = flat.take(t.feature.take(node) + row_start)
+        goes_left = x <= t.threshold.take(node)
+        node = np.where(goes_left, t.left.take(node), t.right.take(node))
+    return node
+
+
+#: Rows traversed at once, so that the (trees, rows) temporaries stay small.
+_ROW_BLOCK = 1024
+
+
 def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:
     """Predictions for a matrix of rows; equals row-wise :func:`predict`."""
     X = np.asarray(X, dtype=np.float64)
@@ -467,9 +506,15 @@ def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise NonFiniteError("feature matrix contains non-finite values")
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += tree.apply_batch(X)
+    t = model.arrays
+    acc = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _ROW_BLOCK):
+        block = X[lo : lo + _ROW_BLOCK]
+        # 0.0, then each tree's leaf values; a running sum adds them in tree
+        # order, where np.sum may add pairwise and round differently
+        leaves = np.zeros((t.roots.size + 1, block.shape[0]))
+        t.value.take(_leaf_nodes(t, block), out=leaves[1:], mode="clip")
+        acc[lo : lo + block.shape[0]] = np.cumsum(leaves, axis=0)[-1]
     return model.base_prediction + model.learning_rate * acc
 
 
@@ -497,31 +542,37 @@ def json_field(doc: object, key: str, kinds: tuple[type, ...], what: str = "mode
     return value
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
+def _split_obj(feature: int, threshold: float, left: dict, right: dict) -> dict:
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
-def _node_from_obj(obj: object, feature_count: int, what: str) -> TreeNode:
-    if isinstance(obj, dict) and "value" in obj:
-        return TreeNode(value=float(json_field(obj, "value", NUMBER, what)))
-    feature = json_field(obj, "feature", (int,), what)
-    if not 0 <= feature < feature_count:
-        raise InvalidRecordError(
-            f"{what}: split feature {feature} outside [0, {feature_count})"
-        )
-    return TreeNode(
-        feature=feature,
-        threshold=float(json_field(obj, "threshold", NUMBER, what)),
-        left=_node_from_obj(json_field(obj, "left", (dict,), what), feature_count, what),
-        right=_node_from_obj(json_field(obj, "right", (dict,), what), feature_count, what),
-    )
+def _decode_tree(tree: object, nodes: _Nodes, feature_count: int, what: str) -> None:
+    """Append one ``gbm-json-v1`` tree to ``nodes`` in preorder.
+
+    An iterative walk, left subtree first, that checks each node as it is
+    reached; a node with a ``value`` key is a leaf.
+    """
+    # (object holding the node, key of the node in it or None, parent, depth)
+    todo: list[tuple[object, str | None, int, int]] = [(tree, None, -1, 0)]
+    while todo:
+        holder, key, parent, depth = todo.pop()
+        obj = holder if key is None else json_field(holder, key, (dict,), what)
+        if isinstance(obj, dict) and "value" in obj:
+            i = nodes.add(0, 0.0, float(json_field(obj, "value", NUMBER, what)), depth)
+        else:
+            feature = json_field(obj, "feature", (int,), what)
+            if not 0 <= feature < feature_count:
+                raise InvalidRecordError(
+                    f"{what}: split feature {feature} outside [0, {feature_count})"
+                )
+            threshold = float(json_field(obj, "threshold", NUMBER, what))
+            i = nodes.add(feature, threshold, 0.0, depth)
+            todo.append((obj, "right", i, depth + 1))
+            todo.append((obj, "left", i, depth + 1))
+        if key is None:
+            nodes.roots.append(i)
+        else:
+            getattr(nodes, key)[parent] = i
 
 
 def to_obj(model: GBMModel) -> dict:
@@ -533,7 +584,7 @@ def to_obj(model: GBMModel) -> dict:
         "learning_rate": model.learning_rate,
         "feature_count": model.feature_count,
         "catalog_version": model.catalog_version,
-        "trees": [_node_to_obj(t) for t in model.trees],
+        "trees": model.arrays.nested(lambda v: {"value": v}, _split_obj),
     }
 
 
@@ -548,12 +599,16 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
     except TypeError as exc:
         raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
     feature_count = json_field(doc, "feature_count", (int,), what)
+    base_prediction = float(json_field(doc, "base_prediction", NUMBER, what))
+    nodes = _Nodes()
+    for tree in json_field(doc, "trees", (list,), what):
+        _decode_tree(tree, nodes, feature_count, what)
+    arrays = nodes.arrays()
+    if not np.isfinite(arrays.threshold).all():
+        raise NonFiniteError(f"{what}: split thresholds must be finite")
     return GBMModel(
-        base_prediction=float(json_field(doc, "base_prediction", NUMBER, what)),
-        trees=tuple(
-            _node_from_obj(t, feature_count, what)
-            for t in json_field(doc, "trees", (list,), what)
-        ),
+        base_prediction=base_prediction,
+        arrays=arrays,
         learning_rate=float(json_field(doc, "learning_rate", NUMBER, what)),
         feature_count=feature_count,
         config=config,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class GeneratorProfile:
                 f"unknown generator profile keys: {', '.join(sorted(unknown))}"
             )
         return cls(**raw)
-
-    def with_overrides(self, **kwargs: float) -> "GeneratorProfile":
-        return replace(self, **kwargs)
 
 
 def _year_days(year: int) -> int:

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from pollencast import pipeline
+from pollencast import gbm, pipeline
 from pollencast.data import DailyRecord, Dataset, SeasonDefinition, SeasonLabel
-from pollencast.errors import InsufficientDataError
+from pollencast.errors import (
+    InsufficientDataError,
+    LengthMismatchError,
+    NonFiniteError,
+    WrongWindowLengthError,
+)
+from pollencast.features import WINDOW_LEN, _window_stats
 
 #: Valid placeholder covariates for records whose weather does not matter.
 NEUTRAL_WEATHER = dict(
@@ -154,3 +161,70 @@ def reference_predict(model, x: np.ndarray) -> float:
             node = node.left if x[node.feature] <= node.threshold else node.right
         acc += node.value
     return model.base_prediction + model.learning_rate * acc
+
+
+def model_from_trees(
+    trees: Sequence[dict],
+    feature_count: int,
+    base_prediction: float = 0.0,
+    learning_rate: float = 1.0,
+    config: gbm.GBMConfig | None = None,
+    catalog_version: str = "",
+) -> gbm.GBMModel:
+    """A model with hand-made trees, given as ``gbm-json-v1`` node objects:
+    ``{"value": v}`` for a leaf and ``{"feature": f, "threshold": t,
+    "left": ..., "right": ...}`` for a split."""
+    return gbm.from_obj({
+        "format": gbm.SERIALIZATION_FORMAT,
+        "config": asdict(config or gbm.GBMConfig()),
+        "base_prediction": base_prediction,
+        "learning_rate": learning_rate,
+        "feature_count": feature_count,
+        "catalog_version": catalog_version,
+        "trees": list(trees),
+    })
+
+
+def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarray:
+    """The 30 catalog statistics of one 14-value window, in catalog order:
+    ``features._window_stats`` on that window alone.
+
+    ``reference`` is the series threshold behind the ``n_above_ref`` count.
+    """
+    arr = np.asarray(window, dtype=np.float64)
+    if arr.shape != (WINDOW_LEN,):
+        raise WrongWindowLengthError(
+            f"window must have exactly {WINDOW_LEN} values, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("window contains non-finite values")
+    return _window_stats(arr[None, :], np.array([float(reference)]))[0]
+
+
+def split_search(
+    values: np.ndarray, targets: np.ndarray, min_leaf: int = 1
+) -> tuple[float, float] | None:
+    """Best (threshold, gain) for one feature through the split kernel, or
+    None when no legal split.
+
+    Thresholds are midpoints between consecutive distinct sorted values;
+    gain is the variance-reduction SSE gain; equal gains resolve to the
+    smallest threshold.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if values.shape != targets.shape or values.ndim != 1:
+        raise LengthMismatchError(
+            f"values {values.shape} and targets {targets.shape} must match"
+        )
+    k = values.size
+    if k < 2 or np.all(targets == targets[0]):
+        return None
+    order = np.lexsort((targets, values))
+    v = values[order]
+    r = targets[order]
+    c = r - r.mean()
+    _, i, gain = gbm._best_split(v[None, :], c[None, :], min_leaf, gbm._Scratch.of(k))
+    if i < 0 or gain <= 0.0:
+        return None
+    return gbm._midpoint(v[i], v[i + 1]), gain

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from helpers import cores, year_dataset
+from helpers import cores, model_from_trees, year_dataset
 import pollencast
 from pollencast import gbm
 from pollencast import pipeline as pl
@@ -196,16 +196,14 @@ class TestTrainPredict:
 
     def test_degenerate_slope_is_runtime_error(self, synth_csv, tmp_path,
                                                capsys):
-        flat = gbm.GBMModel(base_prediction=30.0, trees=(), learning_rate=1.0,
-                            feature_count=361, config=gbm.GBMConfig(),
-                            catalog_version=CATALOG_VERSION)
+        flat = model_from_trees((), feature_count=361, base_prediction=30.0,
+                                catalog_version=CATALOG_VERSION)
         fc = pl.Forecaster(
             stage1=pl.Stage1Model(model=flat, boundary="start", horizon=59,
                                   references=(120.0,) + (10.0,) * 11,
                                   train_years=(2003,)),
-            stage2=pl.Stage2Model(model=gbm.GBMModel(
-                base_prediction=1.0, trees=(), learning_rate=1.0,
-                feature_count=362, config=gbm.GBMConfig()),
+            stage2=pl.Stage2Model(model=model_from_trees(
+                (), feature_count=362, base_prediction=1.0),
                 u_floor=0.25, protocol="loyo", train_years=(2003,)),
         )
         model_path = tmp_path / "flat.json"
@@ -367,6 +365,14 @@ def _first_split(bundle):
     return next(t for t in bundle["stage1_model"]["trees"] if "feature" in t)
 
 
+def _first_leaf(bundle):
+    """The leftmost leaf of the first Stage-1 tree of a bundle object."""
+    node = bundle["stage1_model"]["trees"][0]
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
 #: Ways to break a valid bundle object; each must give exit 2 and one line.
 BROKEN_BUNDLES = {
     "missing_key": lambda b: b.pop("u_floor"),
@@ -384,6 +390,16 @@ BROKEN_BUNDLES = {
         catalog_version="w14s29-v0"),
     "bad_model_config": lambda b: b["stage2_model"].update(config={"bogus": 1}),
     "zero_u_floor": lambda b: b.update(u_floor=0),
+    "split_without_left": lambda b: _first_split(b).pop("left"),
+    "child_is_list": lambda b: _first_split(b).update(
+        right=[_first_split(b)["right"]]),
+    "leaf_value_string": lambda b: _first_leaf(b).update(value="1.5"),
+    "leaf_value_null": lambda b: _first_leaf(b).update(value=None),
+    "threshold_bool": lambda b: _first_split(b).update(threshold=True),
+    "feature_float": lambda b: _first_split(b).update(
+        feature=float(_first_split(b)["feature"])),
+    "tree_is_number": lambda b: b["stage2_model"]["trees"].__setitem__(1, 0.5),
+    "empty_node": lambda b: _first_split(b).update(left={}),
 }
 
 

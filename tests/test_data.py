@@ -14,7 +14,6 @@ from pollencast.data import (
     ingest_csv,
     label_season,
     label_years,
-    season_stats,
 )
 from pollencast.errors import (
     GapTooLargeError,
@@ -23,7 +22,6 @@ from pollencast.errors import (
     MissingColumnError,
     NonFiniteError,
     NonMonotoneDatesError,
-    TooFewSeasonsError,
 )
 
 from helpers import (
@@ -448,43 +446,6 @@ class TestLabelProperties:
                 assert rev.end_day == n_days - fwd.start_day + 1
                 checked += 1
         assert checked >= 10  # the campaign must actually exercise seasons
-
-
-# ---------------------------------------------------------------------------
-# Season statistics
-# ---------------------------------------------------------------------------
-
-
-class TestSeasonStats:
-    def test_identical_labels(self):
-        labels = [SeasonLabel(year=2000 + i, start_day=90, end_day=150) for i in range(5)]
-        stats = season_stats(labels)
-        assert (stats.std_start, stats.std_end, stats.std_length) == (0.0, 0.0, 0.0)
-
-    def test_two_point_sample_std(self):
-        labels = [
-            SeasonLabel(year=2000, start_day=50, end_day=100),
-            SeasonLabel(year=2001, start_day=54, end_day=100),
-        ]
-        stats = season_stats(labels)
-        assert stats.std_start == pytest.approx(2.0 * math.sqrt(2.0))
-
-    def test_absent_labels_excluded(self):
-        labels = [
-            SeasonLabel(year=2000, start_day=50, end_day=100),
-            SeasonLabel(year=2001, start_day=None, end_day=None),
-            SeasonLabel(year=2002, start_day=54, end_day=100),
-        ]
-        assert season_stats(labels).n_seasons == 2
-
-    def test_too_few(self):
-        with pytest.raises(TooFewSeasonsError):
-            season_stats([SeasonLabel(year=2000, start_day=50, end_day=100)])
-
-    def test_seed42_stats_logged(self, seed42_labels):
-        stats = season_stats(list(seed42_labels.values()))
-        assert stats.n_seasons >= 10
-        assert 0.0 < stats.std_start < 60.0
 
 
 def test_label_years_covers_all_years(seed42_dataset, season_def):

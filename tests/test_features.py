@@ -4,8 +4,10 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pollencast.data import SERIES_NAMES
+from pollencast.data import SERIES_NAMES, DailyRecord, Dataset
 from pollencast.errors import (
     DatasetTooShortError,
     IndexOutOfRangeError,
@@ -18,14 +20,12 @@ from pollencast.features import (
     N_FEATURES,
     WINDOW_LEN,
     build_feature_matrix,
-    emit_feature_csv,
     flat_feature_names,
     flatten_all,
     flatten_row,
-    window_features,
 )
 
-from helpers import dataset_from_pollen
+from helpers import dataset_from_pollen, window_features
 
 NEUTRAL_REFS = (120.0,) + (10.0,) * 11
 
@@ -191,9 +191,6 @@ class TestBuildFeatureMatrix:
         assert len(m) == 7
         assert m.dates[0] == dt.date(2020, 3, 14)
         assert m.dates[-1] == dt.date(2020, 3, 20)
-        assert m.row_for_date(dt.date(2020, 3, 15)) == 1
-        with pytest.raises(IndexOutOfRangeError):
-            m.row_for_date(dt.date(2020, 3, 13))
 
     def test_constant_dataset_rows_match_scalar_path(self):
         data = dataset_from_pollen([7.0] * 20, dt.date(2020, 3, 1))
@@ -254,6 +251,52 @@ class TestBuildFeatureMatrix:
             build_feature_matrix(data, (120.0,) * 5)
 
 
+@st.composite
+def random_datasets(draw):
+    """A dataset of 14-40 days with every series random, and references
+    drawn from its values."""
+    n = draw(st.integers(WINDOW_LEN, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(n, 12))
+    if draw(st.booleans()):
+        m = np.round(m)  # ties and constant windows
+    m[:, 0] = np.abs(m[:, 0])  # pollen >= 0
+    low, mid, high = np.sort(m[:, 1:4], axis=1).T
+    m[:, 1], m[:, 2], m[:, 3] = high, low, mid  # tmin <= tavg <= tmax
+    for s in (5, 10):  # humidity and cloud cover are percentages
+        m[:, s] = np.minimum(np.abs(m[:, s]), 100.0)
+    first = dt.date(2020, 1, 1)
+    records = tuple(
+        DailyRecord(date=first + dt.timedelta(days=i), **dict(zip(SERIES_NAMES, row)))
+        for i, row in enumerate(m.tolist())
+    )
+    refs = tuple(float(m[rng.integers(n), s]) for s in range(12))
+    return Dataset(records=records), refs
+
+
+class TestStackedRows:
+    """All series' windows go through one stacked statistics pass; each row
+    must keep the bits of its window computed alone."""
+
+    @given(case=random_datasets())
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_equals_its_lone_window(self, case):
+        data, refs = case
+        m = build_feature_matrix(data, refs)
+        raw = data.series_matrix()
+        want = np.array([
+            [window_features(raw[r : r + WINDOW_LEN, s], refs[s]) for s in range(12)]
+            for r in range(len(m))
+        ]).transpose(0, 2, 1)
+        # + 0.0 turns -0.0 into 0.0: the max or min of a window holding both
+        # zeros is either one, by numpy's reduction path.  Splits compare
+        # with <= and never fall between equal values, so the sign of a zero
+        # feature cannot reach a model.
+        np.testing.assert_array_equal(
+            (m.values + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)
+        )
+
+
 class TestFlatten:
     @pytest.fixture()
     def matrix(self):
@@ -302,18 +345,6 @@ class TestFlatten:
 
 
 class TestCsvExport:
-    def test_header_and_shape(self, tmp_path):
-        rng = np.random.default_rng(27)
-        data = dataset_from_pollen(rng.uniform(0, 300, size=20), dt.date(2020, 3, 1))
-        m = build_feature_matrix(data, NEUTRAL_REFS)
-        path = tmp_path / "features.csv"
-        emit_feature_csv(m, str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",") == list(flat_feature_names())
-        assert len(lines) == 1 + len(m)
-        first_row = np.array([float(v) for v in lines[1].split(",")])
-        np.testing.assert_array_equal(first_row, flatten_row(m, 0))
-
     def test_catalog_version_recorded(self):
         data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)

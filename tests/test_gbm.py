@@ -1,9 +1,18 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_best_split, reference_predict, reference_split_gains
+from helpers import (
+    model_from_trees,
+    reference_best_split,
+    reference_predict,
+    reference_split_gains,
+    split_search,
+)
 from pollencast import gbm
 from pollencast.errors import (
     InvalidRecordError,
@@ -14,13 +23,10 @@ from pollencast.errors import (
 )
 from pollencast.gbm import (
     GBMConfig,
-    GBMModel,
-    TreeNode,
     fit,
     from_json,
     predict,
     predict_batch,
-    split_search,
     to_json,
 )
 
@@ -186,14 +192,14 @@ class TestFit:
     def test_depth_bounded(self):
         X, y = make_regression(5, rows=200)
         model, _ = fit(X, y, GBMConfig(n_trees=20, max_depth=2))
-        assert max(t.depth() for t in model.trees) <= 2
+        assert model.arrays.levels <= 2
 
     def test_min_leaf_large_blocks_splits(self):
         X, y = make_regression(6, rows=20)
         model, _ = fit(X, y, GBMConfig(n_trees=3, min_samples_leaf=10))
         # 20 rows with min_leaf 10: only a perfectly balanced root split is
         # legal, so depth can never exceed 1.
-        assert max(t.depth() for t in model.trees) <= 1
+        assert model.arrays.levels <= 1
 
     def test_too_few_rows(self):
         X, y = make_regression(7, rows=9)
@@ -359,13 +365,8 @@ class TestTieBreaking:
 
 class TestPredict:
     def test_zero_tree_model(self):
-        model = GBMModel(
-            base_prediction=3.5,
-            trees=(),
-            learning_rate=0.1,
-            feature_count=4,
-            config=GBMConfig(),
-        )
+        model = model_from_trees((), feature_count=4, base_prediction=3.5,
+                                 learning_rate=0.1)
         assert predict(model, np.zeros(4)) == 3.5
 
     def test_wrong_feature_count(self):
@@ -394,22 +395,69 @@ class TestPredict:
             assert batch[i] == reference_predict(model, probes[i])
 
     def test_handcrafted_tree(self):
-        tree = TreeNode(
-            feature=1,
-            threshold=0.0,
-            left=TreeNode(value=-1.0),
-            right=TreeNode(value=1.0),
-        )
-        model = GBMModel(
-            base_prediction=10.0,
-            trees=(tree,),
-            learning_rate=1.0,
-            feature_count=3,
+        tree = {"feature": 1, "threshold": 0.0,
+                "left": {"value": -1.0}, "right": {"value": 1.0}}
+        model = model_from_trees(
+            (tree,), feature_count=3, base_prediction=10.0,
             config=GBMConfig(n_trees=1, learning_rate=1.0),
         )
         assert predict(model, np.array([5.0, -0.5, 0.0])) == 9.0
         assert predict(model, np.array([5.0, 0.0, 0.0])) == 9.0  # <= goes left
         assert predict(model, np.array([5.0, 0.5, 0.0])) == 11.0
+
+
+    def test_tree_deeper_than_config_depth(self):
+        # a 40-level chain under the default config's max_depth of 3: the
+        # traversal takes as many steps as the deepest tree has levels
+        node = {"value": 40.0}
+        for d in range(39, -1, -1):
+            node = {"feature": d % 3, "threshold": d / 40.0 - 0.5,
+                    "left": {"value": float(d)}, "right": node}
+        model = model_from_trees((node, {"value": 0.5}), feature_count=3,
+                                 base_prediction=1.0, learning_rate=0.5)
+        assert model.config.max_depth == 3 and model.arrays.levels == 40
+        probes = np.random.default_rng(5).uniform(-1.0, 1.0, size=(200, 3))
+        got = predict_batch(model, probes)
+        want = [reference_predict(model, x) for x in probes]
+        np.testing.assert_array_equal(got, want)
+        assert len(set(got.tolist())) > 20  # rows end in many leaves
+
+
+@st.composite
+def random_fits(draw):
+    """A small fitted model and probe rows, or a zero-tree model."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    features = draw(st.integers(1, 5))
+    rng = np.random.default_rng(seed)
+    probes = np.round(rng.normal(size=(30, features)), 1)  # ties with X
+    if draw(st.integers(0, 3)) == 0:
+        return model_from_trees((), features, base_prediction=rng.normal()), probes
+    rows = draw(st.integers(12, 60))
+    X = np.round(rng.normal(size=(rows, features)), 1)
+    y = X[:, 0] * 3.0 + rng.normal(size=rows)
+    cfg = GBMConfig(
+        n_trees=draw(st.integers(1, 30)),
+        max_depth=draw(st.integers(0, 4)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        subsample_fraction=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        seed=draw(st.integers(0, 9)),
+    )
+    return fit(X, y, cfg).model, np.concatenate([X, probes])
+
+
+class TestTraversalProperty:
+    @given(case=random_fits())
+    @example(case=(model_from_trees((), 2, base_prediction=-0.0), np.zeros((3, 2))))
+    @settings(max_examples=60, deadline=None)
+    def test_predict_batch_equals_scalar_walk(self, case):
+        model, X = case
+        got = predict_batch(model, X)
+        want = np.array([reference_predict(model, x) for x in X])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # one row at a time too: numpy may sum a lone row in another order
+        alone = np.array([predict(model, x) for x in X[:5]])
+        np.testing.assert_array_equal(alone.view(np.uint64), want[:5].view(np.uint64))
 
 
 class TestSerialization:
@@ -436,12 +484,5 @@ class TestSerialization:
     def test_catalog_version_preserved(self):
         X, y = make_regression(20, rows=60)
         model, _ = fit(X, y, GBMConfig(n_trees=2))
-        tagged = GBMModel(
-            base_prediction=model.base_prediction,
-            trees=model.trees,
-            learning_rate=model.learning_rate,
-            feature_count=model.feature_count,
-            config=model.config,
-            catalog_version="w14s30-v1",
-        )
+        tagged = replace(model, catalog_version="w14s30-v1")
         assert from_json(to_json(tagged)).catalog_version == "w14s30-v1"

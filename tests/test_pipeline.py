@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cores, year_dataset, year_length
+from helpers import cores, model_from_trees, year_dataset, year_length
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -41,31 +41,15 @@ HOLDOUT_YEARS = tuple(range(2013, 2020))
 def chain_model(boundary: int, z_lo: int, z_hi: int,
                 feature_count: int = N_FLAT) -> gbm.GBMModel:
     """Handcrafted tree predicting boundary - z exactly from day-of-year."""
-    node = gbm.TreeNode(value=float(boundary - z_hi))
+    node = {"value": float(boundary - z_hi)}
     for z in range(z_hi - 1, z_lo - 1, -1):
-        node = gbm.TreeNode(
-            feature=DOY_INDEX,
-            threshold=z + 0.5,
-            left=gbm.TreeNode(value=float(boundary - z)),
-            right=node,
-        )
-    return gbm.GBMModel(
-        base_prediction=0.0,
-        trees=(node,),
-        learning_rate=1.0,
-        feature_count=feature_count,
-        config=gbm.GBMConfig(),
-    )
+        node = {"feature": DOY_INDEX, "threshold": z + 0.5,
+                "left": {"value": float(boundary - z)}, "right": node}
+    return model_from_trees((node,), feature_count)
 
 
 def constant_model(value: float, feature_count: int) -> gbm.GBMModel:
-    return gbm.GBMModel(
-        base_prediction=float(value),
-        trees=(),
-        learning_rate=1.0,
-        feature_count=feature_count,
-        config=gbm.GBMConfig(),
-    )
+    return model_from_trees((), feature_count, base_prediction=float(value))
 
 
 def exact_fit_hook(model: gbm.GBMModel) -> pl.FitFn:
@@ -202,7 +186,7 @@ class TestBuildS1(TrainingSetChecks):
         fm = build_feature_matrix(seed42_dataset, s1.references)
         year, z = s1.provenance[17]
         date = dt.date(year, 1, 1) + dt.timedelta(days=z - 1)
-        expected = flatten_row(fm, fm.row_for_date(date))
+        expected = flatten_row(fm, (date - fm.dates[0]).days)
         assert np.array_equal(s1.features[17], expected)
 
     def test_end_boundary_targets(self, seed42_dataset, season_def,
