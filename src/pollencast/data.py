@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -25,6 +27,7 @@ from .errors import (
     MissingColumnError,
     NonFiniteError,
     NonMonotoneDatesError,
+    PollencastError,
 )
 
 #: Covariate columns, in canonical CSV order (pollen comes first).
@@ -78,6 +81,8 @@ class DailyRecord:
     soil_temp: float
 
     def __post_init__(self) -> None:
+        # ingest_csv checks these rules on all its lines at once with
+        # _records_ok and makes its records without this method
         if not all(map(math.isfinite, self.values())):
             raise NonFiniteError(f"non-finite value in record for {self.date}")
         if self.pollen < 0:
@@ -123,7 +128,27 @@ class Dataset:
                     f"records must be consecutive days; saw {prev} then {rec.date}"
                 )
             prev = rec.date
-        matrix = np.array([r.values() for r in self.records], dtype=np.float64)
+        self._keep_matrix(np.array([r.values() for r in self.records], dtype=np.float64))
+
+    @classmethod
+    def _checked(
+        cls,
+        records: tuple[DailyRecord, ...],
+        filled_dates: tuple[dt.date, ...],
+        matrix: np.ndarray,
+    ) -> Dataset:
+        """A dataset of consecutive ``records`` and their values as a fresh
+        (n_days, 12) ``matrix``, both already checked by the caller."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "records", records)
+        object.__setattr__(data, "filled_dates", filled_dates)
+        data._keep_matrix(matrix)
+        return data
+
+    def _keep_matrix(self, matrix: np.ndarray) -> None:
+        # -0.0 + 0.0 is 0.0: the max or min of a window holding both zeros
+        # would otherwise take either sign by numpy's reduction path
+        matrix += 0.0
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 
@@ -222,25 +247,67 @@ class SeasonLabel:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
+#: The fields of a :class:`DailyRecord`, in order.
+_RECORD_FIELDS: tuple[str, ...] = ("date",) + SERIES_NAMES
+
+
+def _field_error(
+    row: list[str], line: int, date_at: int, value_at: list[int]
+) -> PollencastError | None:
+    """The error of the first field of ``row`` that is not a date or a finite
+    number, checked in the order date, then ``SERIES_NAMES``; a field past
+    the end of a short row is ``None``."""
+
+    def field(i: int) -> str | None:
+        return row[i] if i < len(row) else None
+
+    raw_date = field(date_at)
     try:
-        value = float(text)
+        dt.date.fromisoformat(raw_date)
     except (TypeError, ValueError):
-        raise NonFiniteError(f"line {line}: cannot parse {column}={text!r}") from None
-    if not math.isfinite(value):
-        raise NonFiniteError(f"line {line}: {column}={text!r} is not finite")
-    return value
+        return NonMonotoneDatesError(f"line {line}: bad date {raw_date!r}")
+    for name, i in zip(SERIES_NAMES, value_at):
+        text = field(i)
+        try:
+            value = float(text)
+        except (TypeError, ValueError):
+            return NonFiniteError(f"line {line}: cannot parse {name}={text!r}")
+        if not math.isfinite(value):
+            return NonFiniteError(f"line {line}: {name}={text!r} is not finite")
+    return None
+
+
+def _records_ok(m: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 12) value matrix pass the :class:`DailyRecord`
+    rules, all rows at once."""
+    pollen, tmax, tmin, tavg = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
+    humidity, cloud_cover = m[:, 5], m[:, 10]
+    return (
+        np.isfinite(m).all(axis=1)
+        & (pollen >= 0)
+        & (0.0 <= humidity) & (humidity <= 100.0)
+        & (0.0 <= cloud_cover) & (cloud_cover <= 100.0)
+        & (tmin <= tavg) & (tavg <= tmax)
+    )
 
 
 def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Dataset:
     """Load a daily dataset from ``path``, validating and gap-filling.
 
     ``column_map`` maps canonical column names to the file's header names
-    (identity by default).  Gaps of up to 3 consecutive missing days are
-    forward-filled with the previous record's values; the filled dates are
-    recorded on the returned dataset.  Longer gaps are an error.  A leading
-    UTF-8 byte-order mark is skipped; a file that is not UTF-8 raises
-    :class:`InvalidRecordError`.
+    (identity by default); a header name that occurs twice reads its last
+    column, as :class:`csv.DictReader` does.  Blank lines are skipped.
+    Gaps of up to 3 consecutive missing days are forward-filled with the
+    previous record's values; the filled dates are recorded on the returned
+    dataset.  Longer gaps are an error.  A leading UTF-8 byte-order mark is
+    skipped; a file that is not UTF-8 raises :class:`InvalidRecordError`.
+
+    A bad file raises the error of its first failing line, naming the
+    line's physical number.  Within a line the checks run in this order:
+    the date, then each value in ``SERIES_NAMES`` order (a field missing
+    from a short row cannot be parsed), then the :class:`DailyRecord`
+    rules, then the date against the previous line's (later, and at most
+    3 missing days between).
     """
     mapping = dict(column_map or {})
     header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
@@ -250,51 +317,89 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    headers = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    headers = next(reader, None) or []
     missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
     if missing:
         raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
+    column = {name: i for i, name in enumerate(headers)}  # the last one wins
+    date_at = column[header_for["date"]]
+    value_at = [column[header_for[name]] for name in SERIES_NAMES]
+    take = operator.itemgetter(*value_at)
 
-    records: list[DailyRecord] = []
-    filled: list[dt.date] = []
-    for lineno, row in enumerate(reader, start=2):
-        raw_date = row[header_for["date"]]
+    # Parse every line; the checks then run on all of them at once.
+    lines: list[int] = []
+    dates: list[dt.date] = []
+    values: list[float] = []  # row-major, 12 per line
+    failure = None  # the parse error of the line after the last one kept
+    for row in reader:
+        if not row:
+            continue
         try:
-            date = dt.date.fromisoformat(raw_date)
-        except (TypeError, ValueError):
-            raise NonMonotoneDatesError(
-                f"line {lineno}: bad date {raw_date!r}"
-            ) from None
-        values = {
-            name: _parse_float(row[header_for[name]], name, lineno)
-            for name in SERIES_NAMES
-        }
-        rec = DailyRecord(date=date, **values)
-        if records:
-            gap = (date - records[-1].date).days - 1
-            if gap < 0:
-                raise NonMonotoneDatesError(
-                    f"line {lineno}: date {date} not after {records[-1].date}"
-                )
-            if gap > MAX_FILL_GAP_DAYS:
-                raise GapTooLargeError(
-                    f"{gap}-day gap before {date} exceeds "
-                    f"{MAX_FILL_GAP_DAYS}-day fill limit"
-                )
-            last = records[-1]
-            for k in range(1, gap + 1):
-                fill_date = last.date + dt.timedelta(days=k)
-                records.append(
-                    DailyRecord(
-                        date=fill_date,
-                        **{name: getattr(last, name) for name in SERIES_NAMES},
-                    )
-                )
-                filled.append(fill_date)
-        records.append(rec)
+            dates.append(dt.date.fromisoformat(row[date_at]))
+            values.extend(map(float, take(row)))
+        except (IndexError, TypeError, ValueError):
+            failure = _field_error(row, reader.line_num, date_at, value_at)
+            break
+        lines.append(reader.line_num)
+    del reader  # frees its copy of the text before the records are made
+    n, width = len(lines), len(SERIES_NAMES)
+    del dates[n:], values[n * width:]
+    if not n:
+        if failure is not None:
+            raise failure
+        return Dataset(records=())  # raises InsufficientDataError
 
-    return Dataset(records=tuple(records), filled_dates=tuple(filled))
+    m = np.array(values).reshape(n, width)
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
+    gaps = np.diff(ordinals) - 1
+    bad = ~_records_ok(m)
+    bad[1:] |= (gaps < 0) | (gaps > MAX_FILL_GAP_DAYS)
+    if bad.any():
+        j = int(bad.argmax())
+        if not np.isfinite(m[j]).all():
+            # the message quotes the field as written: read the line again
+            rows = (row for row in csv.reader(io.StringIO(text, newline="")) if row)
+            row = next(itertools.islice(rows, j + 1, None))
+            raise _field_error(row, lines[j], date_at, value_at)
+        DailyRecord(dates[j], *values[j * width:(j + 1) * width])  # raises
+        gap = int(gaps[j - 1])
+        if gap < 0:
+            raise NonMonotoneDatesError(
+                f"line {lines[j]}: date {dates[j]} not after {dates[j - 1]}"
+            )
+        raise GapTooLargeError(
+            f"{gap}-day gap before {dates[j]} exceeds "
+            f"{MAX_FILL_GAP_DAYS}-day fill limit"
+        )
+    if failure is not None:
+        raise failure
+
+    # Repeat the line before each gap once per missing day.
+    repeats = np.ones(n, dtype=np.intp)
+    repeats[:-1] += gaps
+    source = np.repeat(np.arange(n), repeats)
+    first = int(ordinals[0])
+    days = dates if source.size == n else list(
+        map(dt.date.fromordinal, range(first, first + source.size)))
+    records = []
+    new, set_field, repeat = object.__new__, object.__setattr__, itertools.repeat
+    for date, i in zip(days, source.tolist()):
+        # _records_ok has run DailyRecord.__post_init__'s checks.  Setting
+        # each field keeps the instance's compact layout, where filling
+        # rec.__dict__ would give every record a dict of its own; any()
+        # runs the map to its end, as object.__setattr__ returns None.
+        rec = new(DailyRecord)
+        row = values[i * width:(i + 1) * width]
+        any(map(set_field, repeat(rec), _RECORD_FIELDS, (date, *row)))
+        records.append(rec)
+    filled = np.ones(source.size, dtype=bool)
+    filled[ordinals - first] = False
+    return Dataset._checked(
+        tuple(records),
+        tuple(days[k] for k in np.flatnonzero(filled).tolist()),
+        m[source] if source.size > n else m,
+    )
 
 
 def emit_csv(data: Dataset, path: str) -> None:

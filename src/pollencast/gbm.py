@@ -546,33 +546,64 @@ def _split_obj(feature: int, threshold: float, left: dict, right: dict) -> dict:
     return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
-def _decode_tree(tree: object, nodes: _Nodes, feature_count: int, what: str) -> None:
-    """Append one ``gbm-json-v1`` tree to ``nodes`` in preorder.
+def _decode_trees(trees: list, feature_count: int, what: str) -> TreeArrays:
+    """The ``gbm-json-v1`` trees as :class:`TreeArrays`, in preorder.
 
-    An iterative walk, left subtree first, that checks each node as it is
-    reached; a node with a ``value`` key is a leaf.
+    One iterative walk, left subtree first, checks each node as it is
+    reached; a node with a ``value`` key is a leaf.  The checks run inline
+    and a failing one calls :func:`json_field` for its message.
     """
-    # (object holding the node, key of the node in it or None, parent, depth)
-    todo: list[tuple[object, str | None, int, int]] = [(tree, None, -1, 0)]
-    while todo:
-        holder, key, parent, depth = todo.pop()
-        obj = holder if key is None else json_field(holder, key, (dict,), what)
-        if isinstance(obj, dict) and "value" in obj:
-            i = nodes.add(0, 0.0, float(json_field(obj, "value", NUMBER, what)), depth)
-        else:
-            feature = json_field(obj, "feature", (int,), what)
-            if not 0 <= feature < feature_count:
-                raise InvalidRecordError(
-                    f"{what}: split feature {feature} outside [0, {feature_count})"
-                )
-            threshold = float(json_field(obj, "threshold", NUMBER, what))
-            i = nodes.add(feature, threshold, 0.0, depth)
-            todo.append((obj, "right", i, depth + 1))
-            todo.append((obj, "left", i, depth + 1))
-        if key is None:
-            nodes.roots.append(i)
-        else:
-            getattr(nodes, key)[parent] = i
+    nodes = _Nodes()
+    feature, threshold, left, right, value = (
+        nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.value)
+    levels = 0
+    for tree in trees:
+        nodes.roots.append(len(value))
+        # (node, its parent's dict and index for a right child, depth)
+        todo: list[tuple[object, dict | None, int, int]] = [(tree, None, -1, 0)]
+        while todo:
+            obj, parent_obj, parent, depth = todo.pop()
+            i = len(value)
+            if parent_obj is not None:
+                if type(obj) is not dict:
+                    json_field(parent_obj, "right", (dict,), what)
+                right[parent] = i
+            # walk down the left spine, leaving right children for later
+            while True:
+                if depth > levels:
+                    levels = depth
+                if isinstance(obj, dict) and "value" in obj:
+                    v = obj["value"]
+                    if type(v) is not float and type(v) is not int:
+                        json_field(obj, "value", NUMBER, what)
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(i)
+                    right.append(i)
+                    value.append(float(v))
+                    break
+                f = obj.get("feature") if isinstance(obj, dict) else None
+                if type(f) is not int:
+                    json_field(obj, "feature", (int,), what)
+                if not 0 <= f < feature_count:
+                    raise InvalidRecordError(
+                        f"{what}: split feature {f} outside [0, {feature_count})"
+                    )
+                t = obj.get("threshold")
+                if type(t) is not float and type(t) is not int:
+                    json_field(obj, "threshold", NUMBER, what)
+                feature.append(f)
+                threshold.append(float(t))
+                left.append(i + 1)
+                right.append(i)  # linked when the right child is reached
+                value.append(0.0)
+                todo.append((obj.get("right"), obj, i, depth + 1))
+                child = obj.get("left")
+                if type(child) is not dict:
+                    json_field(obj, "left", (dict,), what)
+                obj, i, depth = child, i + 1, depth + 1
+    nodes.levels = levels
+    return nodes.arrays()
 
 
 def to_obj(model: GBMModel) -> dict:
@@ -600,10 +631,8 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
         raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
     feature_count = json_field(doc, "feature_count", (int,), what)
     base_prediction = float(json_field(doc, "base_prediction", NUMBER, what))
-    nodes = _Nodes()
-    for tree in json_field(doc, "trees", (list,), what):
-        _decode_tree(tree, nodes, feature_count, what)
-    arrays = nodes.arrays()
+    arrays = _decode_trees(
+        json_field(doc, "trees", (list,), what), feature_count, what)
     if not np.isfinite(arrays.threshold).all():
         raise NonFiniteError(f"{what}: split thresholds must be finite")
     return GBMModel(

@@ -637,7 +637,10 @@ def forecaster_from_json(text: str) -> Forecaster:
         obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except (ValueError, RecursionError) as exc:
         raise InvalidRecordError(f"model bundle is not readable JSON: {exc}") from exc
-    return _forecaster_from_obj(obj)
+    try:
+        return _forecaster_from_obj(obj)
+    except OverflowError as exc:  # an integer too large for a float
+        raise InvalidRecordError(f"model bundle: {exc}") from exc
 
 
 def _forecaster_from_obj(obj: object) -> Forecaster:

@@ -3,19 +3,34 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import datetime as dt
+import io
+import math
 from dataclasses import asdict
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from pollencast import gbm, pipeline
-from pollencast.data import DailyRecord, Dataset, SeasonDefinition, SeasonLabel
+from pollencast.data import (
+    CSV_COLUMNS,
+    MAX_FILL_GAP_DAYS,
+    SERIES_NAMES,
+    DailyRecord,
+    Dataset,
+    SeasonDefinition,
+    SeasonLabel,
+)
 from pollencast.errors import (
+    GapTooLargeError,
     InsufficientDataError,
+    InvalidRecordError,
     LengthMismatchError,
+    MissingColumnError,
     NonFiniteError,
+    NonMonotoneDatesError,
     WrongWindowLengthError,
 )
 from pollencast.features import WINDOW_LEN, _window_stats
@@ -228,3 +243,108 @@ def split_search(
     if i < 0 or gain <= 0.0:
         return None
     return gbm._midpoint(v[i], v[i + 1]), gain
+
+
+def _parse_float(text: str, column: str, line: int) -> float:
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise NonFiniteError(f"line {line}: cannot parse {column}={text!r}") from None
+    if not math.isfinite(value):
+        raise NonFiniteError(f"line {line}: {column}={text!r} is not finite")
+    return value
+
+
+def reference_ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Dataset:
+    """Oracle for ``pollencast.data.ingest_csv``: a ``csv.DictReader`` that
+    checks each line's fields and builds a :class:`DailyRecord` per line,
+    then a :class:`Dataset` from the records.
+
+    Same contract, line by line.  Errors name the physical line that
+    ``csv.reader`` last read (``DictReader.line_num`` does not count the
+    blank lines it skips).
+    """
+    mapping = dict(column_map or {})
+    header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    headers = reader.fieldnames or []
+    missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
+    if missing:
+        raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
+
+    records: list[DailyRecord] = []
+    filled: list[dt.date] = []
+    for row in reader:
+        lineno = reader.reader.line_num
+        raw_date = row[header_for["date"]]
+        try:
+            date = dt.date.fromisoformat(raw_date)
+        except (TypeError, ValueError):
+            raise NonMonotoneDatesError(
+                f"line {lineno}: bad date {raw_date!r}"
+            ) from None
+        values = {
+            name: _parse_float(row[header_for[name]], name, lineno)
+            for name in SERIES_NAMES
+        }
+        rec = DailyRecord(date=date, **values)
+        if records:
+            gap = (date - records[-1].date).days - 1
+            if gap < 0:
+                raise NonMonotoneDatesError(
+                    f"line {lineno}: date {date} not after {records[-1].date}"
+                )
+            if gap > MAX_FILL_GAP_DAYS:
+                raise GapTooLargeError(
+                    f"{gap}-day gap before {date} exceeds "
+                    f"{MAX_FILL_GAP_DAYS}-day fill limit"
+                )
+            last = records[-1]
+            for k in range(1, gap + 1):
+                fill_date = last.date + dt.timedelta(days=k)
+                records.append(
+                    DailyRecord(
+                        date=fill_date,
+                        **{name: getattr(last, name) for name in SERIES_NAMES},
+                    )
+                )
+                filled.append(fill_date)
+        records.append(rec)
+
+    return Dataset(records=tuple(records), filled_dates=tuple(filled))
+
+
+def reference_decode_trees(trees: list, feature_count: int, what: str = "model") -> gbm.TreeArrays:
+    """Oracle for ``gbm._decode_trees``: a walk that checks every field
+    through ``gbm.json_field`` and appends each node with ``_Nodes.add``."""
+    nodes = gbm._Nodes()
+    for tree in trees:
+        # (object holding the node, key of the node in it or None, parent, depth)
+        todo: list[tuple[object, str | None, int, int]] = [(tree, None, -1, 0)]
+        while todo:
+            holder, key, parent, depth = todo.pop()
+            obj = holder if key is None else gbm.json_field(holder, key, (dict,), what)
+            if isinstance(obj, dict) and "value" in obj:
+                value = float(gbm.json_field(obj, "value", gbm.NUMBER, what))
+                i = nodes.add(0, 0.0, value, depth)
+            else:
+                feature = gbm.json_field(obj, "feature", (int,), what)
+                if not 0 <= feature < feature_count:
+                    raise InvalidRecordError(
+                        f"{what}: split feature {feature} outside [0, {feature_count})"
+                    )
+                threshold = float(gbm.json_field(obj, "threshold", gbm.NUMBER, what))
+                i = nodes.add(feature, threshold, 0.0, depth)
+                todo.append((obj, "right", i, depth + 1))
+                todo.append((obj, "left", i, depth + 1))
+            if key is None:
+                nodes.roots.append(i)
+            else:
+                getattr(nodes, key)[parent] = i
+    return nodes.arrays()

@@ -373,6 +373,22 @@ def _first_leaf(bundle):
     return node
 
 
+#: A number that a mutation stores where the bundle's text must hold a
+#: literal that ``json.dumps`` cannot write, such as 1e999.
+_MARK = 1.2345678901234567e-300
+
+
+class _Literal:
+    """A mutation that stores ``_MARK`` with ``put(bundle, _MARK)``; the
+    test writes ``text`` in its place."""
+
+    def __init__(self, put, text: str) -> None:
+        self.put, self.text = put, text
+
+    def __call__(self, bundle) -> None:
+        self.put(bundle, _MARK)
+
+
 #: Ways to break a valid bundle object; each must give exit 2 and one line.
 BROKEN_BUNDLES = {
     "missing_key": lambda b: b.pop("u_floor"),
@@ -400,6 +416,15 @@ BROKEN_BUNDLES = {
         feature=float(_first_split(b)["feature"])),
     "tree_is_number": lambda b: b["stage2_model"]["trees"].__setitem__(1, 0.5),
     "empty_node": lambda b: _first_split(b).update(left={}),
+    "leaf_value_true": lambda b: _first_leaf(b).update(value=True),
+    # only the JSON decoder's number check sees these
+    "leaf_value_overflow": _Literal(lambda b, v: _first_leaf(b).update(value=v), "1e999"),
+    "threshold_overflow": _Literal(
+        lambda b, v: _first_split(b).update(threshold=v), "-1e999"),
+    "base_prediction_overflow": _Literal(
+        lambda b, v: b["stage1_model"].update(base_prediction=v), "1e999"),
+    "leaf_value_huge_int": _Literal(
+        lambda b, v: _first_leaf(b).update(value=v), "1" + "0" * 400),
 }
 
 
@@ -425,9 +450,14 @@ class TestBadInputs:
     def test_broken_bundle(self, synth_csv, trained_model, tmp_path, capsys,
                            case):
         bundle = json.loads(open(trained_model).read())
-        BROKEN_BUNDLES[case](bundle)
+        mutate = BROKEN_BUNDLES[case]
+        mutate(bundle)
+        text = json.dumps(bundle)
+        if isinstance(mutate, _Literal):
+            assert text.count(repr(_MARK)) == 1
+            text = text.replace(repr(_MARK), mutate.text)
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps(bundle))
+        path.write_text(text)
         line = assert_one_error_line(
             capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
         assert "InvalidRecordError" in line

@@ -1,11 +1,15 @@
 import datetime as dt
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pollencast.data import (
     CSV_COLUMNS,
+    SERIES_NAMES,
     DailyRecord,
     Dataset,
     SeasonDefinition,
@@ -22,12 +26,14 @@ from pollencast.errors import (
     MissingColumnError,
     NonFiniteError,
     NonMonotoneDatesError,
+    PollencastError,
 )
 
 from helpers import (
     dataset_from_pollen,
     label_brute_force,
     make_record,
+    reference_ingest_csv,
     year_dataset,
     year_length,
 )
@@ -217,6 +223,28 @@ class TestIngestCsv:
         with pytest.raises(InvalidRecordError, match="d.csv is not UTF-8"):
             ingest_csv(str(path))
 
+    def test_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        bad = full_row("2020-03-03")
+        bad[5] = "oops"
+        write_csv(path, [full_row("2020-03-01"), "", "", full_row("2020-03-02"), bad])
+        with pytest.raises(NonFiniteError, match=r"^line 6: cannot parse precip='oops'$"):
+            ingest_csv(str(path))
+
+    def test_duplicated_header_reads_last_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, [["junk"] + full_row("2020-03-01", 7.0)],
+                  header=["pollen", *CSV_COLUMNS])
+        assert ingest_csv(str(path)).records[0].pollen == 7.0
+
+    def test_negative_zero_kept_in_records_not_matrix(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, [full_row("2020-03-01", "-0"), full_row("2020-03-03", 1.0)])
+        data = ingest_csv(str(path))
+        assert [math.copysign(1.0, r.pollen) for r in data.records] == [-1.0, -1.0, 1.0]
+        assert not np.signbit(data.series_matrix()).any()
+        assert not np.signbit(Dataset(records=data.records).series_matrix()).any()
+
     def test_round_trip_after_fill(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [full_row("2020-03-01", 9.0), full_row("2020-03-04", 2.0)])
@@ -224,6 +252,125 @@ class TestIngestCsv:
         out = tmp_path / "out.csv"
         emit_csv(data, str(out))
         assert ingest_csv(str(out)) == data
+
+
+#: Text that never parses as a date or as a finite number.
+BAD_DATES = ("2020-02-30", "yesterday", "", "2020/03/01")
+BAD_NUMBERS = ("oops", "nan", "inf", "-Infinity", "1e999", "", "1.5.2")
+FAULTS = ("short_row", "bad_date", "bad_number", "negative_pollen",
+          "percent_out_of_range", "tmin_above_tavg", "repeated_date",
+          "earlier_date")
+
+
+def _value_text(rng: random.Random, v: float) -> str:
+    """``v`` written in one of the ways ``float`` reads."""
+    if v == 0.0 and rng.random() < 0.3:
+        return rng.choice(["-0", "-0.0", "0", "+0.0"])
+    if v == int(v) and abs(v) < 1e6 and rng.random() < 0.2:
+        return f"{int(v):_}"  # 1_000
+    return rng.choice(["{!r}", " {!r}", "{!r} ", "{:.3f}", "{:e}"]).format(v)
+
+
+def _valid_values(rng: random.Random) -> list[float]:
+    """12 values, in ``SERIES_NAMES`` order, that make a valid record."""
+    tmin, tavg, tmax = sorted(round(rng.uniform(-10, 35), rng.choice([0, 2])) for _ in "abc")
+    v = {name: round(rng.gauss(5.0, 20.0), rng.choice([0, 1, 6])) for name in SERIES_NAMES}
+    v.update(
+        pollen=rng.choice([0.0, 1000.0, round(rng.uniform(0, 500), 2)]),
+        tmin=tmin, tavg=tavg, tmax=tmax,
+        humidity=rng.choice([0.0, 100.0, round(rng.uniform(0, 100), 1)]),
+        cloud_cover=rng.choice([0.0, 100.0, round(rng.uniform(0, 100), 1)]),
+    )
+    return [v[name] for name in SERIES_NAMES]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text and the column map to read it with: any column order,
+    extra and duplicated columns, blank lines, a byte-order mark, quoted
+    fields and gaps of 1-5 days, and up to two faults put into its lines."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    column_map = {"date": "day"} if draw(st.booleans()) else {}
+    names = [column_map.get(c, c) for c in CSV_COLUMNS]
+    header = draw(st.permutations(names + ["station", "notes"][: draw(st.integers(0, 2))]))
+    dup_name = draw(st.sampled_from([None, *names]))
+    if dup_name is not None:  # its earlier column holds junk: the last one is read
+        header.insert(draw(st.integers(0, len(header))), dup_name)
+    n = draw(st.integers(1, 8))
+    gaps = [0] * n
+    if draw(st.booleans()):
+        gaps[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
+    first = dt.date(2019, 12, 25) + dt.timedelta(days=draw(st.integers(0, 20)))
+    days = [first + dt.timedelta(days=k + sum(gaps[: k + 1])) for k in range(n)]
+    rows = [
+        dict(date=day.isoformat(),
+             **{name: _value_text(rng, v) for name, v in zip(SERIES_NAMES, _valid_values(rng))})
+        for day in days
+    ]
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, n - 1)),
+                           max_size=2))
+    short = {}
+    for fault, k in faults:
+        row = rows[k]
+        if fault == "bad_date":
+            row["date"] = rng.choice(BAD_DATES)
+        elif fault == "bad_number":
+            row[rng.choice(SERIES_NAMES)] = rng.choice(BAD_NUMBERS)
+        elif fault == "negative_pollen":
+            row["pollen"] = rng.choice(["-1.5", "-1e-300"])
+        elif fault == "percent_out_of_range":
+            row[rng.choice(["humidity", "cloud_cover"])] = rng.choice(["100.5", "-0.1"])
+        elif fault == "tmin_above_tavg":
+            row["tmin"] = repr(float(row["tavg"]) + 1.0)
+        elif fault in ("repeated_date", "earlier_date") and k > 0:
+            back = 1 if fault == "earlier_date" else 0
+            row["date"] = (days[k - 1] - dt.timedelta(days=back)).isoformat()
+        elif fault == "short_row":
+            short[k] = draw(st.integers(1, len(header) - 1))
+
+    lines = [",".join(header)]
+    for k, row in enumerate(rows):
+        cells = []
+        for pos, name in enumerate(header):
+            canonical = CSV_COLUMNS[names.index(name)] if name in names else None
+            last = name not in header[pos + 1:]
+            text = row[canonical] if canonical and last else ("junk" if canonical else "x")
+            cells.append(f'"{text}"' if rng.random() < 0.1 else text)
+        lines.append(",".join(cells[: short.get(k, len(cells))]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(rng.randint(1, len(lines)), "")
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, column_map
+
+
+def _outcome(ingest, path: str, column_map: dict):
+    """What ``ingest`` makes of a file: the error's type and message, or the
+    dataset's records, filled dates and matrix, bit for bit."""
+    try:
+        data = ingest(path, column_map)
+    except PollencastError as exc:
+        return type(exc), str(exc)
+    return (
+        [(r.date, *map(float.hex, r.values())) for r in data.records],
+        data.filled_dates,
+        data.series_matrix().tobytes(),
+    )
+
+
+class TestIngestDifferential:
+    """``ingest_csv`` checks all lines at once; it must read every file as
+    the line-by-line oracle does and fail with the same error."""
+
+    @given(case=csv_files())
+    @settings(max_examples=250, deadline=None)
+    def test_same_as_line_by_line_oracle(self, tmp_path_factory, case):
+        text, column_map = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(ingest_csv, str(path), column_map) == _outcome(
+            reference_ingest_csv, str(path), column_map)
 
 
 # ---------------------------------------------------------------------------

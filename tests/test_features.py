@@ -288,13 +288,7 @@ class TestStackedRows:
             [window_features(raw[r : r + WINDOW_LEN, s], refs[s]) for s in range(12)]
             for r in range(len(m))
         ]).transpose(0, 2, 1)
-        # + 0.0 turns -0.0 into 0.0: the max or min of a window holding both
-        # zeros is either one, by numpy's reduction path.  Splits compare
-        # with <= and never fall between equal values, so the sign of a zero
-        # feature cannot reach a model.
-        np.testing.assert_array_equal(
-            (m.values + 0.0).view(np.uint64), (want + 0.0).view(np.uint64)
-        )
+        np.testing.assert_array_equal(m.values.view(np.uint64), want.view(np.uint64))
 
 
 class TestFlatten:

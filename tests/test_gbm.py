@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     model_from_trees,
     reference_best_split,
+    reference_decode_trees,
     reference_predict,
     reference_split_gains,
     split_search,
@@ -458,6 +459,78 @@ class TestTraversalProperty:
         # one row at a time too: numpy may sum a lone row in another order
         alone = np.array([predict(model, x) for x in X[:5]])
         np.testing.assert_array_equal(alone.view(np.uint64), want[:5].view(np.uint64))
+
+
+def same_arrays(a: gbm.TreeArrays, b: gbm.TreeArrays) -> bool:
+    """Equal node arrays, bit for bit and in dtype, and equal levels."""
+    return a.levels == b.levels and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a[:6], b[:6]))
+
+
+def decode_outcome(decode, doc: dict):
+    try:
+        return decode(doc["trees"], doc["feature_count"], "model")
+    except InvalidRecordError as exc:
+        return str(exc)
+
+
+_DROP = object()
+#: Values that break each field of a node; _DROP removes the field.
+_BAD_FIELDS = {
+    "value": [_DROP, "x", None, True, []],
+    "feature": [_DROP, "x", None, True, 1.5, -1, "count"],
+    "threshold": [_DROP, "x", None, True, []],
+    "left": [_DROP, None, True, [], 2, {}],
+    "right": [_DROP, None, True, [], 2, {}],
+}
+
+
+@st.composite
+def broken_tree_docs(draw):
+    """The ``gbm-json-v1`` object of a random fit with one to three of its
+    nodes given a missing, mistyped or out-of-range field."""
+    model, _ = draw(random_fits())
+    doc = gbm.to_obj(model)
+    nodes, todo = [], list(doc["trees"])
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        todo.extend(node[k] for k in ("left", "right") if k in node)
+    for _ in range(draw(st.integers(1, 3)) if nodes else 0):
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        key = draw(st.sampled_from(sorted(node) or ["value"]))
+        new = draw(st.sampled_from(_BAD_FIELDS[key]))
+        if new is _DROP:
+            node.pop(key, None)
+        else:
+            node[key] = doc["feature_count"] if new == "count" else new
+    return doc
+
+
+class TestDecoderProperty:
+    """The tree decoder checks fields inline; it must give the arrays of the
+    field-by-field decoder, and the same first error."""
+
+    @given(case=random_fits())
+    @settings(max_examples=40, deadline=None)
+    def test_arrays_equal_reference(self, case):
+        doc = gbm.to_obj(case[0])
+        got = gbm._decode_trees(doc["trees"], doc["feature_count"], "model")
+        assert same_arrays(got, reference_decode_trees(doc["trees"], doc["feature_count"]))
+        assert same_arrays(got, case[0].arrays)
+
+    @given(doc=broken_tree_docs())
+    # the left subtree is checked before the right child
+    @example(doc={"feature_count": 1, "trees": [
+        {"feature": 0, "threshold": 0.5, "left": {"value": "x"}, "right": None}]})
+    @settings(max_examples=150, deadline=None)
+    def test_broken_trees_fail_like_reference(self, doc):
+        got = decode_outcome(gbm._decode_trees, doc)
+        want = decode_outcome(reference_decode_trees, doc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, gbm.TreeArrays) and same_arrays(got, want)
 
 
 class TestSerialization:

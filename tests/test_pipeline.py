@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cores, model_from_trees, year_dataset, year_length
+from helpers import (
+    cores,
+    model_from_trees,
+    reference_decode_trees,
+    year_dataset,
+    year_length,
+)
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -46,6 +52,16 @@ def chain_model(boundary: int, z_lo: int, z_hi: int,
         node = {"feature": DOY_INDEX, "threshold": z + 0.5,
                 "left": {"value": float(boundary - z)}, "right": node}
     return model_from_trees((node,), feature_count)
+
+
+def test_chain_model_decodes_like_reference():
+    # 61 levels, each split's left child a leaf: the right spine is deep
+    doc = gbm.to_obj(chain_model(150, 90, 150))
+    got = gbm._decode_trees(doc["trees"], doc["feature_count"], "model")
+    want = reference_decode_trees(doc["trees"], doc["feature_count"])
+    assert got.levels == want.levels == 60
+    for a, b in zip(got[:6], want[:6]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def constant_model(value: float, feature_count: int) -> gbm.GBMModel:
