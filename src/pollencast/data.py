@@ -303,11 +303,13 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     skipped; a file that is not UTF-8 raises :class:`InvalidRecordError`.
 
     A bad file raises the error of its first failing line, naming the
-    line's physical number.  Within a line the checks run in this order:
-    the date, then each value in ``SERIES_NAMES`` order (a field missing
-    from a short row cannot be parsed), then the :class:`DailyRecord`
-    rules, then the date against the previous line's (later, and at most
-    3 missing days between).
+    line's physical number.  A line that the CSV reader cannot read (say,
+    a field longer than ``csv.field_size_limit()``) raises
+    :class:`InvalidRecordError`.  Within a line the checks run in this
+    order: the date, then each value in ``SERIES_NAMES`` order (a field
+    missing from a short row cannot be parsed), then the
+    :class:`DailyRecord` rules, then the date against the previous line's
+    (later, and at most 3 missing days between).
     """
     mapping = dict(column_map or {})
     header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
@@ -318,7 +320,10 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
         except UnicodeDecodeError as exc:
             raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    headers = next(reader, None) or []
+    try:
+        headers = next(reader, None) or []
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise InvalidRecordError(f"line {reader.line_num}: {exc}") from exc
     missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
     if missing:
         raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
@@ -331,17 +336,20 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     lines: list[int] = []
     dates: list[dt.date] = []
     values: list[float] = []  # row-major, 12 per line
-    failure = None  # the parse error of the line after the last one kept
-    for row in reader:
-        if not row:
-            continue
-        try:
-            dates.append(dt.date.fromisoformat(row[date_at]))
-            values.extend(map(float, take(row)))
-        except (IndexError, TypeError, ValueError):
-            failure = _field_error(row, reader.line_num, date_at, value_at)
-            break
-        lines.append(reader.line_num)
+    failure = None  # the error of the line after the last one kept
+    try:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                dates.append(dt.date.fromisoformat(row[date_at]))
+                values.extend(map(float, take(row)))
+            except (IndexError, TypeError, ValueError):
+                failure = _field_error(row, reader.line_num, date_at, value_at)
+                break
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        failure = InvalidRecordError(f"line {reader.line_num}: {exc}")
     del reader  # frees its copy of the text before the records are made
     n, width = len(lines), len(SERIES_NAMES)
     del dates[n:], values[n * width:]

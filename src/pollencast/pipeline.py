@@ -14,24 +14,27 @@ prepends the Stage-1 prediction.  A row depends only on its own 14-day
 window, so each training year and each forecast builds the rows of just the
 days it reads.
 
-The Stage-1 fits of one training are independent: the full fit and one per
-out-of-fold split of the Stage-2 protocol.  They run on forked worker
-processes, one per available core.  Each fit is deterministic and its result
-is collected in task order, so the models are byte-identical for any number
-of cores.
+The Stage-1 fits of one training are independent: one per out-of-fold split
+of the Stage-2 protocol, then the full fit.  They run on forked worker
+processes, one per available core, and each result comes back in task order
+as soon as it is in.  Stage 2 reads only the out-of-fold predictions, so it
+is fitted in this process while a worker still runs the full fit.  Each fit
+is deterministic, so the models are byte-identical for any number of cores.
 """
 
 from __future__ import annotations
 
 import calendar
+import contextlib
 import datetime as dt
 import json
 import math
 import os
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,6 +56,9 @@ from .features import (
     flatten_all,
 )
 from .wls import ForecastSeries, PredictionPoint
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -381,28 +387,36 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
 def _fit_all(
     tasks: list[_FitTask], jobs: int
-) -> list[Stage1Model | np.ndarray]:
-    """``task()`` for every task, in task order, on up to ``jobs`` processes.
+) -> Iterator[Iterator[Stage1Model | np.ndarray]]:
+    """An iterator of ``task()`` for every task, in task order, computed on
+    up to ``jobs`` processes while the ``with`` block runs.
 
-    With two or more workers the tasks run on a ``fork`` pool that lives for
-    this call only.  The workers inherit ``tasks`` through the fork (the
-    fork context does not pickle ``initargs``), so neither the training rows
-    nor the fit functions are pickled and closures work; only the results
-    come back.  A task's error is re-raised here, and a worker that dies
-    raises :class:`WorkerLostError`.
+    With two or more workers the tasks run on a ``fork`` pool that lives
+    for the ``with`` block.  The workers inherit ``tasks`` through the fork
+    (the fork context does not pickle ``initargs``), so neither the training
+    rows nor the fit functions are pickled and closures work; only the
+    results come back.  Each result is handed back as soon as it and the
+    ones before it are in, so the caller can work on them while later tasks
+    still run.  A task is handed to the pool only when a worker is free for
+    it and no task has failed.  A task's error is raised when its result is
+    taken, and a worker that dies raises :class:`WorkerLostError`.  Leaving
+    the block waits for the tasks already running; the others never start.
 
-    The tasks run inline where forking is unavailable or unsafe: without the
-    ``fork`` start method, inside a daemonic process (a ``multiprocessing``
-    pool worker may not have children) and while other threads run, since a
-    forked child inherits their locks.  The executor starts every ``fork``
-    worker before its own manager thread only since CPython's gh-90622 fix
-    (3.10.9, 3.11.1), hence the ``requires-python`` of this package.
+    The tasks run inline, one as each result is taken, where forking is
+    unavailable or unsafe: without the ``fork`` start method, inside a
+    daemonic process (a ``multiprocessing`` pool worker may not have
+    children) and while other threads run, since a forked child inherits
+    their locks.  The executor starts every ``fork`` worker before its own
+    manager thread only since CPython's gh-90622 fix (3.10.9, 3.11.1), hence
+    the ``requires-python`` of this package.
     """
     workers = min(jobs, len(tasks))
     if workers < 2 or threading.active_count() > 1:
-        return [task() for task in tasks]
+        yield (task() for task in tasks)
+        return
     # imported here, so that commands which never fit do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -410,17 +424,45 @@ def _fit_all(
 
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        return [task() for task in tasks]
+        yield (task() for task in tasks)
+        return
     try:
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_worker_tasks, initargs=(tasks,),
         ) as pool:
-            return list(pool.map(_run_worker_task, range(len(tasks))))
+            yield _in_task_order(pool, len(tasks), workers)
     except BrokenProcessPool as exc:
         raise WorkerLostError(
             f"a fit worker process ended without a result: {exc}"
         ) from exc
+
+
+def _in_task_order(
+    pool: Executor, n_tasks: int, workers: int
+) -> Iterator[Stage1Model | np.ndarray]:
+    """The results of worker tasks 0..n_tasks-1, each as soon as it and the
+    ones before it are in.  At most ``workers`` tasks are submitted and not
+    done at any time, and none is submitted after one has failed."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    futures: list[Future] = []
+
+    def running() -> list[Future]:
+        busy = [f for f in futures if not f.done()]
+        if any(f.exception() is not None for f in futures if f.done()):
+            return busy
+        while len(futures) < n_tasks and len(busy) < workers:
+            futures.append(pool.submit(_run_worker_task, len(futures)))
+            busy.append(futures[-1])
+        return busy
+
+    for i in range(n_tasks):
+        busy = running()
+        while not futures[i].done():
+            wait(busy, return_when=FIRST_COMPLETED)
+            busy = running()
+        yield futures[i].result()
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +497,33 @@ def _fold_predictions(
     return gbm.predict_batch(model, _stack(per_year, scored_ys)[0])
 
 
-def _out_of_fold(
-    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
-    boundary: str, horizon: int, protocol: str, fit_fn: FitFn,
-    cfg: gbm.GBMConfig, first: tuple[_FitTask, ...] = (),
-) -> tuple[list[Stage1Model | np.ndarray], Stage2TrainingSet]:
-    """The results of the ``first`` tasks and the Stage-2 training set.
+def _fold_tasks(
+    fit_fn: FitFn, per_year: dict[int, _YearRows], folds: _Folds,
+    cfg: gbm.GBMConfig,
+) -> list[_FitTask]:
+    """One task per out-of-fold split.  A fold's task stacks its rows when it
+    runs and returns only its predictions of the held-out rows, so a process
+    holds one fold's rows and model at a time."""
+    return [partial(_fold_predictions, fit_fn, per_year, train_ys, scored_ys, cfg)
+            for train_ys, scored_ys in folds]
 
-    ``first`` and one task per out-of-fold split of the protocol run in one
-    :func:`_fit_all` call.  A fold's task stacks its rows when it runs and
-    returns only its predictions of the held-out rows, so a process holds
-    one fold's rows and model at a time.
-    """
-    folds = _protocol_folds(ys, protocol)
-    tasks = [partial(_fold_predictions, fit_fn, per_year, train_ys, scored_ys, cfg)
-             for train_ys, scored_ys in folds]
-    results = _fit_all([*first, *tasks], _cores())
+
+def _stage2_set(
+    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
+    boundary: str, horizon: int, protocol: str, folds: _Folds,
+    predictions: Iterator[np.ndarray],
+) -> Stage2TrainingSet:
+    """The Stage-2 training set of ``folds``, taking one fold's predictions
+    from ``predictions`` per fold and nothing more."""
     xs, ts, prov, scorers = [], [], [], []
-    for (train_ys, scored_ys), y_hat in zip(folds, results[len(first):]):
+    # zip draws from folds first, so it stops without taking a further result
+    for (train_ys, scored_ys), y_hat in zip(folds, predictions):
         x, t, p = _stack(per_year, scored_ys)
         xs.append(np.concatenate([y_hat[:, None], x], axis=1))
         ts.append(np.abs(y_hat - t))
         prov.extend(p)
         scorers.extend((year, train_ys) for year in scored_ys)
-    return results[:len(first)], Stage2TrainingSet(
+    return Stage2TrainingSet(
         features=np.concatenate(xs, axis=0),
         targets=np.concatenate(ts),
         provenance=tuple(prov),
@@ -508,15 +553,17 @@ def build_s2(
     out-of-year prediction.  Protocol ``holdout`` instead fits one model on
     the first half of the years and scores the second half.  Rows are
     ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.  The
-    fold fits run on a process per available core.
+    fold fits run on a process per available core, in fold order.
     """
     ys, refs, per_year = _labeled_years(
         data, definition, years, boundary, horizon, min_years=2
     )
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    _, s2 = _out_of_fold(ys, refs, per_year, boundary, horizon, protocol,
-                         stage1_fit, cfg)
-    return s2
+    folds = _protocol_folds(ys, protocol)
+    with _fit_all(_fold_tasks(stage1_fit, per_year, folds, cfg),
+                  _cores()) as predictions:
+        return _stage2_set(ys, refs, per_year, boundary, horizon, protocol,
+                           folds, predictions)
 
 
 def fit_stage2(
@@ -547,20 +594,25 @@ def train_forecaster(
 ) -> Forecaster:
     """Train both stages on the given years and return the bundled pair.
 
-    The full Stage-1 fit and the out-of-fold Stage-1 fits of the Stage-2
-    protocol run together on a process per available core, the largest
-    first; Stage 2 is fitted here once their residuals are in.
+    The out-of-fold Stage-1 fits of the Stage-2 protocol and then the full
+    Stage-1 fit run on a process per available core.  Stage 2 needs only
+    the out-of-fold predictions, so it is fitted here as soon as they are
+    in, while a worker still runs the full fit.
     """
     ys, refs, per_year = _labeled_years(
         data, definition, years, boundary, horizon, min_years=2
     )
     s1 = _stage1_set(ys, refs, per_year, boundary, horizon)
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    (stage1,), s2 = _out_of_fold(
-        ys, refs, per_year, boundary, horizon, protocol, gbm.fit, cfg,
-        first=(partial(fit_stage1, s1, cfg),),
-    )
-    return Forecaster(stage1=stage1, stage2=fit_stage2(s2, stage2_cfg))
+    folds = _protocol_folds(ys, protocol)
+    tasks = [*_fold_tasks(gbm.fit, per_year, folds, cfg),
+             partial(fit_stage1, s1, cfg)]
+    with _fit_all(tasks, _cores()) as results:
+        s2 = _stage2_set(ys, refs, per_year, boundary, horizon, protocol,
+                         folds, results)
+        stage2 = fit_stage2(s2, stage2_cfg)
+        stage1 = next(results)
+    return Forecaster(stage1=stage1, stage2=stage2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import csv
 import datetime as dt
 import io
 import math
+import os
+import time
 from dataclasses import asdict
 from typing import Mapping, Sequence
 
@@ -57,6 +59,16 @@ def cores(n: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_cores", lambda: n)
         yield
+
+
+def wait_for(path, timeout: float) -> bool:
+    """Whether the file ``path`` exists within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def make_record(date: dt.date, pollen: float, **overrides: float) -> DailyRecord:
@@ -255,6 +267,15 @@ def _parse_float(text: str, column: str, line: int) -> float:
     return value
 
 
+def _readable(reader: csv.DictReader):
+    """The rows of ``reader``; a line it cannot read raises
+    :class:`InvalidRecordError` naming that line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidRecordError(f"line {reader.reader.line_num}: {exc}") from exc
+
+
 def reference_ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Dataset:
     """Oracle for ``pollencast.data.ingest_csv``: a ``csv.DictReader`` that
     checks each line's fields and builds a :class:`DailyRecord` per line,
@@ -273,14 +294,17 @@ def reference_ingest_csv(path: str, column_map: Mapping[str, str] | None = None)
         except UnicodeDecodeError as exc:
             raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    headers = reader.fieldnames or []
+    try:
+        headers = reader.fieldnames or []
+    except csv.Error as exc:
+        raise InvalidRecordError(f"line {reader.reader.line_num}: {exc}") from exc
     missing = [header_for[c] for c in CSV_COLUMNS if header_for[c] not in headers]
     if missing:
         raise MissingColumnError(f"missing columns in {path}: {', '.join(missing)}")
 
     records: list[DailyRecord] = []
     filled: list[dt.date] = []
-    for row in reader:
+    for row in _readable(reader):
         lineno = reader.reader.line_num
         raw_date = row[header_for["date"]]
         try:

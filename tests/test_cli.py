@@ -518,6 +518,20 @@ class TestBadInputs:
             capsys, main(["label", "--input", str(path)]), EXIT_RUNTIME)
         assert "InvalidRecordError" in line and "latin.csv" in line
 
+    @pytest.mark.parametrize("command", ["label", "predict"])
+    def test_csv_field_over_csv_limit(self, synth_csv, trained_model, tmp_path,
+                                      capsys, command):
+        lines = open(synth_csv).read().split("\n")
+        cells = lines[3].split(",")
+        cells[1] = "1" * 200_000  # a pollen field over csv.field_size_limit()
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]))
+        argv = {"label": ["label", "--input", str(path)],
+                "predict": ["predict", "--input", str(path), "--model",
+                            trained_model, "--year", "2008", "--anchor", "110"]}
+        line = assert_one_error_line(capsys, main(argv[command]), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line and "line 4:" in line
+
     @pytest.mark.parametrize("command,config,key", [
         ("label", {"delta_c": "abc"}, "--delta-c"),
         ("label", {"delta_n": 2.5}, "--delta-n"),

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import math
 import random
@@ -231,6 +232,17 @@ class TestIngestCsv:
         with pytest.raises(NonFiniteError, match=r"^line 6: cannot parse precip='oops'$"):
             ingest_csv(str(path))
 
+    @pytest.mark.parametrize("where,line", [("header", 1), ("row", 4)])
+    def test_field_over_csv_limit_names_its_line(self, tmp_path, where, line):
+        path = tmp_path / "d.csv"
+        huge = "1" * 200_000  # over csv.field_size_limit()
+        bad = full_row("2020-03-02", huge if where == "row" else 5.0)
+        header = [*CSV_COLUMNS, huge] if where == "header" else None
+        write_csv(path, [full_row("2020-03-01"), "", bad], header=header)
+        with pytest.raises(InvalidRecordError,
+                           match=rf"^line {line}: field larger than field limit"):
+            ingest_csv(str(path))
+
     def test_duplicated_header_reads_last_column(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [["junk"] + full_row("2020-03-01", 7.0)],
@@ -259,7 +271,7 @@ BAD_DATES = ("2020-02-30", "yesterday", "", "2020/03/01")
 BAD_NUMBERS = ("oops", "nan", "inf", "-Infinity", "1e999", "", "1.5.2")
 FAULTS = ("short_row", "bad_date", "bad_number", "negative_pollen",
           "percent_out_of_range", "tmin_above_tavg", "repeated_date",
-          "earlier_date")
+          "earlier_date", "field_over_csv_limit")
 
 
 def _value_text(rng: random.Random, v: float) -> str:
@@ -327,6 +339,8 @@ def csv_files(draw):
             row["date"] = (days[k - 1] - dt.timedelta(days=back)).isoformat()
         elif fault == "short_row":
             short[k] = draw(st.integers(1, len(header) - 1))
+        elif fault == "field_over_csv_limit":
+            row[rng.choice(SERIES_NAMES)] = "7" * (csv.field_size_limit() + 1)
 
     lines = [",".join(header)]
     for k, row in enumerate(rows):
@@ -371,6 +385,45 @@ class TestIngestDifferential:
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(ingest_csv, str(path), column_map) == _outcome(
             reference_ingest_csv, str(path), column_map)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PERCENT = st.floats(0.0, 100.0)
+
+
+@st.composite
+def valid_datasets(draw):
+    """A dataset of 1-15 consecutive days whose values span the whole
+    finite range each series allows."""
+    first = draw(st.dates(dt.date(1900, 1, 1), dt.date(2200, 1, 1)))
+    records = []
+    for k in range(draw(st.integers(1, 15))):
+        tmin, tavg, tmax = sorted(draw(st.lists(_FINITE, min_size=3, max_size=3)))
+        free = {name: draw(_FINITE) for name in (
+            "precip", "wind_speed", "pressure", "sunshine_hours", "dew_point",
+            "soil_temp")}
+        records.append(DailyRecord(
+            date=first + dt.timedelta(days=k),
+            pollen=draw(st.floats(0.0, allow_infinity=False)),
+            tmax=tmax, tmin=tmin, tavg=tavg,
+            humidity=draw(_PERCENT), cloud_cover=draw(_PERCENT), **free))
+    return Dataset(records=tuple(records))
+
+
+class TestEmitIngestRoundTrip:
+    @given(data=valid_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        emit_csv(data, str(path))
+        back = ingest_csv(str(path))
+        assert back.filled_dates == ()
+        assert [(r.date, *map(float.hex, r.values())) for r in back.records] == [
+            (r.date, *map(float.hex, r.values())) for r in data.records]
+        assert back.series_matrix().tobytes() == data.series_matrix().tobytes()
+        again = path.with_name("again.csv")
+        emit_csv(back, str(again))
+        assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

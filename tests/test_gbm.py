@@ -461,6 +461,25 @@ class TestTraversalProperty:
         np.testing.assert_array_equal(alone.view(np.uint64), want[:5].view(np.uint64))
 
 
+class TestPermutationProperty:
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(6, 40),
+           features=st.integers(1, 4), levels=st.integers(1, 4),
+           subsample=st.sampled_from([0.6, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_fit_ignores_row_order(self, seed, rows, features, levels,
+                                   subsample):
+        # few distinct values: tied values in every column, tied targets
+        # and whole duplicated rows
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(rows, features)).astype(np.float64)
+        y = X[:, 0] + rng.integers(0, 3, size=rows) * 0.5
+        cfg = GBMConfig(n_trees=6, max_depth=3, learning_rate=0.3,
+                        min_samples_leaf=2, subsample_fraction=subsample,
+                        seed=seed % 7)
+        perm = rng.permutation(rows)
+        assert to_json(fit(X, y, cfg).model) == to_json(fit(X[perm], y[perm], cfg).model)
+
+
 def same_arrays(a: gbm.TreeArrays, b: gbm.TreeArrays) -> bool:
     """Equal node arrays, bit for bit and in dtype, and equal levels."""
     return a.levels == b.levels and all(

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps functions by module attribute name; a refactor
 that renames or removes one of them fails here instead of in a traced
 benchmark run.  Its fit span counts trees and split nodes by walking
-``model.trees``, so those views must keep matching the tree arrays.
+``model.trees``, so those views must keep matching the tree arrays.  Its
+``pipeline.fit_stage2.s`` must keep measuring the Stage-2 fit, which
+``train_forecaster`` runs in the parent process beside a pool worker.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ import sys
 
 import numpy as np
 
+from helpers import cores
 from pollencast import backtest, cli, gbm, pipeline
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
@@ -54,3 +57,23 @@ def test_fit_span_counts_trees_and_splits():
     splits = int(np.count_nonzero(left != np.arange(left.size)))  # leaves loop
     assert span.counts == {"trees": 9, "split_nodes": splits}
     assert 9 < splits <= 9 * 7
+
+
+def test_stage2_fit_traced_in_the_parent(seed42_dataset, season_def):
+    # with two cores the Stage-1 fits run in pool workers, out of the
+    # tracer's sight; the Stage-2 fit is the one fit left in this process
+    light = gbm.GBMConfig(n_trees=10, max_depth=2)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        with cores(2):
+            pipeline.train_forecaster(seed42_dataset, season_def,
+                                      (2003, 2004, 2005), stage1_cfg=light,
+                                      stage2_cfg=light)
+    finally:
+        tracer.uninstall()
+    (stage2,) = [i for i, s in enumerate(tracer.spans)
+                 if s.name == "pipeline.fit_stage2"]
+    fits = [s for s in tracer.spans if s.name == "gbm.fit"]
+    assert [s.parent for s in fits] == [stage2]
+    assert [f.X.shape[1] for f in tracer.fits] == [362]

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 from functools import partial
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from helpers import (
     cores,
     model_from_trees,
     reference_decode_trees,
+    wait_for,
     year_dataset,
     year_length,
 )
@@ -614,11 +616,28 @@ class TestFitPool:
 
         tasks = [partial(constant_fit, v) for v in range(5)]
         for jobs in (1, 2, 3):
-            got = [r.model.base_prediction for r in pl._fit_all(tasks, jobs)]
+            with pl._fit_all(tasks, jobs) as results:
+                got = [r.model.base_prediction for r in results]
             assert got == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_stream(self, tmp_path, jobs):
+        # the last task waits for a file that is written only once the
+        # earlier results are taken: a call that collected every result
+        # before handing any back would time out instead of hanging
+        taken = tmp_path / "taken"
+        tasks = [partial(int, 7), partial(int, 8),
+                 partial(wait_for, taken, 20.0)]
+        with pl._fit_all(tasks, jobs) as results:
+            first = [next(results), next(results)]
+            taken.touch()
+            last = next(results)
+        assert first == [7, 8] and last is True
+        assert multiprocessing.active_children() == []
+
     def test_tasks_run_in_workers(self):
-        pids = pl._fit_all([os.getpid] * 3, 2)
+        with pl._fit_all([os.getpid] * 3, 2) as results:
+            pids = list(results)
         assert os.getpid() not in pids and len(set(pids)) <= 2
 
     def test_inline_while_other_threads_run(self):
@@ -627,10 +646,64 @@ class TestFitPool:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert pl._fit_all([os.getpid] * 3, 2) == [os.getpid()] * 3
+            with pl._fit_all([os.getpid] * 3, 2) as results:
+                assert list(results) == [os.getpid()] * 3
         finally:
             stop.set()
             thread.join()
+
+    def test_stage2_fits_beside_the_full_fit(self, seed42_dataset, season_def,
+                                             tmp_path, monkeypatch):
+        # Stage 2 is fitted here while a worker still runs the full Stage-1
+        # fit; its error keeps its type and ends the training with no
+        # worker left
+        started, finished = tmp_path / "started", tmp_path / "finished"
+        full_fit = pl.fit_stage1
+
+        def slow_full_fit(*args):
+            started.touch()
+            time.sleep(0.5)
+            finished.touch()
+            return full_fit(*args)
+
+        def failing_stage2(training, cfg=None):
+            assert wait_for(started, 20.0) and not finished.exists()
+            raise TooFewRowsError("stage 2 refused")
+
+        monkeypatch.setattr(pl, "fit_stage1", slow_full_fit)
+        monkeypatch.setattr(pl, "fit_stage2", failing_stage2)
+        with cores(2), pytest.raises(TooFewRowsError, match="stage 2 refused"):
+            pl.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                stage1_cfg=LIGHT, stage2_cfg=LIGHT)
+        assert multiprocessing.active_children() == []
+
+    def test_fold_error_leaves_later_fits_unstarted(self, seed42_dataset,
+                                                    season_def, tmp_path,
+                                                    monkeypatch):
+        # the first out-of-fold fit fails at once: its error keeps its
+        # type, the fit already running beside it ends, and the fits queued
+        # behind them, the full fit included, never start
+        fold_predictions, full_fit = pl._fold_predictions, pl.fit_stage1
+
+        def logged_fold(fit_fn, per_year, train_ys, scored_ys, cfg):
+            (tmp_path / f"fold-{scored_ys[0]}").touch()
+            if scored_ys == (2003,):
+                raise TooFewRowsError("fold refused")
+            return fold_predictions(fit_fn, per_year, train_ys, scored_ys, cfg)
+
+        def logged_full_fit(*args):
+            (tmp_path / "full").touch()
+            return full_fit(*args)
+
+        monkeypatch.setattr(pl, "_fold_predictions", logged_fold)
+        monkeypatch.setattr(pl, "fit_stage1", logged_full_fit)
+        with cores(2), pytest.raises(TooFewRowsError, match="fold refused"):
+            pl.train_forecaster(seed42_dataset, season_def,
+                                (2003, 2004, 2005, 2006),
+                                stage1_cfg=LIGHT, stage2_cfg=LIGHT)
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fold-2003", "fold-2004"]
 
     def test_training_in_a_daemonic_process(self, seed42_dataset, season_def):
         # multiprocessing pool workers are daemonic and may not fork; their
@@ -658,4 +731,6 @@ class TestFitPool:
 
     def test_dead_worker_is_a_pollencast_error(self):
         with pytest.raises(WorkerLostError):
-            pl._fit_all([partial(os._exit, 1)] * 2, 2)
+            with pl._fit_all([partial(os._exit, 1)] * 2, 2) as results:
+                list(results)
+        assert multiprocessing.active_children() == []
