@@ -286,8 +286,9 @@ def cmd_train(opts: Options) -> int:
         protocol=opts.get("protocol", "loyo"),
     )
     save_forecaster(fc, out)
+    trained = fc.stage1.train_years
     print(f"wrote {out}: trained on years "
-          f"{years[0]}..{years[-1]} ({len(years)} years)")
+          f"{trained[0]}..{trained[-1]} ({len(trained)} years)")
     return EXIT_OK
 
 

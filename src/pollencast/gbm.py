@@ -45,12 +45,15 @@ evaluating that expression on the whole matrix with fresh arrays:
   split level partitions that row only.
 
 A model keeps all its trees in one set of flat node arrays
-(:class:`TreeArrays`), written in preorder by the builder and by the
-iterative ``gbm-json-v1`` decoder.  A leaf is its own child, so prediction
-moves every (tree, row) pair down one level per step, as many steps as the
-deepest tree has levels.  The leaf values are then added tree by tree from
-0.0 with a running sum, which rounds as adding one tree at a time does;
-``np.sum`` may add pairwise and round differently.  ``GBMModel.trees``
+(:class:`TreeArrays`), written in preorder by the builder.  The
+``gbm-json-v2`` object holds the same arrays as JSON number lists: saving
+is ``tolist`` on each array, loading is ``np.array`` on each list plus
+checks over whole arrays, with no walk from node to node.  A leaf is its
+own child, so prediction moves every (tree, row) pair down one level per
+step, as many steps as the deepest tree has levels.  The leaf values are
+then added tree by tree from 0.0 with a running sum, which rounds as
+adding one tree at a time does; ``np.sum`` may add pairwise and round
+differently.  ``GBMModel.trees``
 rebuilds nested :class:`TreeNode` views on access; prediction never reads
 them.
 """
@@ -58,6 +61,7 @@ them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -71,7 +75,7 @@ from .errors import (
     WrongFeatureCountError,
 )
 
-SERIALIZATION_FORMAT = "gbm-json-v1"
+SERIALIZATION_FORMAT = "gbm-json-v2"
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,9 @@ class TreeArrays(NamedTuple):
 
     Node i splits rows on ``feature[i] <= threshold[i]`` into ``left[i]``
     and ``right[i]``; a leaf points to itself on both sides, holds
-    ``value[i]`` and has feature 0 and threshold 0.0.  Each tree's nodes
-    are contiguous, in preorder, so a parent comes before its children.
+    ``value[i]``.  Each tree's nodes are contiguous and a parent comes
+    before its children; the builder writes them in preorder, with leaves
+    of feature 0 and threshold 0.0.
     """
 
     feature: np.ndarray
@@ -542,81 +547,116 @@ def json_field(doc: object, key: str, kinds: tuple[type, ...], what: str = "mode
     return value
 
 
-def _split_obj(feature: int, threshold: float, left: dict, right: dict) -> dict:
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+def json_number(doc: object, key: str, what: str = "model") -> float:
+    """``doc[key]`` as a float if it is a finite JSON number."""
+    try:
+        value = float(json_field(doc, key, NUMBER, what))
+    except OverflowError as exc:  # an integer too large for a float
+        raise InvalidRecordError(f"{what}: {key!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InvalidRecordError(f"{what}: {key!r} must be finite, got {value}")
+    return value
 
 
-def _decode_trees(trees: list, feature_count: int, what: str) -> TreeArrays:
-    """The ``gbm-json-v1`` trees as :class:`TreeArrays`, in preorder.
+def json_array(
+    doc: object, key: str, kinds: tuple[type, ...], dtype: type, what: str = "model"
+) -> np.ndarray:
+    """``doc[key]`` as a read-only 1-D array of ``dtype`` if it is a JSON
+    list of ``kinds`` only; a float array must be finite.
 
-    One iterative walk, left subtree first, checks each node as it is
-    reached; a node with a ``value`` key is a leaf.  The checks run inline
-    and a failing one calls :func:`json_field` for its message.
+    The element types are compared exactly, as in :func:`json_field`:
+    ``np.array`` alone would take ``true`` for 1.
     """
-    nodes = _Nodes()
-    feature, threshold, left, right, value = (
-        nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.value)
-    levels = 0
-    for tree in trees:
-        nodes.roots.append(len(value))
-        # (node, its parent's dict and index for a right child, depth)
-        todo: list[tuple[object, dict | None, int, int]] = [(tree, None, -1, 0)]
-        while todo:
-            obj, parent_obj, parent, depth = todo.pop()
-            i = len(value)
-            if parent_obj is not None:
-                if type(obj) is not dict:
-                    json_field(parent_obj, "right", (dict,), what)
-                right[parent] = i
-            # walk down the left spine, leaving right children for later
-            while True:
-                if depth > levels:
-                    levels = depth
-                if isinstance(obj, dict) and "value" in obj:
-                    v = obj["value"]
-                    if type(v) is not float and type(v) is not int:
-                        json_field(obj, "value", NUMBER, what)
-                    feature.append(0)
-                    threshold.append(0.0)
-                    left.append(i)
-                    right.append(i)
-                    value.append(float(v))
-                    break
-                f = obj.get("feature") if isinstance(obj, dict) else None
-                if type(f) is not int:
-                    json_field(obj, "feature", (int,), what)
-                if not 0 <= f < feature_count:
-                    raise InvalidRecordError(
-                        f"{what}: split feature {f} outside [0, {feature_count})"
-                    )
-                t = obj.get("threshold")
-                if type(t) is not float and type(t) is not int:
-                    json_field(obj, "threshold", NUMBER, what)
-                feature.append(f)
-                threshold.append(float(t))
-                left.append(i + 1)
-                right.append(i)  # linked when the right child is reached
-                value.append(0.0)
-                todo.append((obj.get("right"), obj, i, depth + 1))
-                child = obj.get("left")
-                if type(child) is not dict:
-                    json_field(obj, "left", (dict,), what)
-                obj, i, depth = child, i + 1, depth + 1
-    nodes.levels = levels
-    return nodes.arrays()
+    items = json_field(doc, key, (list,), what)
+    if not set(map(type, items)) <= set(kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidRecordError(f"{what}: {key!r} must hold only {names}")
+    try:
+        arr = np.array(items, dtype=dtype)
+    except OverflowError as exc:  # an integer too large for dtype
+        raise InvalidRecordError(f"{what}: {key!r}: {exc}") from exc
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InvalidRecordError(f"{what}: {key!r} must hold only finite numbers")
+    arr.setflags(write=False)
+    return arr
+
+
+#: The node lists of a model object: the fields of :class:`TreeArrays`.
+_NODE_LISTS = (
+    ("feature", (int,), np.intp),
+    ("threshold", NUMBER, np.float64),
+    ("left", (int,), np.intp),
+    ("right", (int,), np.intp),
+    ("value", NUMBER, np.float64),
+    ("roots", (int,), np.intp),
+)
+
+
+def _checked_trees(cols: list[np.ndarray], feature_count: int, what: str) -> TreeArrays:
+    """The node lists as :class:`TreeArrays` if they encode trees that
+    prediction can walk; the checks run over whole arrays.
+
+    Each tree is the nodes from its root to the next root.  A leaf points
+    to itself on both sides; a split's left child is the next node and its
+    right child lies after that, inside the split's tree; every node but a
+    root has exactly one parent.  Children thus come after their parents,
+    and ``levels`` is the depth of the deepest node, found by pointer
+    jumping along the parents.
+    """
+    feature, _, left, right, value, roots = cols
+    n = value.size
+    if any(a.size != n for a in cols[:4]):
+        raise InvalidRecordError(f"{what}: the node lists must have equal lengths")
+    if (roots.size == 0) != (n == 0) or roots.size and (
+        roots[0] != 0 or roots[-1] >= n or (np.diff(roots) <= 0).any()
+    ):
+        raise InvalidRecordError(
+            f"{what}: 'roots' must increase strictly from 0 and stay below {n}")
+    if n and (feature.min() < 0 or feature.max() >= feature_count):
+        raise InvalidRecordError(f"{what}: a node feature lies outside "
+                                 f"[0, {feature_count})")
+    node = np.arange(n)
+    leaf = left == node
+    if (right[leaf] != node[leaf]).any():
+        raise InvalidRecordError(f"{what}: a leaf must point to itself on both sides")
+    split = node[~leaf]
+    tree_end = np.append(roots[1:], n)[np.searchsorted(roots, split, side="right") - 1]
+    if (left[split] != split + 1).any():
+        raise InvalidRecordError(f"{what}: a split's left child must be the next node")
+    if ((right[split] <= split + 1) | (right[split] >= tree_end)).any():
+        raise InvalidRecordError(
+            f"{what}: a split's right child must come after its left child, "
+            "inside the split's tree")
+    children = np.concatenate([left[split], right[split]])
+    is_child = np.ones(n, dtype=bool)
+    is_child[roots] = False
+    if not np.array_equal(np.bincount(children, minlength=n), is_child):
+        raise InvalidRecordError(
+            f"{what}: every node but a root must have exactly one parent")
+    # depth[i] is the distance from node i up to parent[i]; each step
+    # doubles it until every parent is a root
+    parent = node.copy()
+    parent[children] = np.concatenate([split, split])
+    depth = is_child.astype(np.intp)
+    while not np.array_equal(up := parent[parent], parent):
+        depth += depth[parent]
+        parent = up
+    return TreeArrays(*cols, levels=int(depth.max()) if n else 0)
 
 
 def to_obj(model: GBMModel) -> dict:
     """The JSON object of :func:`to_json`, for embedding in other documents."""
-    return {
+    doc = {
         "format": SERIALIZATION_FORMAT,
         "config": asdict(model.config),
         "base_prediction": model.base_prediction,
         "learning_rate": model.learning_rate,
         "feature_count": model.feature_count,
         "catalog_version": model.catalog_version,
-        "trees": model.arrays.nested(lambda v: {"value": v}, _split_obj),
     }
+    for name, _, _ in _NODE_LISTS:
+        doc[name] = getattr(model.arrays, name).tolist()
+    return doc
 
 
 def from_obj(doc: object, what: str = "model") -> GBMModel:
@@ -625,20 +665,20 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
     fmt = json_field(doc, "format", (str,), what)
     if fmt != SERIALIZATION_FORMAT:
         raise InvalidRecordError(f"{what}: unsupported model format {fmt!r}")
+    settings = json_field(doc, "config", (dict,), what)
+    if not all(math.isfinite(v) for v in settings.values() if type(v) is float):
+        raise InvalidRecordError(f"{what}: config values must be finite")
     try:
-        config = GBMConfig(**json_field(doc, "config", (dict,), what))
+        config = GBMConfig(**settings)
     except TypeError as exc:
         raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
     feature_count = json_field(doc, "feature_count", (int,), what)
-    base_prediction = float(json_field(doc, "base_prediction", NUMBER, what))
-    arrays = _decode_trees(
-        json_field(doc, "trees", (list,), what), feature_count, what)
-    if not np.isfinite(arrays.threshold).all():
-        raise NonFiniteError(f"{what}: split thresholds must be finite")
+    cols = [json_array(doc, name, kinds, dtype, what)
+            for name, kinds, dtype in _NODE_LISTS]
     return GBMModel(
-        base_prediction=base_prediction,
-        arrays=arrays,
-        learning_rate=float(json_field(doc, "learning_rate", NUMBER, what)),
+        base_prediction=json_number(doc, "base_prediction", what),
+        arrays=_checked_trees(cols, feature_count, what),
+        learning_rate=json_number(doc, "learning_rate", what),
         feature_count=feature_count,
         config=config,
         catalog_version=json_field(doc, "catalog_version", (str,), what),

@@ -50,6 +50,7 @@ from .errors import (
 )
 from .features import (
     CATALOG_VERSION,
+    N_FEATURES,
     SERIES_NAMES,
     WINDOW_LEN,
     build_feature_matrix,
@@ -91,7 +92,18 @@ DEFAULT_HORIZON = 59
 #: weights 1/u^2 finite when the residual model predicts ~0.
 U_FLOOR = 0.25
 
-BUNDLE_FORMAT = "forecaster-json-v1"
+BUNDLE_FORMAT = "forecaster-json-v2"
+
+#: Flat Stage-1 columns: the window statistics of every series, then
+#: day-of-year.  Stage 2 prepends the Stage-1 prediction.
+STAGE1_COLUMNS = len(SERIES_NAMES) * N_FEATURES + 1
+
+#: The season boundaries a countdown can run to.
+BOUNDARIES = ("start", "end")
+
+#: The Stage-2 protocols: leave one year out, or fit on the first half of
+#: the years and score the rest.
+PROTOCOLS = ("loyo", "holdout")
 
 #: Model-fitting hook used for the internal Stage-1 fits; replaceable for
 #: alternative learners or exact-model tests.
@@ -282,7 +294,7 @@ def _labeled_years(
     Each year is labeled once; its rows are days z in [boundary-H, boundary]
     with targets ``boundary - z``, built with the years' own references.
     """
-    if boundary not in ("start", "end"):
+    if boundary not in BOUNDARIES:
         raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
     if horizon < 1:
         raise HorizonOutOfRangeError(f"horizon must be >= 1, got {horizon}")
@@ -672,11 +684,8 @@ def forecaster_to_json(fc: Forecaster) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise InvalidRecordError(f"model bundle: non-finite number {text}")
-    return value
+def _no_constant(text: str) -> float:
+    raise InvalidRecordError(f"model bundle: non-finite number {text}")
 
 
 def forecaster_from_json(text: str) -> Forecaster:
@@ -686,53 +695,61 @@ def forecaster_from_json(text: str) -> Forecaster:
     raises :class:`InvalidRecordError`.
     """
     try:
-        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        obj = json.loads(text, parse_constant=_no_constant)
     except (ValueError, RecursionError) as exc:
         raise InvalidRecordError(f"model bundle is not readable JSON: {exc}") from exc
-    try:
-        return _forecaster_from_obj(obj)
-    except OverflowError as exc:  # an integer too large for a float
-        raise InvalidRecordError(f"model bundle: {exc}") from exc
+    return _forecaster_from_obj(obj)
 
 
 def _forecaster_from_obj(obj: object) -> Forecaster:
     def get(key: str, kinds: tuple[type, ...]):
         return gbm.json_field(obj, key, kinds, "model bundle")
 
-    if get("format", (str,)) != BUNDLE_FORMAT:
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise InvalidRecordError(f"model bundle: {message}")
+
+    fmt = get("format", (str,))
+    if fmt != BUNDLE_FORMAT:
+        retrain = "; retrain the model" if fmt == "forecaster-json-v1" else ""
         raise InvalidRecordError(
-            f"expected format {BUNDLE_FORMAT!r}, got {obj['format']!r}"
-        )
-    if get("include_doy", (bool,)) is not True:
-        raise InvalidRecordError(
-            "model bundle: include_doy must be true; day-of-year is the last "
-            "Stage-1 column"
-        )
-    refs = get("references", (list,))
-    if len(refs) != len(SERIES_NAMES) or any(type(r) not in gbm.NUMBER for r in refs):
-        raise InvalidRecordError(
-            f"model bundle: references must be {len(SERIES_NAMES)} numbers"
-        )
+            f"expected format {BUNDLE_FORMAT!r}, got {fmt!r}{retrain}")
+    require(get("include_doy", (bool,)) is True,
+            "include_doy must be true; day-of-year is the last Stage-1 column")
+    refs = gbm.json_array(obj, "references", gbm.NUMBER, np.float64, "model bundle")
+    require(refs.size == len(SERIES_NAMES),
+            f"references must be {len(SERIES_NAMES)} numbers")
     train_years = get("train_years", (list,))
-    if any(type(y) is not int for y in train_years):
-        raise InvalidRecordError("model bundle: train_years must be integers")
+    require(all(type(y) is int for y in train_years), "train_years must be integers")
+    boundary = get("boundary", (str,))
+    require(boundary in BOUNDARIES, f"boundary must be one of {BOUNDARIES}")
+    horizon = get("horizon", (int,))
+    require(horizon >= 1, "horizon must be >= 1")
+    protocol = get("stage2_protocol", (str,))
+    require(protocol in PROTOCOLS, f"stage2_protocol must be one of {PROTOCOLS}")
     s1_model = gbm.from_obj(get("stage1_model", (dict,)), "stage1_model")
     if s1_model.catalog_version != CATALOG_VERSION:
         raise InvalidRecordError(
             f"stage1_model: catalog_version {s1_model.catalog_version!r}, "
             f"expected {CATALOG_VERSION!r}"
         )
+    s2_model = gbm.from_obj(get("stage2_model", (dict,)), "stage2_model")
+    for name, model, want in (("stage1_model", s1_model, STAGE1_COLUMNS),
+                              ("stage2_model", s2_model, STAGE1_COLUMNS + 1)):
+        if model.feature_count != want:
+            raise InvalidRecordError(
+                f"{name}: feature_count {model.feature_count}, expected {want}")
     stage1 = Stage1Model(
         model=s1_model,
-        boundary=get("boundary", (str,)),
-        horizon=get("horizon", (int,)),
-        references=tuple(float(r) for r in refs),
+        boundary=boundary,
+        horizon=horizon,
+        references=tuple(refs.tolist()),
         train_years=tuple(train_years),
     )
     stage2 = Stage2Model(
-        model=gbm.from_obj(get("stage2_model", (dict,)), "stage2_model"),
-        u_floor=float(get("u_floor", gbm.NUMBER)),
-        protocol=get("stage2_protocol", (str,)),
+        model=s2_model,
+        u_floor=gbm.json_number(obj, "u_floor", "model bundle"),
+        protocol=protocol,
         train_years=tuple(train_years),
     )
     return Forecaster(stage1=stage1, stage2=stage2)

@@ -198,18 +198,26 @@ def model_from_trees(
     config: gbm.GBMConfig | None = None,
     catalog_version: str = "",
 ) -> gbm.GBMModel:
-    """A model with hand-made trees, given as ``gbm-json-v1`` node objects:
+    """A model with hand-made trees, given as nested node objects:
     ``{"value": v}`` for a leaf and ``{"feature": f, "threshold": t,
-    "left": ..., "right": ...}`` for a split."""
-    return gbm.from_obj({
-        "format": gbm.SERIALIZATION_FORMAT,
-        "config": asdict(config or gbm.GBMConfig()),
-        "base_prediction": base_prediction,
-        "learning_rate": learning_rate,
-        "feature_count": feature_count,
-        "catalog_version": catalog_version,
-        "trees": list(trees),
-    })
+    "left": ..., "right": ...}`` for a split, decoded by
+    :func:`reference_decode_trees`."""
+    return gbm.GBMModel(
+        base_prediction=float(base_prediction),
+        arrays=reference_decode_trees(list(trees), feature_count),
+        learning_rate=float(learning_rate),
+        feature_count=feature_count,
+        config=config or gbm.GBMConfig(),
+        catalog_version=catalog_version,
+    )
+
+
+def nested_trees(arrays: gbm.TreeArrays) -> list[dict]:
+    """The trees as the nested node objects of :func:`model_from_trees`."""
+    return arrays.nested(
+        lambda v: {"value": v},
+        lambda f, t, left, right: {"feature": f, "threshold": t,
+                                   "left": left, "right": right})
 
 
 def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarray:
@@ -345,8 +353,12 @@ def reference_ingest_csv(path: str, column_map: Mapping[str, str] | None = None)
 
 
 def reference_decode_trees(trees: list, feature_count: int, what: str = "model") -> gbm.TreeArrays:
-    """Oracle for ``gbm._decode_trees``: a walk that checks every field
-    through ``gbm.json_field`` and appends each node with ``_Nodes.add``."""
+    """Nested node objects (the trees of the retired ``gbm-json-v1``
+    format) as node arrays: a walk that checks every field through
+    ``gbm.json_field`` and appends each node with ``_Nodes.add``.
+
+    Hand-made test trees go through it, and it decodes bundles of that
+    format for comparison with the flat ``gbm-json-v2`` lists."""
     nodes = gbm._Nodes()
     for tree in trees:
         # (object holding the node, key of the node in it or None, parent, depth)
@@ -372,3 +384,69 @@ def reference_decode_trees(trees: list, feature_count: int, what: str = "model")
             else:
                 getattr(nodes, key)[parent] = i
     return nodes.arrays()
+
+
+#: (field, JSON element types) of the node lists of a ``gbm-json-v2`` object.
+_V2_LISTS = (("feature", (int,)), ("threshold", (int, float)), ("left", (int,)),
+             ("right", (int,)), ("value", (int, float)), ("roots", (int,)))
+
+
+def reference_check_trees(doc: dict, feature_count: int, what: str = "model") -> gbm.TreeArrays:
+    """Oracle for the node-list checks of ``gbm.from_obj``: the node lists
+    of a ``gbm-json-v2`` object as node arrays, checked one element and
+    one node at a time.
+
+    Each element has an exact JSON type and fits its array; every node
+    feature lies in ``[0, feature_count)``.  Each tree runs from its root
+    to the next root and is walked from the root: a leaf points to itself,
+    a split's left child is the next node and its right child lies after
+    that inside the tree, and every node of the tree is reached exactly
+    once.  ``levels`` is the depth of the deepest node reached.
+    """
+    lists = {}
+    for key, kinds in _V2_LISTS:
+        items = gbm.json_field(doc, key, (list,), what)
+        for v in items:
+            if type(v) not in kinds:
+                raise InvalidRecordError(f"{what}: {key!r} holds a {type(v).__name__}")
+            if kinds == (int,) and not -2**63 <= v < 2**63:
+                raise InvalidRecordError(f"{what}: {key!r} holds {v}")
+            if kinds != (int,):
+                try:
+                    finite = math.isfinite(float(v))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise InvalidRecordError(f"{what}: {key!r} holds {v}")
+        lists[key] = items
+    feature, left, right, roots = (lists[k] for k in ("feature", "left", "right", "roots"))
+    n = len(lists["value"])
+    if any(len(lists[k]) != n for k in ("feature", "threshold", "left", "right")):
+        raise InvalidRecordError(f"{what}: node lists of unequal lengths")
+    if any(not 0 <= f < feature_count for f in feature):
+        raise InvalidRecordError(f"{what}: a node feature outside [0, {feature_count})")
+    ends = roots[1:] + [n]
+    if (roots[:1] != [0] if n else roots) or any(a >= b for a, b in zip(roots, ends)):
+        raise InvalidRecordError(f"{what}: bad roots {roots}")
+    levels = 0
+    for root, end in zip(roots, ends):
+        reached = set()
+        todo = [(root, 0)]
+        while todo:
+            i, depth = todo.pop()
+            if i in reached:
+                raise InvalidRecordError(f"{what}: node {i} has two parents")
+            reached.add(i)
+            levels = max(levels, depth)
+            if left[i] == i:
+                if right[i] != i:
+                    raise InvalidRecordError(f"{what}: leaf {i} has a right child")
+                continue
+            if left[i] != i + 1 or not i + 1 < right[i] < end:
+                raise InvalidRecordError(f"{what}: split {i} has bad children")
+            todo += [(left[i], depth + 1), (right[i], depth + 1)]
+        if len(reached) != end - root:
+            raise InvalidRecordError(f"{what}: a node of tree {root} is not reached")
+    cols = [np.array(lists[k], dtype=np.float64 if kinds != (int,) else np.intp)
+            for k, kinds in _V2_LISTS]
+    return gbm.TreeArrays(*cols, levels=levels)

@@ -1,19 +1,23 @@
 """CLI tests: argument handling, exit codes, file outputs, reproducibility."""
 
+import contextlib
 import datetime as dt
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import cores, model_from_trees, year_dataset
 import pollencast
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from pollencast.data import Dataset, emit_csv
+from pollencast.data import Dataset, emit_csv, ingest_csv
 from pollencast.features import CATALOG_VERSION
 
 LIGHT_CONFIG = {
@@ -159,6 +163,15 @@ class TestTrainPredict:
     def test_train_writes_loadable_model(self, trained_model):
         fc = pl.load_forecaster(trained_model)
         assert fc.stage1.train_years == tuple(range(2003, 2008))
+
+    @pytest.mark.parametrize("years", ["2005,2003,2004", "2003,2003,2004,2005"])
+    def test_train_summary_names_the_years_trained_on(self, synth_csv, tmp_path,
+                                                      capsys, years):
+        out = tmp_path / "m.json"
+        assert main(["--config", write_config(tmp_path), "train", "--input",
+                     synth_csv, "--years", years, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"wrote {out}: trained on years 2003..2005 (3 years)\n")
 
     def test_predict_with_anchor(self, synth_csv, trained_model, tmp_path,
                                  capsys):
@@ -360,17 +373,39 @@ class TestWalkthrough:
         assert float(mae_line.split("mae=")[1].split()[0]) == doc["mae"]
 
 
+def _stage1(bundle):
+    return bundle["stage1_model"]
+
+
+def _splits(bundle):
+    """Indices of the split nodes of the Stage-1 model of a bundle object."""
+    m = _stage1(bundle)
+    return [i for i, left in enumerate(m["left"]) if left != i]
+
+
 def _first_split(bundle):
-    """The first split node of the Stage-1 trees of a bundle object."""
-    return next(t for t in bundle["stage1_model"]["trees"] if "feature" in t)
+    return _splits(bundle)[0]
 
 
 def _first_leaf(bundle):
-    """The leftmost leaf of the first Stage-1 tree of a bundle object."""
-    node = bundle["stage1_model"]["trees"][0]
-    while "value" not in node:
-        node = node["left"]
-    return node
+    m = _stage1(bundle)
+    return next(i for i, left in enumerate(m["left"]) if left == i)
+
+
+def _put(bundle, key, at, value):
+    """Store ``value`` at node ``at`` of the Stage-1 node list ``key``."""
+    _stage1(bundle)[key][at] = value
+
+
+def _share_child(bundle):
+    """Point a split's right side at its left child's right child."""
+    i = next(i for i in _splits(bundle) if i + 1 in _splits(bundle))
+    _put(bundle, "right", i, _stage1(bundle)["right"][i + 1])
+
+
+def _swap_roots(bundle):
+    roots = _stage1(bundle)["roots"]
+    roots[1], roots[2] = roots[2], roots[1]
 
 
 #: A number that a mutation stores where the bundle's text must hold a
@@ -392,39 +427,63 @@ class _Literal:
 #: Ways to break a valid bundle object; each must give exit 2 and one line.
 BROKEN_BUNDLES = {
     "missing_key": lambda b: b.pop("u_floor"),
-    "missing_model_key": lambda b: b["stage2_model"].pop("trees"),
+    "missing_model_key": lambda b: b["stage2_model"].pop("right"),
     "wrong_type": lambda b: b.update(horizon="59"),
     "bool_for_int": lambda b: b.update(horizon=True),
     "include_doy_false": lambda b: b.update(include_doy=False),
     "eleven_references": lambda b: b["references"].pop(),
     "nan_reference": lambda b: b["references"].__setitem__(3, float("nan")),
     "inf_reference": lambda b: b["references"].__setitem__(0, float("inf")),
-    "split_feature_past_end": lambda b: _first_split(b).update(
-        feature=b["stage1_model"]["feature_count"]),
-    "negative_split_feature": lambda b: _first_split(b).update(feature=-1),
-    "other_catalog_version": lambda b: b["stage1_model"].update(
+    "split_feature_past_end": lambda b: _put(
+        b, "feature", _first_split(b), _stage1(b)["feature_count"]),
+    "negative_split_feature": lambda b: _put(b, "feature", _first_split(b), -1),
+    "other_catalog_version": lambda b: _stage1(b).update(
         catalog_version="w14s29-v0"),
     "bad_model_config": lambda b: b["stage2_model"].update(config={"bogus": 1}),
     "zero_u_floor": lambda b: b.update(u_floor=0),
-    "split_without_left": lambda b: _first_split(b).pop("left"),
-    "child_is_list": lambda b: _first_split(b).update(
-        right=[_first_split(b)["right"]]),
-    "leaf_value_string": lambda b: _first_leaf(b).update(value="1.5"),
-    "leaf_value_null": lambda b: _first_leaf(b).update(value=None),
-    "threshold_bool": lambda b: _first_split(b).update(threshold=True),
-    "feature_float": lambda b: _first_split(b).update(
-        feature=float(_first_split(b)["feature"])),
-    "tree_is_number": lambda b: b["stage2_model"]["trees"].__setitem__(1, 0.5),
-    "empty_node": lambda b: _first_split(b).update(left={}),
-    "leaf_value_true": lambda b: _first_leaf(b).update(value=True),
-    # only the JSON decoder's number check sees these
-    "leaf_value_overflow": _Literal(lambda b, v: _first_leaf(b).update(value=v), "1e999"),
+    # a split whose left side points to itself, as a leaf's does
+    "split_without_left": lambda b: _put(b, "left", _first_split(b), _first_split(b)),
+    "child_is_list": lambda b: _put(
+        b, "right", _first_split(b), [_stage1(b)["right"][_first_split(b)]]),
+    "leaf_value_string": lambda b: _put(b, "value", _first_leaf(b), "1.5"),
+    "leaf_value_null": lambda b: _put(b, "value", _first_leaf(b), None),
+    "threshold_bool": lambda b: _put(b, "threshold", _first_split(b), True),
+    "feature_float": lambda b: _put(
+        b, "feature", _first_split(b), float(_stage1(b)["feature"][_first_split(b)])),
+    "tree_is_number": lambda b: b["stage2_model"]["roots"].__setitem__(1, 0.5),
+    # a node with no threshold: the node lists differ in length
+    "empty_node": lambda b: _stage1(b)["threshold"].pop(_first_split(b)),
+    "leaf_value_true": lambda b: _put(b, "value", _first_leaf(b), True),
+    "child_out_of_range": lambda b: _put(
+        b, "right", _first_split(b), len(_stage1(b)["value"])),
+    "child_points_backwards": lambda b: _put(b, "right", _splits(b)[1], 0),
+    "shared_child": _share_child,
+    "unequal_lengths": lambda b: b["stage2_model"]["value"].pop(),
+    "roots_not_increasing": _swap_roots,
+    # np.array takes false for 0 and 3.0 for 3 without a word
+    "index_bool": lambda b: _stage1(b)["roots"].__setitem__(0, False),
+    "index_float": lambda b: _stage1(b)["roots"].__setitem__(
+        1, float(_stage1(b)["roots"][1])),
+    "index_huge_int": lambda b: _put(b, "left", _first_leaf(b), 10**400),
+    # layouts that load as gbm models but do not fit the feature rows
+    "stage1_feature_count_400": lambda b: _stage1(b).update(feature_count=400),
+    "stage2_feature_count_363": lambda b: b["stage2_model"].update(
+        feature_count=363),
+    "horizon_zero": lambda b: b.update(horizon=0),
+    "boundary_unknown": lambda b: b.update(boundary="middle"),
+    "protocol_bogus": lambda b: b.update(stage2_protocol="bogus"),
+    # only the array checks see these: JSON reads them as inf or a huge int
+    "leaf_value_overflow": _Literal(
+        lambda b, v: _put(b, "value", _first_leaf(b), v), "1e999"),
     "threshold_overflow": _Literal(
-        lambda b, v: _first_split(b).update(threshold=v), "-1e999"),
+        lambda b, v: _put(b, "threshold", _first_split(b), v), "-1e999"),
     "base_prediction_overflow": _Literal(
-        lambda b, v: b["stage1_model"].update(base_prediction=v), "1e999"),
+        lambda b, v: _stage1(b).update(base_prediction=v), "1e999"),
     "leaf_value_huge_int": _Literal(
-        lambda b, v: _first_leaf(b).update(value=v), "1" + "0" * 400),
+        lambda b, v: _put(b, "value", _first_leaf(b), v), "1" + "0" * 400),
+    "u_floor_huge_int": _Literal(lambda b, v: b.update(u_floor=v), "1" + "0" * 400),
+    "config_overflow": _Literal(
+        lambda b, v: _stage1(b)["config"].update(max_depth=v), "1e999"),
 }
 
 
@@ -461,6 +520,16 @@ class TestBadInputs:
         line = assert_one_error_line(
             capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
         assert "InvalidRecordError" in line
+
+    def test_v1_bundle_asks_for_retraining(self, synth_csv, trained_model,
+                                          tmp_path, capsys):
+        bundle = json.loads(open(trained_model).read())
+        bundle["format"] = "forecaster-json-v1"
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(bundle))
+        line = assert_one_error_line(
+            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line and "retrain" in line
 
     @pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe\x00garbage",
                                       b"[1, 2]"],
@@ -591,3 +660,80 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert "WorkerLostError" in line
 
+
+
+#: JSON values a bundle mutation stores: every JSON type, numbers near
+#: the node counts and feature counts and past every limit, and floats
+#: that ``json.dumps`` writes as NaN or Infinity.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 400),
+    st.sampled_from([361, 362, 2**63, 10**400]), st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["[]", "{}", "[0]", '{"value": 1.0}']).map(json.loads))
+
+
+def _containers(obj) -> list:
+    """``obj`` and every object and list inside it."""
+    found = [obj]
+    for v in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(v, (dict, list)):
+            found += _containers(v)
+    return found
+
+
+@st.composite
+def bundle_mutations(draw, text: str) -> str:
+    """A valid bundle's text with one to three of its keys or list
+    elements deleted, added or replaced by any JSON value."""
+    bundle = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        found = _containers(bundle)
+        holder = found[draw(st.integers(0, len(found) - 1))]
+        keys = sorted(holder) + ["extra"] if isinstance(holder, dict) else None
+        at = draw(st.integers(0, len(keys or holder) - (keys is not None)))
+        if at < len(holder) and draw(st.booleans()):
+            del holder[keys[at] if keys else at]
+        elif keys:
+            holder[keys[at]] = draw(_JSON_VALUES)
+        elif at < len(holder):
+            holder[at] = draw(_JSON_VALUES)
+        else:
+            holder.append(draw(_JSON_VALUES))
+    return json.dumps(bundle)
+
+
+@pytest.fixture(scope="module")
+def spring_2008(tmp_path_factory, synth_csv):
+    """The synthetic data of 2008 up to 30 April: enough for an anchor at
+    day 110, and quick to read."""
+    records = [r for r in ingest_csv(synth_csv).records
+               if dt.date(2008, 1, 1) <= r.date <= dt.date(2008, 4, 30)]
+    path = tmp_path_factory.mktemp("spring") / "spring.csv"
+    emit_csv(Dataset(records=tuple(records)), str(path))
+    return str(path)
+
+
+class TestBundleFuzz:
+    """Random damage to a valid bundle: ``predict`` exits 0, or 2 with one
+    ``error:`` line, never with a traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_damaged_bundle_exits_cleanly(self, trained_model, spring_2008, data):
+        with open(trained_model, encoding="utf-8") as fh:
+            text = data.draw(bundle_mutations(fh.read()), label="bundle")
+        path = os.path.join(os.path.dirname(spring_2008), "bundle.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--input", spring_2008, "--model", path,
+                         "--year", "2008", "--anchor", "110"])
+        assert code in (EXIT_OK, EXIT_RUNTIME)
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        errors = [ln for ln in lines if ln.startswith("error:")]
+        assert len(errors) == (code == EXIT_RUNTIME)
+        assert code == EXIT_OK or lines[-1] == errors[0]

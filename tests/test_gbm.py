@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     model_from_trees,
+    nested_trees,
     reference_best_split,
+    reference_check_trees,
     reference_decode_trees,
     reference_predict,
     reference_split_gains,
@@ -300,34 +303,36 @@ def pinned_data():
 class TestPinnedFits:
     """sha256 of the model JSON plus the training-curve bytes.
 
-    The digests were taken with the original split kernel; any change to
-    the fitted trees, thresholds, leaf values or curve shows here.
+    The digests were taken with the original split kernel and retaken for
+    the ``gbm-json-v2`` node lists, whose arrays equal those of the nested
+    ``gbm-json-v1`` trees bit for bit; any change to the fitted trees,
+    thresholds, leaf values or curve shows here.
     """
 
     CASES = {
         "default": (
             GBMConfig(),
-            "0b02f4a46731b05ec56aa6c53fdc8d4590e144628df4bb4f83e701518bc9b68c",
+            "3c06c0ccac6352e8bd21a14e0bc99f266f359b663e0f8b46353b34f8ca6596d9",
         ),
         "depth0": (
             GBMConfig(n_trees=40, max_depth=0),
-            "baeb9fe0bac9afe0f907a0cccd3c82d46113011c5ff9eefe361d08c410d04cd8",
+            "bb5b00ea9c26c4db941e638b8c622b450da1b7364031e731312e5df21728a8c8",
         ),
         "depth1": (
             GBMConfig(n_trees=60, max_depth=1),
-            "650f7a3861cef936f63e2109af53442f9443622ba4e05be040df7acc5c20d102",
+            "dd6d5760d33119cc1ce531e2090be71eb5c058d36f7240ce4d3e8689182a93be",
         ),
         "depth2": (
             GBMConfig(n_trees=60, max_depth=2),
-            "607156268b69183c268891293675d49ae4128cea06d1b683d983473eeca7a8dc",
+            "1571367dfbf1d38742c56dd85a426eac4433d6f93a5fbf4239ebcf82a6b49d69",
         ),
         "min_leaf1": (
             GBMConfig(n_trees=60, min_samples_leaf=1),
-            "ddb0d4391fc51f1da0f3d57892f17b1dea4b8dd9e61cec8777e4e94f5efbe2bf",
+            "ec40e6b6d6440e6d4f45af581f4bc5e29d515a74975e40e14c97d03a7fab7dd7",
         ),
         "subsample": (
             GBMConfig(n_trees=60, subsample_fraction=0.5, seed=7),
-            "2905a71d1e094ce01c246bc891491348ce9634a4e0fe196bd71da51ead1e4dc5",
+            "86827bf64c334c76c8a48a63c2031fd608e586e569d83f2be62d56aa04fe88ac",
         ),
     }
 
@@ -487,69 +492,110 @@ def same_arrays(a: gbm.TreeArrays, b: gbm.TreeArrays) -> bool:
 
 
 def decode_outcome(decode, doc: dict):
+    """The arrays ``decode(doc)`` returns, or None if it raises
+    :class:`InvalidRecordError`."""
     try:
-        return decode(doc["trees"], doc["feature_count"], "model")
-    except InvalidRecordError as exc:
-        return str(exc)
+        return decode(doc)
+    except InvalidRecordError:
+        return None
 
 
-_DROP = object()
-#: Values that break each field of a node; _DROP removes the field.
-_BAD_FIELDS = {
-    "value": [_DROP, "x", None, True, []],
-    "feature": [_DROP, "x", None, True, 1.5, -1, "count"],
-    "threshold": [_DROP, "x", None, True, []],
-    "left": [_DROP, None, True, [], 2, {}],
-    "right": [_DROP, None, True, [], 2, {}],
-}
+_DROP, _NODES, _SELF = object(), object(), object()
+#: Values that may break an element of a node list: _DROP removes the
+#: element, _NODES stands for the node count and _SELF for the element's
+#: own index; small integers are drawn besides these.
+_BAD_ELEMENTS = [_DROP, _NODES, _SELF, "x", None, True, False, 0.0, 1.5, -1,
+                 2**63, 10**400, float("inf"), []]
 
 
 @st.composite
 def broken_tree_docs(draw):
-    """The ``gbm-json-v1`` object of a random fit with one to three of its
-    nodes given a missing, mistyped or out-of-range field."""
+    """The ``gbm-json-v2`` object of a random fit with one to three
+    elements of its node lists dropped, appended or replaced by a
+    mistyped, out-of-range or other node's value."""
     model, _ = draw(random_fits())
     doc = gbm.to_obj(model)
-    nodes, todo = [], list(doc["trees"])
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        todo.extend(node[k] for k in ("left", "right") if k in node)
-    for _ in range(draw(st.integers(1, 3)) if nodes else 0):
-        node = nodes[draw(st.integers(0, len(nodes) - 1))]
-        key = draw(st.sampled_from(sorted(node) or ["value"]))
-        new = draw(st.sampled_from(_BAD_FIELDS[key]))
+    for _ in range(draw(st.integers(1, 3))):
+        items = doc[draw(st.sampled_from([name for name, _, _ in gbm._NODE_LISTS]))]
+        n = len(doc["value"])
+        new = draw(st.sampled_from(_BAD_ELEMENTS) | st.integers(-1, n + 1))
+        at = draw(st.integers(0, len(items))) if items else 0
         if new is _DROP:
-            node.pop(key, None)
+            if items:
+                items.pop(min(at, len(items) - 1))
+            continue
+        new = n if new is _NODES else at if new is _SELF else new
+        if at == len(items):
+            items.append(new)
         else:
-            node[key] = doc["feature_count"] if new == "count" else new
+            items[at] = new
     return doc
 
 
+def v2_doc(left: list, right: list, roots: list) -> dict:
+    """A ``gbm-json-v2`` object over one feature with these child pointers
+    and roots; every node has feature 0, threshold 0.0 and value 0.0."""
+    n = len(left)
+    doc = gbm.to_obj(model_from_trees((), 1))
+    doc.update(feature=[0] * n, threshold=[0.0] * n, left=left, right=right,
+               value=[0.0] * n, roots=roots)
+    return doc
+
+
+@st.composite
+def hand_made_models(draw):
+    """A model of up to four random nested trees of up to 40 leaves each."""
+    features = draw(st.integers(1, 5))
+    leaf = st.builds(lambda v: {"value": v},
+                     st.floats(-1e3, 1e3) | st.integers(-5, 5))
+    tree = st.recursive(leaf, lambda kids: st.builds(
+        lambda f, t, left, right: {"feature": f, "threshold": t,
+                                   "left": left, "right": right},
+        st.integers(0, features - 1), st.floats(-10.0, 10.0), kids, kids),
+        max_leaves=40)
+    return model_from_trees(draw(st.lists(tree, max_size=4)), features,
+                            base_prediction=draw(st.floats(-1e3, 1e3)))
+
+
 class TestDecoderProperty:
-    """The tree decoder checks fields inline; it must give the arrays of the
-    field-by-field decoder, and the same first error."""
+    """The node lists load into the arrays they were saved from, bit for
+    bit, and the checks over whole arrays reject exactly what the
+    node-by-node oracle rejects."""
 
     @given(case=random_fits())
     @settings(max_examples=40, deadline=None)
     def test_arrays_equal_reference(self, case):
-        doc = gbm.to_obj(case[0])
-        got = gbm._decode_trees(doc["trees"], doc["feature_count"], "model")
-        assert same_arrays(got, reference_decode_trees(doc["trees"], doc["feature_count"]))
-        assert same_arrays(got, case[0].arrays)
+        model = case[0]
+        back = from_json(to_json(model))
+        assert same_arrays(back.arrays, model.arrays)
+        assert back.base_prediction == model.base_prediction
+        doc = gbm.to_obj(model)
+        assert same_arrays(reference_check_trees(doc, doc["feature_count"]), model.arrays)
+        nested = reference_decode_trees(nested_trees(model.arrays), model.feature_count)
+        assert same_arrays(nested, model.arrays)
+
+    @given(model=hand_made_models())
+    @example(model=model_from_trees((), 1))
+    @settings(max_examples=60, deadline=None)
+    def test_hand_made_trees_round_trip(self, model):
+        back = gbm.from_obj(json.loads(to_json(model)))
+        assert same_arrays(back.arrays, model.arrays)
+        assert to_json(back) == to_json(model)
 
     @given(doc=broken_tree_docs())
-    # the left subtree is checked before the right child
-    @example(doc={"feature_count": 1, "trees": [
-        {"feature": 0, "threshold": 0.5, "left": {"value": "x"}, "right": None}]})
-    @settings(max_examples=150, deadline=None)
+    # node 1's right child is a leaf of the next tree, and every node but
+    # the roots still has one parent
+    @example(doc=v2_doc(left=[1, 2, 2, 3, 5, 5, 6, 7],
+                        right=[3, 6, 2, 3, 7, 5, 6, 7], roots=[0, 4]))
+    @settings(max_examples=200, deadline=None)
     def test_broken_trees_fail_like_reference(self, doc):
-        got = decode_outcome(gbm._decode_trees, doc)
-        want = decode_outcome(reference_decode_trees, doc)
-        if isinstance(want, str):
-            assert got == want
+        got = decode_outcome(lambda d: gbm.from_obj(d).arrays, doc)
+        want = decode_outcome(
+            lambda d: reference_check_trees(d, d["feature_count"]), doc)
+        if want is None:
+            assert got is None
         else:
-            assert isinstance(got, gbm.TreeArrays) and same_arrays(got, want)
+            assert got is not None and same_arrays(got, want)
 
 
 class TestSerialization:
