@@ -8,6 +8,7 @@ scripting: 0 success, 2 runtime or data error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import json
 import logging
 import math
@@ -204,16 +205,19 @@ def _parse_years(value) -> tuple[int, ...]:
         if "-" in text:
             lo, _sep, hi = text.partition("-")
             try:
-                return tuple(range(int(lo), int(hi) + 1))
+                first, last = int(lo), int(hi)
             except ValueError as exc:
                 raise UsageError(f"bad year range {value!r}") from exc
+            return tuple(range(_year(first, "years"), _year(last, "years") + 1))
         try:
-            return tuple(int(part) for part in text.split(","))
+            years = [int(part) for part in text.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad year list {value!r}") from exc
-    if isinstance(value, list):
-        return tuple(_int(v, "years") for v in value)
-    return (_int(value, "years"),)
+    elif isinstance(value, list):
+        years = [_int(v, "years") for v in value]
+    else:
+        years = [_int(value, "years")]
+    return tuple(_year(y, "years") for y in years)
 
 
 def _gbm_config(raw, label: str) -> GBMConfig:
@@ -293,9 +297,9 @@ def cmd_train(opts: Options) -> int:
 
 
 def cmd_predict(opts: Options) -> int:
+    year = _year(opts.require("year"), "year")
     data = ingest_csv(opts.require("input"))
     fc = load_forecaster(opts.require("model"))
-    year = _int(opts.require("year"), "year")
     z_start = _int(opts.get("z_start"), "z_start")
     z_end = _int(opts.get("z_end"), "z_end")
     anchor = _int(opts.get("anchor"), "anchor")
@@ -377,6 +381,18 @@ def _int(value, key: str, minimum: int | None = None) -> int | None:
             f"--{key.replace('_', '-')} must be an integer{bound}, got {value!r}"
         )
     return number
+
+
+def _year(value, key: str) -> int:
+    """``value`` as a year that ``datetime.date`` can hold, else a usage
+    error naming ``--key``."""
+    year = _int(value, key)
+    if not dt.MINYEAR <= year <= dt.MAXYEAR:
+        raise UsageError(
+            f"--{key.replace('_', '-')} must be a year in "
+            f"{dt.MINYEAR}..{dt.MAXYEAR}, got {value!r}"
+        )
+    return year
 
 
 def cmd_threshold(opts: Options) -> int:

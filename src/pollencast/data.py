@@ -1,5 +1,13 @@
 """Daily pollen/weather datasets and customizable allergy-season labeling.
 
+A :class:`Dataset` is matrix-first: it holds its first date, a read-only
+(days x 12) value matrix and the dates that ingestion filled.  Its
+:class:`DailyRecord` objects are built on first access and cached, so
+reading a CSV, slicing a dataset and building features make none.
+:func:`ingest_csv` reads a plain file's values with one ``np.loadtxt``
+call, and falls back to ``csv.reader`` and ``float`` for any other file
+and to name a bad file's first failing line.
+
 A season is defined by two patient-specific thresholds: a day is "typical"
 when its pollen concentration strictly exceeds ``delta_c``, and the season
 starts on the earliest day whose 7-day leading window contains at least
@@ -15,7 +23,7 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,8 +89,8 @@ class DailyRecord:
     soil_temp: float
 
     def __post_init__(self) -> None:
-        # ingest_csv checks these rules on all its lines at once with
-        # _records_ok and makes its records without this method
+        # ingest_csv and Dataset.from_matrix check these rules on a whole
+        # value matrix at once with _records_ok
         if not all(map(math.isfinite, self.values())):
             raise NonFiniteError(f"non-finite value in record for {self.date}")
         if self.pollen < 0:
@@ -103,61 +111,128 @@ class DailyRecord:
                 self.dew_point, self.cloud_cover, self.soil_temp)
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An immutable sequence of consecutive daily records.
+    """An immutable run of consecutive days, held as a matrix.
 
-    Dates are strictly increasing with no gaps; any gap handling happens at
-    ingestion time.  Instances are safe to share across threads.  A float
-    matrix view (days x 12 series) is precomputed for feature extraction.
+    A dataset holds its first date (``start``), a read-only (n_days, 12)
+    float matrix in ``SERIES_NAMES`` order and the dates that ingestion
+    filled (load metadata, not part of its identity).  ``Dataset(records)``
+    takes consecutive :class:`DailyRecord` objects and keeps that tuple as
+    ``records``.  A dataset made from a matrix (by :func:`ingest_csv`,
+    :meth:`from_matrix` or a slice ``data[i:j]``) builds its records on
+    first access to ``records`` and caches them.  Records keep a ``-0.0``
+    that was read or given; the matrix holds it as ``0.0``.  Two datasets
+    are equal when their first dates and values are, as their records
+    would be.  Instances are safe to share across threads.
     """
 
-    records: tuple[DailyRecord, ...]
-    #: Dates synthesized by gap-filling at ingestion; load metadata only,
-    #: not part of dataset identity.
-    filled_dates: tuple[dt.date, ...] = field(default=(), compare=False)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("start", "filled_dates", "_matrix", "_values", "_records")
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    def __init__(
+        self, records: tuple[DailyRecord, ...], filled_dates: tuple[dt.date, ...] = ()
+    ) -> None:
+        if not records:
             raise InsufficientDataError("dataset has no records")
         prev = None
-        for rec in self.records:
+        for rec in records:
             if prev is not None and (rec.date - prev).days != 1:
                 raise NonMonotoneDatesError(
                     f"records must be consecutive days; saw {prev} then {rec.date}"
                 )
             prev = rec.date
-        self._keep_matrix(np.array([r.values() for r in self.records], dtype=np.float64))
+        values = np.array([r.values() for r in records], dtype=np.float64)
+        self._hold(records[0].date, values, filled_dates, records)
 
     @classmethod
-    def _checked(
-        cls,
-        records: tuple[DailyRecord, ...],
-        filled_dates: tuple[dt.date, ...],
-        matrix: np.ndarray,
+    def from_matrix(cls, start: dt.date, values: np.ndarray) -> Dataset:
+        """The days from ``start`` with the rows of an (n_days, 12) float
+        matrix in ``SERIES_NAMES`` order.  The first row that breaks a
+        :class:`DailyRecord` rule raises that record's error."""
+        values = np.array(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(SERIES_NAMES):
+            raise InvalidRecordError(
+                f"need an (n_days, {len(SERIES_NAMES)}) matrix, got shape {values.shape}"
+            )
+        if not len(values):
+            raise InsufficientDataError("dataset has no records")
+        ok = _records_ok(values)
+        if not ok.all():
+            j = int(ok.argmin())
+            DailyRecord(start + dt.timedelta(days=j), *values[j].tolist())  # raises
+        return cls._of(start, values)
+
+    @classmethod
+    def _of(
+        cls, start: dt.date, values: np.ndarray, filled_dates: tuple[dt.date, ...] = ()
     ) -> Dataset:
-        """A dataset of consecutive ``records`` and their values as a fresh
-        (n_days, 12) ``matrix``, both already checked by the caller."""
+        """A dataset of checked ``values``; its records are built when read."""
         data = object.__new__(cls)
-        object.__setattr__(data, "records", records)
-        object.__setattr__(data, "filled_dates", filled_dates)
-        data._keep_matrix(matrix)
+        data._hold(start, values, filled_dates, None)
         return data
 
-    def _keep_matrix(self, matrix: np.ndarray) -> None:
+    def _hold(
+        self,
+        start: dt.date,
+        values: np.ndarray,
+        filled_dates: tuple[dt.date, ...],
+        records: tuple[DailyRecord, ...] | None,
+    ) -> None:
         # -0.0 + 0.0 is 0.0: the max or min of a window holding both zeros
         # would otherwise take either sign by numpy's reduction path
-        matrix += 0.0
+        matrix = values + 0.0
         matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
+        if np.signbit(values[matrix == 0.0]).any():
+            values.setflags(write=False)  # the records read it, -0.0 and all
+        else:
+            values = matrix
+        set_field = object.__setattr__
+        set_field(self, "start", start)
+        set_field(self, "filled_dates", filled_dates)
+        set_field(self, "_matrix", matrix)
+        set_field(self, "_values", values)
+        set_field(self, "_records", records)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def records(self) -> tuple[DailyRecord, ...]:
+        """One :class:`DailyRecord` per day, built on first access and cached."""
+        if self._records is None:
+            first = self.start.toordinal()
+            days = map(dt.date.fromordinal, range(first, first + len(self)))
+            records = tuple(map(DailyRecord, days, *self._values.T.tolist()))
+            object.__setattr__(self, "_records", records)
+        return self._records
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.start == other.start and np.array_equal(self._matrix, other._matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self._matrix.tobytes()))
+
+    def __repr__(self) -> str:
+        first, last = self.span
+        return f"Dataset({first}..{last}, {len(self)} days, {len(self.filled_dates)} filled)"
+
+    def __getitem__(self, days: slice) -> Dataset:
+        """The days of a slice (step 1) as a dataset with no filled dates."""
+        lo, hi, step = days.indices(len(self))
+        if step != 1 or lo >= hi:
+            raise InsufficientDataError(f"dataset slice {days} is empty or has a step")
+        return Dataset._of(self.start + dt.timedelta(days=lo), self._values[lo:hi])
 
     @property
     def span(self) -> tuple[dt.date, dt.date]:
-        return self.records[0].date, self.records[-1].date
+        return self.start, self.start + dt.timedelta(days=len(self) - 1)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._matrix.shape[0]
 
     def index_of(self, date: dt.date) -> int:
         """Row index of ``date``; raises if outside the span."""
@@ -174,8 +249,11 @@ class Dataset:
         return self._matrix[:, 0]
 
     def covers_year(self, year: int) -> bool:
+        """Whether every day of ``year`` is in the dataset; False for a year
+        that ``datetime.date`` cannot hold."""
         first, last = self.span
-        return first <= dt.date(year, 1, 1) and dt.date(year, 12, 31) <= last
+        return (first.year <= year <= last.year
+                and first <= dt.date(year, 1, 1) and dt.date(year, 12, 31) <= last)
 
     def years(self) -> tuple[int, ...]:
         """Calendar years fully covered by the dataset."""
@@ -247,10 +325,6 @@ class SeasonLabel:
 # ---------------------------------------------------------------------------
 
 
-#: The fields of a :class:`DailyRecord`, in order.
-_RECORD_FIELDS: tuple[str, ...] = ("date",) + SERIES_NAMES
-
-
 def _field_error(
     row: list[str], line: int, date_at: int, value_at: list[int]
 ) -> PollencastError | None:
@@ -291,6 +365,109 @@ def _records_ok(m: np.ndarray) -> np.ndarray:
     )
 
 
+#: The bytes the fast parse reads: line feeds and printable ASCII other than
+#: the double quote.  ``csv.reader`` gives a quote or a carriage return a
+#: meaning of its own, and ``np.loadtxt`` reads a number padded with
+#: \x1c-\x1f, which ``float`` refuses.
+_PLAIN = bytes([10, *range(0x20, 0x7F)]).replace(b'"', b"")
+
+
+def _ordinal(text: str) -> int:
+    return dt.date.fromisoformat(text).toordinal()
+
+
+def _fast_rows(
+    text: str, date_at: int, value_at: list[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The date ordinals and the (n, 12) values of the lines after the first
+    line of ``text``, read by one ``np.loadtxt`` call.
+
+    None when the parse declines the text or ``np.loadtxt`` refuses it.  It
+    declines anything that ``np.loadtxt`` might read otherwise than
+    ``csv.reader``, ``dt.date.fromisoformat`` and ``float`` do: a byte
+    outside :data:`_PLAIN`, a line longer than ``csv.field_size_limit()``,
+    or nothing but white space after the header.  ``np.loadtxt`` refuses
+    what ``float`` reads only with more grammar, such as ``1_000`` or
+    non-ASCII digits, and a date column that is also read as a value.
+    Both readers skip empty lines only, and ``np.loadtxt`` hands the date
+    converter its field unstripped.
+    """
+    body = text.find("\n") + 1
+    limit = csv.field_size_limit()
+    if (
+        not body
+        or not text[body:].strip()
+        or not text.isascii()
+        or text.encode("ascii").translate(None, _PLAIN)
+        or (len(text) > limit and max(map(len, text.split("\n"))) > limit)
+    ):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                           skiprows=1, usecols=[date_at, *value_at],
+                           converters={date_at: _ordinal}, ndmin=2)
+    except ValueError:
+        return None
+    return table[:, 0].astype(np.int64), table[:, 1:]
+
+
+def _tokenized_rows(
+    reader, date_at: int, value_at: list[int]
+) -> tuple[list[int], list[dt.date], np.ndarray, PollencastError | None]:
+    """The rows that a ``csv.reader`` past the header reads, parsed with
+    ``float`` up to the first line that cannot be read or parsed: each
+    row's physical line, date and values, and that line's error (None when
+    there is none)."""
+    take = operator.itemgetter(*value_at)
+    lines: list[int] = []
+    dates: list[dt.date] = []
+    values: list[float] = []  # row-major, 12 per line
+    failure = None
+    try:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                dates.append(dt.date.fromisoformat(row[date_at]))
+                values.extend(map(float, take(row)))
+            except (IndexError, TypeError, ValueError):
+                failure = _field_error(row, reader.line_num, date_at, value_at)
+                break
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        failure = InvalidRecordError(f"line {reader.line_num}: {exc}")
+    n, width = len(lines), len(SERIES_NAMES)
+    del dates[n:], values[n * width:]
+    return lines, dates, np.array(values).reshape(n, width), failure
+
+
+def _row_checks(ordinals: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The missing days before each row after the first, and which rows
+    break a :class:`DailyRecord` rule, are dated no later than the row
+    before, or follow more than ``MAX_FILL_GAP_DAYS`` missing days."""
+    gaps = np.diff(ordinals) - 1
+    bad = ~_records_ok(m)
+    bad[1:] |= (gaps < 0) | (gaps > MAX_FILL_GAP_DAYS)
+    return gaps, bad
+
+
+def _filled(ordinals: np.ndarray, m: np.ndarray, gaps: np.ndarray) -> Dataset:
+    """The dataset of checked rows, each gap filled by repeating the row
+    before it."""
+    n = len(ordinals)
+    first = int(ordinals[0])
+    days = int(ordinals[-1]) - first + 1
+    start = dt.date.fromordinal(first)
+    if days == n:
+        return Dataset._of(start, m)
+    repeats = np.ones(n, dtype=np.intp)
+    repeats[:-1] += gaps
+    filled = np.ones(days, dtype=bool)
+    filled[ordinals - first] = False
+    filled_dates = map(dt.date.fromordinal, (np.flatnonzero(filled) + first).tolist())
+    return Dataset._of(start, m[np.repeat(np.arange(n), repeats)], tuple(filled_dates))
+
+
 def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Dataset:
     """Load a daily dataset from ``path``, validating and gap-filling.
 
@@ -301,6 +478,13 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     previous record's values; the filled dates are recorded on the returned
     dataset.  Longer gaps are an error.  A leading UTF-8 byte-order mark is
     skipped; a file that is not UTF-8 raises :class:`InvalidRecordError`.
+
+    The values of a plain file (ASCII, no quotes, ``\\n`` line ends) are
+    read by one ``np.loadtxt`` call (:func:`_fast_rows`).  Any other file,
+    or one that ``np.loadtxt`` refuses or whose rows break a rule, is read
+    line by line with ``csv.reader`` and ``float``, which the fast parse
+    must agree with.  Both routes feed the same checks and gap filling, and
+    build no records: the dataset makes them when they are read.
 
     A bad file raises the error of its first failing line, naming the
     line's physical number.  A line that the CSV reader cannot read (say,
@@ -330,39 +514,20 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     column = {name: i for i, name in enumerate(headers)}  # the last one wins
     date_at = column[header_for["date"]]
     value_at = [column[header_for[name]] for name in SERIES_NAMES]
-    take = operator.itemgetter(*value_at)
 
-    # Parse every line; the checks then run on all of them at once.
-    lines: list[int] = []
-    dates: list[dt.date] = []
-    values: list[float] = []  # row-major, 12 per line
-    failure = None  # the error of the line after the last one kept
-    try:
-        for row in reader:
-            if not row:
-                continue
-            try:
-                dates.append(dt.date.fromisoformat(row[date_at]))
-                values.extend(map(float, take(row)))
-            except (IndexError, TypeError, ValueError):
-                failure = _field_error(row, reader.line_num, date_at, value_at)
-                break
-            lines.append(reader.line_num)
-    except csv.Error as exc:
-        failure = InvalidRecordError(f"line {reader.line_num}: {exc}")
-    del reader  # frees its copy of the text before the records are made
-    n, width = len(lines), len(SERIES_NAMES)
-    del dates[n:], values[n * width:]
-    if not n:
-        if failure is not None:
-            raise failure
-        return Dataset(records=())  # raises InsufficientDataError
+    fast = _fast_rows(text, date_at, value_at)
+    if fast is not None:
+        gaps, bad = _row_checks(*fast)
+        if not bad.any():
+            return _filled(*fast, gaps)
 
-    m = np.array(values).reshape(n, width)
-    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=n)
-    gaps = np.diff(ordinals) - 1
-    bad = ~_records_ok(m)
-    bad[1:] |= (gaps < 0) | (gaps > MAX_FILL_GAP_DAYS)
+    # The tokenizer reads what the fast parse declined or refused, and
+    # finds the physical line of a file's first error.
+    lines, dates, m, failure = _tokenized_rows(reader, date_at, value_at)
+    if not lines:
+        raise failure or InsufficientDataError("dataset has no records")
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    gaps, bad = _row_checks(ordinals, m)
     if bad.any():
         j = int(bad.argmax())
         if not np.isfinite(m[j]).all():
@@ -370,7 +535,7 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
             rows = (row for row in csv.reader(io.StringIO(text, newline="")) if row)
             row = next(itertools.islice(rows, j + 1, None))
             raise _field_error(row, lines[j], date_at, value_at)
-        DailyRecord(dates[j], *values[j * width:(j + 1) * width])  # raises
+        DailyRecord(dates[j], *m[j].tolist())  # raises
         gap = int(gaps[j - 1])
         if gap < 0:
             raise NonMonotoneDatesError(
@@ -382,32 +547,7 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
         )
     if failure is not None:
         raise failure
-
-    # Repeat the line before each gap once per missing day.
-    repeats = np.ones(n, dtype=np.intp)
-    repeats[:-1] += gaps
-    source = np.repeat(np.arange(n), repeats)
-    first = int(ordinals[0])
-    days = dates if source.size == n else list(
-        map(dt.date.fromordinal, range(first, first + source.size)))
-    records = []
-    new, set_field, repeat = object.__new__, object.__setattr__, itertools.repeat
-    for date, i in zip(days, source.tolist()):
-        # _records_ok has run DailyRecord.__post_init__'s checks.  Setting
-        # each field keeps the instance's compact layout, where filling
-        # rec.__dict__ would give every record a dict of its own; any()
-        # runs the map to its end, as object.__setattr__ returns None.
-        rec = new(DailyRecord)
-        row = values[i * width:(i + 1) * width]
-        any(map(set_field, repeat(rec), _RECORD_FIELDS, (date, *row)))
-        records.append(rec)
-    filled = np.ones(source.size, dtype=bool)
-    filled[ordinals - first] = False
-    return Dataset._checked(
-        tuple(records),
-        tuple(days[k] for k in np.flatnonzero(filled).tolist()),
-        m[source] if source.size > n else m,
-    )
+    return _filled(ordinals, m, gaps)
 
 
 def emit_csv(data: Dataset, path: str) -> None:
@@ -415,15 +555,15 @@ def emit_csv(data: Dataset, path: str) -> None:
 
     Floats are written in shortest round-trip form, so
     ``ingest_csv(emit_csv(d)) == d`` and repeated emissions are
-    byte-identical.
+    byte-identical.  The rows come from the dataset's values, so no
+    records are built.
     """
+    first = data.start.toordinal()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in data.records:
-            writer.writerow(
-                [rec.date.isoformat()] + [repr(float(v)) for v in rec.values()]
-            )
+        for k, row in enumerate(data._values.tolist()):
+            writer.writerow([dt.date.fromordinal(first + k).isoformat(), *map(repr, row)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ and inference read flat feature rows in the fixed Stage-1 layout of 361
 columns: 12 series x 30 window statistics, then day-of-year.  Stage 2
 prepends the Stage-1 prediction.  A row depends only on its own 14-day
 window, so each training year and each forecast builds the rows of just the
-days it reads.
+days it reads: it slices those days' windows from the dataset's value
+matrix, and takes each row's year from the dataset's first date and the row
+index, so no :class:`~pollencast.data.DailyRecord` is built.
 
 The Stage-1 fits of one training are independent: one per out-of-fold split
 of the Stage-2 protocol, then the full fit.  They run on forked worker
@@ -248,8 +250,10 @@ def series_references(
     ys = set(years)
     if not ys:
         raise TooFewYearsError("need at least one reference year")
-    rec_years = np.array([r.date.year for r in data.records])
-    mask = np.isin(rec_years, sorted(ys))
+    first, last = data.span
+    days = np.datetime64(first, "D") + np.arange(len(data))
+    row_years = days.astype("datetime64[Y]").astype(np.int64) + 1970
+    mask = np.isin(row_years, sorted(y for y in ys if first.year <= y <= last.year))
     if not mask.any():
         raise MissingLabelError(f"dataset has no days in years {sorted(ys)}")
     matrix = data.series_matrix()
@@ -267,15 +271,16 @@ def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
     if z_lo < 1 or z_hi > n_days:
         raise error(f"year {year}: days {z_lo}..{z_hi} leave 1..{n_days}")
     start, end = data.span
-    first = (dt.date(year, 1, 1) - start).days + z_lo - WINDOW_LEN
-    last = first + WINDOW_LEN - 1 + z_hi - z_lo
+    first = last = -1  # a year outside the data's, which dt.date may not hold
+    if start.year <= year <= end.year:
+        first = (dt.date(year, 1, 1) - start).days + z_lo - WINDOW_LEN
+        last = first + WINDOW_LEN - 1 + z_hi - z_lo
     if first < 0 or last >= len(data):
         raise error(
             f"year {year}, days {z_lo}..{z_hi}: no feature window "
             f"(features cover {start + dt.timedelta(WINDOW_LEN - 1)}..{end})"
         )
-    window = Dataset(records=data.records[first:last + 1])
-    return flatten_all(build_feature_matrix(window, refs))
+    return flatten_all(build_feature_matrix(data[first:last + 1], refs))
 
 
 _YearRows = tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import DailyRecord, Dataset
+from .data import Dataset
 from .errors import InvalidRecordError
 
 
@@ -192,22 +192,6 @@ def generate_synthetic(
     pollen = pollen * washout + rng.normal(0.0, p.pollen_noise_sigma, size=n_days)
     pollen = np.maximum(pollen, 0.0)
 
-    records = tuple(
-        DailyRecord(
-            date=dates[i],
-            pollen=float(pollen[i]),
-            tmax=float(tmax[i]),
-            tmin=float(tmin[i]),
-            tavg=float(tavg[i]),
-            precip=float(precip[i]),
-            humidity=float(humidity[i]),
-            wind_speed=float(wind_speed[i]),
-            pressure=float(pressure[i]),
-            sunshine_hours=float(sunshine_hours[i]),
-            dew_point=float(dew_point[i]),
-            cloud_cover=float(cloud_cover[i]),
-            soil_temp=float(soil_temp[i]),
-        )
-        for i in range(n_days)
-    )
-    return Dataset(records=records)
+    values = np.stack([pollen, tmax, tmin, tavg, precip, humidity, wind_speed, pressure,
+                       sunshine_hours, dew_point, cloud_cover, soil_temp], axis=1)
+    return Dataset.from_matrix(dates[0], values)

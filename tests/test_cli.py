@@ -601,6 +601,21 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, main(argv[command]), EXIT_RUNTIME)
         assert "InvalidRecordError" in line and "line 4:" in line
 
+    @pytest.mark.parametrize("command", ["label", "predict"])
+    def test_csv_finite_field_over_csv_limit(self, synth_csv, trained_model,
+                                             tmp_path, capsys, command):
+        # float reads the field as a finite number; the CSV reader refuses it
+        lines = open(synth_csv).read().split("\n")
+        cells = lines[3].split(",")
+        cells[1] = "0." + "0" * 200_000 + "1"
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]))
+        argv = {"label": ["label", "--input", str(path)],
+                "predict": ["predict", "--input", str(path), "--model",
+                            trained_model, "--year", "2008", "--anchor", "110"]}
+        line = assert_one_error_line(capsys, main(argv[command]), EXIT_RUNTIME)
+        assert "InvalidRecordError" in line and "line 4:" in line
+
     @pytest.mark.parametrize("command,config,key", [
         ("label", {"delta_c": "abc"}, "--delta-c"),
         ("label", {"delta_n": 2.5}, "--delta-n"),
@@ -660,6 +675,40 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert "WorkerLostError" in line
 
+
+class TestYearRange:
+    """A year that ``datetime.date`` cannot hold is a usage error, found
+    before any data is read."""
+
+    @pytest.mark.parametrize("year", ["0", "-5", "10000", "12345678901234567890"])
+    def test_predict_year(self, synth_csv, trained_model, capsys, year):
+        code = main(["predict", "--input", synth_csv, "--model", trained_model,
+                     f"--year={year}", "--anchor", "110"])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert line.startswith("error: usage: --year must be a year in 1..9999")
+
+    @pytest.mark.parametrize("years", ["0-2003", "1-999999999", "2003,0",
+                                       "10000", "99999999999999999999-2"])
+    def test_train_years(self, synth_csv, tmp_path, capsys, years):
+        code = main(["train", "--input", synth_csv, f"--years={years}",
+                     "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert line.startswith("error: usage: --years must be a year in 1..9999")
+
+    def test_train_years_from_config(self, synth_csv, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"years": [2003, 0]}))
+        code = main(["--config", str(path), "train", "--input", synth_csv,
+                     "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert line.startswith("error: usage: --years must be a year in 1..9999")
+
+    def test_year_outside_the_data_is_a_runtime_error(self, synth_csv,
+                                                      trained_model, capsys):
+        code = main(["predict", "--input", synth_csv, "--model", trained_model,
+                     "--year", "9999", "--anchor", "110"])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert "WindowUnavailableError" in line
 
 
 #: JSON values a bundle mutation stores: every JSON type, numbers near
@@ -737,3 +786,65 @@ class TestBundleFuzz:
         errors = [ln for ln in lines if ln.startswith("error:")]
         assert len(errors) == (code == EXIT_RUNTIME)
         assert code == EXIT_OK or lines[-1] == errors[0]
+
+
+#: Bytes a CSV mutation puts in: ones that ``csv.reader`` treats specially,
+#: ones that end the fast parse's plain text, and one that is not UTF-8.
+_CSV_BYTES = (b"\x00", b'"', b"\r", b"\n", b",", b"_", b"#", b" ", b"\x1f", b"\xff",
+              "１".encode())
+
+
+@st.composite
+def csv_mutations(draw, data: bytes) -> bytes:
+    """A valid CSV's bytes with one to three mutations: truncated, a byte
+    put in, a line duplicated or two lines swapped, or a field blown up
+    (over ``csv.field_size_limit()``, or long but under it)."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "insert", "duplicate", "swap", "blow_up"]))
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(_CSV_BYTES)) + data[at:]
+        else:
+            lines = data.split(b"\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in "ij")
+            if kind == "duplicate":
+                lines.insert(j, lines[i])
+            elif kind == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                cells = lines[i].split(b",")
+                cells[j % len(cells)] = draw(st.sampled_from([
+                    b"9" * 200_000, b"0." + b"0" * 200_000 + b"1", b"1" * 400]))
+                lines[i] = b",".join(cells)
+            data = b"\n".join(lines)
+    return data
+
+
+class TestCsvFuzz:
+    """Random damage to a valid CSV: ``label`` and ``predict`` exit 0, or 2
+    or 64 with one ``error:`` line, never with a traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_damaged_csv_exits_cleanly(self, trained_model, spring_2008, data):
+        with open(spring_2008, "rb") as fh:
+            damaged = data.draw(csv_mutations(fh.read()), label="csv")
+        path = os.path.join(os.path.dirname(spring_2008), "damaged.csv")
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        for argv in (["label", "--input", path],
+                     ["predict", "--input", path, "--model", trained_model,
+                      "--year", "2008", "--anchor", "110"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
+            assert "Traceback" not in err.getvalue()
+            lines = err.getvalue().splitlines()
+            errors = [ln for ln in lines if ln.startswith("error:")]
+            assert len(errors) == (code != EXIT_OK)
+            assert code == EXIT_OK or lines[-1] == errors[0]

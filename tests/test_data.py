@@ -1,11 +1,13 @@
 import csv
 import datetime as dt
+import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pollencast.data import (
@@ -16,6 +18,8 @@ from pollencast.data import (
     SeasonDefinition,
     SeasonLabel,
     emit_csv,
+    _row_checks,
+    _fast_rows,
     ingest_csv,
     label_season,
     label_years,
@@ -29,6 +33,7 @@ from pollencast.errors import (
     NonMonotoneDatesError,
     PollencastError,
 )
+from pollencast.synth import generate_synthetic
 
 from helpers import (
     dataset_from_pollen,
@@ -77,6 +82,10 @@ class TestDailyRecord:
         assert CSV_COLUMNS[1] == "pollen"
 
 
+#: A valid record's values, in ``SERIES_NAMES`` order.
+NEUTRAL_ROW = make_record(dt.date(2020, 1, 1), 5.0).values()
+
+
 class TestDataset:
     def test_gap_rejected(self):
         recs = (
@@ -105,6 +114,60 @@ class TestDataset:
         data = dataset_from_pollen([1.0, 2.0], dt.date(2020, 3, 1))
         with pytest.raises(ValueError):
             data.series_matrix()[0, 0] = 5.0
+
+    def test_records_given_are_kept(self):
+        recs = tuple(make_record(dt.date(2020, 3, 1) + dt.timedelta(k), 1.0)
+                     for k in range(3))
+        assert Dataset(records=recs).records is recs
+
+    def test_records_built_once_from_the_matrix(self):
+        data = Dataset.from_matrix(dt.date(2020, 2, 28), np.tile(NEUTRAL_ROW, (3, 1)))
+        assert data.records is data.records
+        assert [r.date for r in data.records] == [
+            dt.date(2020, 2, 28), dt.date(2020, 2, 29), dt.date(2020, 3, 1)]
+        assert all(r.values() == NEUTRAL_ROW for r in data.records)
+
+    def test_from_matrix_raises_the_first_bad_record_error(self):
+        m = np.tile(NEUTRAL_ROW, (4, 1))
+        m[3, 5] = 101.0  # humidity
+        m[2, 0] = -1.0  # pollen
+        with pytest.raises(InvalidRecordError, match=r"^2020-03-03: pollen must be >= 0$"):
+            Dataset.from_matrix(dt.date(2020, 3, 1), m)
+        with pytest.raises(InsufficientDataError):
+            Dataset.from_matrix(dt.date(2020, 3, 1), np.empty((0, 12)))
+        with pytest.raises(InvalidRecordError):
+            Dataset.from_matrix(dt.date(2020, 3, 1), np.ones((2, 11)))
+
+    def test_slice_is_the_dataset_of_its_records(self):
+        data = dataset_from_pollen([0.0, -0.0, 2.0, 3.0, 4.0], dt.date(2020, 3, 1))
+        part = data[1:4]
+        assert part == Dataset(records=data.records[1:4])
+        assert part.span == (dt.date(2020, 3, 2), dt.date(2020, 3, 4))
+        assert part.series_matrix().tobytes() == data.series_matrix()[1:4].tobytes()
+        assert math.copysign(1.0, part.records[0].pollen) == -1.0
+        for empty_or_strided in (slice(2, 2), slice(0, 4, 2)):
+            with pytest.raises(InsufficientDataError):
+                data[empty_or_strided]
+
+    def test_equality_and_hash_follow_first_date_and_values(self):
+        data = dataset_from_pollen([1.0, 0.0], dt.date(2020, 3, 1))
+        same = Dataset.from_matrix(dt.date(2020, 3, 1), data.series_matrix())
+        assert data == same and hash(data) == hash(same)
+        assert data == dataset_from_pollen([1.0, -0.0], dt.date(2020, 3, 1))
+        assert data != dataset_from_pollen([1.0, 0.5], dt.date(2020, 3, 1))
+        assert data != dataset_from_pollen([1.0, 0.0], dt.date(2020, 3, 2))
+
+    def test_immutable(self):
+        data = dataset_from_pollen([1.0], dt.date(2020, 3, 1))
+        with pytest.raises(AttributeError):
+            data.start = dt.date(2021, 3, 1)
+
+    def test_year_outside_date_range_not_covered(self):
+        data = dataset_from_pollen([0.0] * 400, dt.date(2019, 12, 1))
+        for year in (0, -5, 10_000, 10**20):
+            assert not data.covers_year(year)
+            with pytest.raises(InsufficientDataError):
+                label_season(data, SeasonDefinition(delta_c=1.0, delta_n=1), year)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +337,12 @@ FAULTS = ("short_row", "bad_date", "bad_number", "negative_pollen",
           "earlier_date", "field_over_csv_limit")
 
 
-def _value_text(rng: random.Random, v: float) -> str:
-    """``v`` written in one of the ways ``float`` reads."""
+def _value_text(rng: random.Random, v: float, plain: bool = False) -> str:
+    """``v`` written in one of the ways ``float`` reads; never with ``_``
+    when ``plain``."""
     if v == 0.0 and rng.random() < 0.3:
         return rng.choice(["-0", "-0.0", "0", "+0.0"])
-    if v == int(v) and abs(v) < 1e6 and rng.random() < 0.2:
+    if not plain and v == int(v) and abs(v) < 1e6 and rng.random() < 0.2:
         return f"{int(v):_}"  # 1_000
     return rng.choice(["{!r}", " {!r}", "{!r} ", "{:.3f}", "{:e}"]).format(v)
 
@@ -300,8 +364,11 @@ def _valid_values(rng: random.Random) -> list[float]:
 def csv_files(draw):
     """CSV text and the column map to read it with: any column order,
     extra and duplicated columns, blank lines, a byte-order mark, quoted
-    fields and gaps of 1-5 days, and up to two faults put into its lines."""
+    fields and gaps of 1-5 days, and up to two faults put into its lines.
+    About half the files are plain (no quotes, ``\n`` line ends and no
+    ``_`` in a number), which the fast parse reads."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    plain = draw(st.booleans())
     column_map = {"date": "day"} if draw(st.booleans()) else {}
     names = [column_map.get(c, c) for c in CSV_COLUMNS]
     header = draw(st.permutations(names + ["station", "notes"][: draw(st.integers(0, 2))]))
@@ -316,7 +383,8 @@ def csv_files(draw):
     days = [first + dt.timedelta(days=k + sum(gaps[: k + 1])) for k in range(n)]
     rows = [
         dict(date=day.isoformat(),
-             **{name: _value_text(rng, v) for name, v in zip(SERIES_NAMES, _valid_values(rng))})
+             **{name: _value_text(rng, v, plain)
+                for name, v in zip(SERIES_NAMES, _valid_values(rng))})
         for day in days
     ]
     faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, n - 1)),
@@ -349,11 +417,11 @@ def csv_files(draw):
             canonical = CSV_COLUMNS[names.index(name)] if name in names else None
             last = name not in header[pos + 1:]
             text = row[canonical] if canonical and last else ("junk" if canonical else "x")
-            cells.append(f'"{text}"' if rng.random() < 0.1 else text)
+            cells.append(f'"{text}"' if not plain and rng.random() < 0.1 else text)
         lines.append(",".join(cells[: short.get(k, len(cells))]))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(rng.randint(1, len(lines)), "")
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    text = ("\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))).join(lines) + "\n"
     if draw(st.booleans()):
         text = "\ufeff" + text
     return text, column_map
@@ -385,6 +453,111 @@ class TestIngestDifferential:
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(ingest_csv, str(path), column_map) == _outcome(
             reference_ingest_csv, str(path), column_map)
+
+
+def _fast_read(text: str, column_map: dict):
+    """What the fast parse makes of a file's text: None when it declines or
+    refuses it, else each row's date and values (as hex)."""
+    text = text.removeprefix("\ufeff")  # as reading the file with utf-8-sig
+    headers = next(csv.reader(io.StringIO(text, newline="")))
+    column = {name: i for i, name in enumerate(headers)}  # the last one wins
+    at = [column[column_map.get(name, name)] for name in CSV_COLUMNS]
+    rows = _fast_rows(text, at[0], at[1:])
+    if rows is None:
+        return None
+    ordinals, values = rows
+    return ordinals, values, [
+        (dt.date.fromordinal(o), *map(float.hex, v))
+        for o, v in zip(ordinals.tolist(), values.tolist())]
+
+
+def plain_csv(n: int = 3) -> str:
+    """A valid CSV of ``n`` days that the fast parse reads."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(map(str, full_row(f"2020-03-0{k + 1}"))) for k in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+#: Texts that ``np.loadtxt`` could read otherwise than ``csv.reader`` and
+#: ``float``, made from :func:`plain_csv`, and the error they raise (None
+#: for a file that reads).
+FAST_PARSE_HAZARDS = {
+    # comments=None: '#' is no comment, so the field does not parse
+    "comment": (lambda t: t.replace(",5.0,", ",1.5#x,", 1), NonFiniteError),
+    # np.loadtxt hands the converter a line of blanks, as csv.reader does
+    "blank_line": (lambda t: t.replace("\n", "\n   \n", 1), NonMonotoneDatesError),
+    "lone_cr": (lambda t: t.replace("\n", "\r", 2), None),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), None),
+    "nul": (lambda t: t.replace(",5.0,", ",5.0\x00,", 1), NonFiniteError),
+    "nul_in_extra_column": (
+        lambda t: "\n".join(f"{ln},\x00" for ln in t.split("\n")[:-1]) + "\n", None),
+    "padded_date": (lambda t: t.replace("\n2020", "\n 2020", 1), NonMonotoneDatesError),
+    "padded_date_end": (lambda t: t.replace("-01,", "-01 ,", 1), NonMonotoneDatesError),
+    "info_separator": (lambda t: t.replace(",5.0,", ",5.0\x1f,", 1), NonFiniteError),
+    "full_width_digits": (lambda t: t.replace(",5.0,", ",１２,", 1), None),
+    "underscore": (lambda t: t.replace(",1013.0,", ",1_013.0,", 1), None),
+    "quoted": (lambda t: t.replace(",5.0,", ',"5.0",', 1), None),
+    # float reads it as a finite number, but csv.reader refuses the field
+    "finite_field_over_csv_limit": (
+        lambda t: t.replace(",5.0,", ",0." + "0" * 200_000 + "1,", 1), InvalidRecordError),
+}
+
+
+class TestFastParse:
+    """``ingest_csv`` reads a plain file with one ``np.loadtxt`` call; the
+    parse must decline every other file, or read it as the oracle does."""
+
+    @given(case=csv_files())
+    @settings(max_examples=250, deadline=None)
+    def test_declines_or_reads_as_the_oracle(self, tmp_path_factory, case):
+        text, column_map = case
+        fast = _fast_read(text, column_map)
+        event("read" if fast else "declined")
+        if fast is None:
+            return
+        ordinals, values, rows = fast
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            data = reference_ingest_csv(str(path), column_map)
+        except PollencastError as exc:
+            # a field that does not parse must make np.loadtxt refuse; a
+            # rule, order or gap error is the checks' to find
+            assert not re.search("bad date|cannot parse|field larger", str(exc))
+            assert _row_checks(ordinals, values)[1].any()
+            return
+        filled = set(data.filled_dates)
+        assert rows == [(r.date, *map(float.hex, r.values()))
+                        for r in data.records if r.date not in filled]
+
+    def test_plain_files_are_read(self, tmp_path):
+        assert _fast_read(plain_csv(), {}) is not None
+        path = tmp_path / "d.csv"
+        emit_csv(generate_synthetic(seed=3, years=1), str(path))
+        assert _fast_read(path.read_text(), {}) is not None
+
+    def test_date_column_read_as_a_value_refused(self, tmp_path):
+        # np.loadtxt hands the converter the date column once, and refuses
+        # to read it as the pollen value
+        path = tmp_path / "d.csv"
+        path.write_text(plain_csv())
+        column_map = {"pollen": "date"}
+        assert _fast_read(plain_csv(), column_map) is None
+        outcome = _outcome(ingest_csv, str(path), column_map)
+        assert outcome == _outcome(reference_ingest_csv, str(path), column_map)
+        assert outcome[0] is NonFiniteError
+
+    @pytest.mark.parametrize("hazard", sorted(FAST_PARSE_HAZARDS))
+    def test_hazard_declined(self, tmp_path, hazard):
+        change, error = FAST_PARSE_HAZARDS[hazard]
+        text = change(plain_csv())
+        assert text != plain_csv()
+        assert _fast_read(text, {}) is None
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        outcome = _outcome(ingest_csv, str(path), {})
+        assert outcome == _outcome(reference_ingest_csv, str(path), {})
+        assert outcome[0] is error if error else isinstance(outcome[0], list)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -597,6 +770,39 @@ class TestOracleEquivalence:
                 assert label_season(data, season_def, year) == label_brute_force(
                     data, season_def, year
                 )
+
+
+@st.composite
+def labeling_cases(draw):
+    """A dataset of 300-1,100 days made from its matrix, with clustered
+    pollen spikes and values at the threshold, a season rule and a year in
+    the data or next to it."""
+    delta_c = draw(st.sampled_from([50.0, 120.0, 200.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_days = draw(st.integers(300, 1100))
+    values = np.tile(NEUTRAL_ROW, (n_days, 1))
+    values[:, 0] = random_year_pollen(rng, delta_c, n_days)
+    values[rng.random(n_days) < 0.05, 0] = delta_c  # not typical: > is strict
+    data = Dataset.from_matrix(draw(st.dates(dt.date(1999, 6, 1), dt.date(2002, 6, 1))),
+                               values)
+    first, last = data.span
+    year = draw(st.integers(first.year - 1, last.year + 1))
+    return data, SeasonDefinition(delta_c=delta_c, delta_n=draw(st.integers(1, 7))), year
+
+
+class TestLabelOracleProperty:
+    @given(case=labeling_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_label_equals_brute_force(self, case):
+        data, sd, year = case
+
+        def outcome(label):
+            try:
+                return label(data, sd, year)
+            except InsufficientDataError as exc:  # the year is not covered
+                return str(exc)
+
+        assert outcome(label_season) == outcome(label_brute_force)
 
 
 class TestLabelProperties:

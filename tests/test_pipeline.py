@@ -138,6 +138,10 @@ class TestSeriesReferences:
         with pytest.raises(MissingLabelError):
             pl.series_references(seed42_dataset, season_def, (1950,))
 
+    def test_years_outside_date_range_rejected(self, seed42_dataset, season_def):
+        with pytest.raises(MissingLabelError):
+            pl.series_references(seed42_dataset, season_def, (0, 10_000, 10**20))
+
 
 class TrainingSetChecks:
     """Argument checks that build_s1 and build_s2 share; the test classes
@@ -499,6 +503,11 @@ class TestDayRows:
                                             error, year, z_lo, z_hi):
         with pytest.raises(error):
             pl._day_rows(seed42_dataset, full[0], year, z_lo, z_hi, error)
+
+    @pytest.mark.parametrize("year", [0, -5, 10_000, 10**20])
+    def test_year_outside_date_range_rejected(self, seed42_dataset, full, year):
+        with pytest.raises(WindowUnavailableError, match=f"^year {year}, days 1..10: "):
+            pl._day_rows(seed42_dataset, full[0], year, 1, 10, WindowUnavailableError)
 
     def test_span_past_a_cut_rejected(self, seed42_dataset, full):
         cut = Dataset(records=seed42_dataset.records[
