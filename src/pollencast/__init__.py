@@ -33,7 +33,6 @@ from .synth import GeneratorProfile, generate_synthetic
 from .wls import (
     FinalForecast,
     ForecastSeries,
-    PredictionPoint,
     final_forecast,
     fit_wls,
     min_days,
@@ -52,7 +51,6 @@ __all__ = [
     "Forecaster",
     "ForecastSeries",
     "GeneratorProfile",
-    "PredictionPoint",
     "SeasonDefinition",
     "SeasonLabel",
     "build_s1",

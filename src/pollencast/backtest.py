@@ -58,6 +58,10 @@ class Fold:
             )
 
 
+#: How a fold picks the days its test year is forecast on (see BacktestConfig).
+Z_RANGE_POLICIES = ("train_mean", "truth")
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     """Folds plus everything needed to train and forecast each one.
@@ -78,7 +82,7 @@ class BacktestConfig:
     stage2_protocol: str = "loyo"
 
     def __post_init__(self) -> None:
-        if self.z_range_policy not in ("train_mean", "truth"):
+        if self.z_range_policy not in Z_RANGE_POLICIES:
             raise InvalidRecordError(
                 f"unknown z_range policy {self.z_range_policy!r}"
             )
@@ -192,19 +196,13 @@ def _convergence_trace(
 ) -> tuple[TracePoint, ...]:
     points = []
     for k in range(2, len(series) + 1):
-        reduces = n_min is not None and k >= n_min
         try:
             ff = final_forecast(fit_wls(series.prefix(k)))
-            points.append(
-                TracePoint(k=k, y_star=ff.y_star,
-                           sigma_y_star=ff.sigma_y_star,
-                           theory_reduces=reduces)
-            )
+            y_star, sigma = ff.y_star, ff.sigma_y_star
         except DegenerateSlopeError:
-            points.append(
-                TracePoint(k=k, y_star=None, sigma_y_star=None,
-                           theory_reduces=reduces)
-            )
+            y_star = sigma = None
+        points.append(TracePoint(k=k, y_star=y_star, sigma_y_star=sigma,
+                                 theory_reduces=n_min is not None and k >= n_min))
     return tuple(points)
 
 
@@ -227,14 +225,14 @@ def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
     fit = fit_wls(series)
     final = final_forecast(fit)
     analysis = min_days(fit.beta0, fit.beta1, z_start=float(z_range[0]))
-    last = series.points[-1]
+    z, y_hat, _u_hat = series.arrays()
     return FoldResult(
         test_year=fold.test_year,
         truth=truth,
         y_star=final.y_star,
         sigma_y_star=final.sigma_y_star,
         abs_error=abs(final.y_star - truth),
-        stage1_last_day=last.z + last.y_hat,
+        stage1_last_day=float(z[-1] + y_hat[-1]),
         z_range=z_range,
         beta0=fit.beta0,
         beta1=fit.beta1,

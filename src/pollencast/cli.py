@@ -19,7 +19,14 @@ from . import backtest as bt
 from .data import SeasonDefinition, ingest_csv, label_years
 from .errors import PollencastError
 from .gbm import GBMConfig
-from .pipeline import DEFAULT_HORIZON, load_forecaster, save_forecaster, train_forecaster
+from .pipeline import (
+    BOUNDARIES,
+    DEFAULT_HORIZON,
+    PROTOCOLS,
+    load_forecaster,
+    save_forecaster,
+    train_forecaster,
+)
 from .synth import GeneratorProfile, generate_synthetic
 from .wls import (
     emit_forecast_json,
@@ -44,7 +51,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the 64 usage-error convention instead of 2."""
+    """argparse with the 64 usage-error convention instead of 2.
+
+    A string option (a path or a choice) is declared with ``type=str``, so
+    that a config value can be held to the same declaration as its flag.
+    """
+
+    #: The subcommand parsers by name, set on the top-level parser.
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
@@ -74,54 +88,54 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic daily dataset CSV")
     _global_flags(p)
     p.add_argument("--years", type=int, help="number of calendar years")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--profile", help="generator profile JSON")
+    p.add_argument("--out", type=str, help="output CSV path")
+    p.add_argument("--profile", type=str, help="generator profile JSON")
 
     p = sub.add_parser("label",
                        help="print per-year season labels as CSV")
     _global_flags(p)
-    p.add_argument("--input", help="daily dataset CSV")
+    p.add_argument("--input", type=str, help="daily dataset CSV")
     p.add_argument("--delta-c", type=float, help="concentration threshold")
     p.add_argument("--delta-n", type=int, help="typical-day count threshold")
 
     p = sub.add_parser("train",
                        help="train the two-stage forecaster and save it")
     _global_flags(p)
-    p.add_argument("--input", help="daily dataset CSV")
+    p.add_argument("--input", type=str, help="daily dataset CSV")
     p.add_argument("--years", help="training years, e.g. 2003-2012 or a list")
-    p.add_argument("--boundary", choices=("start", "end"))
+    p.add_argument("--boundary", type=str, choices=BOUNDARIES)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--protocol", choices=("loyo", "holdout"))
+    p.add_argument("--protocol", type=str, choices=PROTOCOLS)
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
-    p.add_argument("--out", help="forecaster JSON path")
+    p.add_argument("--out", type=str, help="forecaster JSON path")
 
     p = sub.add_parser("predict",
                        help="forecast one year with a saved forecaster")
     _global_flags(p)
-    p.add_argument("--input", help="daily dataset CSV")
-    p.add_argument("--model", help="forecaster JSON from `train`")
+    p.add_argument("--input", type=str, help="daily dataset CSV")
+    p.add_argument("--model", type=str, help="forecaster JSON from `train`")
     p.add_argument("--year", type=int)
     p.add_argument("--anchor", type=int,
                    help="last prediction day; window is (anchor-H, anchor)")
     p.add_argument("--z-start", type=int)
     p.add_argument("--z-end", type=int)
-    p.add_argument("--out-series", help="per-day predictions CSV")
-    p.add_argument("--out-forecast", help="final forecast JSON")
+    p.add_argument("--out-series", type=str, help="per-day predictions CSV")
+    p.add_argument("--out-forecast", type=str, help="final forecast JSON")
 
     p = sub.add_parser("backtest",
                        help="rolling-origin evaluation with report files")
     _global_flags(p)
-    p.add_argument("--input", help="daily dataset CSV")
+    p.add_argument("--input", type=str, help="daily dataset CSV")
     p.add_argument("--test-years", type=int,
                    help="number of trailing years to test")
-    p.add_argument("--boundary", choices=("start", "end"))
+    p.add_argument("--boundary", type=str, choices=BOUNDARIES)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--policy", choices=("train_mean", "truth"))
-    p.add_argument("--protocol", choices=("loyo", "holdout"))
+    p.add_argument("--policy", type=str, choices=bt.Z_RANGE_POLICIES)
+    p.add_argument("--protocol", type=str, choices=PROTOCOLS)
     p.add_argument("--delta-c", type=float)
     p.add_argument("--delta-n", type=int)
-    p.add_argument("--out-dir", help="report directory")
+    p.add_argument("--out-dir", type=str, help="report directory")
 
     p = sub.add_parser("threshold",
                        help="minimum-day-count table for assumed coefficients")
@@ -130,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta1", type=float)
     p.add_argument("--z-start", type=float)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--out", help="optional CSV path for the table")
+    p.add_argument("--out", type=str, help="optional CSV path for the table")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -177,8 +192,25 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+def _check_config(flags: Sequence[argparse.Action], args: argparse.Namespace,
+                  config: dict) -> None:
+    """Hold each config value the command reads to its flag's declaration:
+    a string option takes a JSON string, a choice one of its choices."""
+    for action in flags:
+        key = action.dest
+        if config.get(key) is None or getattr(args, key, None) is not None:
+            continue  # unset in the config, or its flag was given
+        value, flag = config[key], f"--{key.replace('_', '-')}"
+        if action.type is str and not isinstance(value, str):
+            raise UsageError(f"{flag} must be a string, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{flag} must be one of "
+                             f"{', '.join(action.choices)}, got {value!r}")
+
+
 class Options:
-    """Effective option values: flag if given, else config value, else default."""
+    """Effective option values: flag if given, else config value, else
+    default.  A config value of null leaves the option unset."""
 
     def __init__(self, args: argparse.Namespace, config: dict) -> None:
         self._args = args
@@ -188,9 +220,8 @@ class Options:
         flag = getattr(self._args, key, None)
         if flag is not None:
             return flag
-        if key in self._config:
-            return self._config[key]
-        return default
+        value = self._config.get(key)
+        return default if value is None else value
 
     def require(self, key: str):
         value = self.get(key)
@@ -352,7 +383,7 @@ def _finite(value, key: str) -> float:
     """``value`` as a finite float, else a usage error naming ``--key``."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise UsageError(
@@ -435,6 +466,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config_file(args.config)
+        # argparse lists a parser's declared options only in _actions
+        _check_config(parser.commands[args.command]._actions, args, config)
         opts = Options(args, config)
         if opts.get("verbose"):
             logging.basicConfig(level=logging.INFO, stream=sys.stderr,

@@ -58,7 +58,7 @@ from .features import (
     build_feature_matrix,
     flatten_all,
 )
-from .wls import ForecastSeries, PredictionPoint
+from .wls import BOUNDARIES, ForecastSeries
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor, Future
@@ -72,7 +72,6 @@ __all__ = [
     "Stage1Model",
     "Stage2Model",
     "Forecaster",
-    "PredictionPoint",
     "ForecastSeries",
     "series_references",
     "build_s1",
@@ -99,9 +98,6 @@ BUNDLE_FORMAT = "forecaster-json-v2"
 #: Flat Stage-1 columns: the window statistics of every series, then
 #: day-of-year.  Stage 2 prepends the Stage-1 prediction.
 STAGE1_COLUMNS = len(SERIES_NAMES) * N_FEATURES + 1
-
-#: The season boundaries a countdown can run to.
-BOUNDARIES = ("start", "end")
 
 #: The Stage-2 protocols: leave one year out, or fit on the first half of
 #: the years and score the rest.
@@ -660,11 +656,8 @@ def predict_series(
         s2m.model, np.concatenate([y_hat[:, None], x], axis=1)
     )
     u_hat = np.maximum(u_raw, s2m.u_floor)
-    points = tuple(
-        PredictionPoint(z=float(z), y_hat=float(y), u_hat=float(u))
-        for z, y, u in zip(range(z_lo, z_hi + 1), y_hat, u_hat)
-    )
-    return ForecastSeries(points=points, boundary=s1m.boundary, year=year)
+    return ForecastSeries(first_z=z_lo, y_hat=y_hat, u_hat=u_hat,
+                          boundary=s1m.boundary, year=year)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Predictions made on consecutive days z for the same season boundary must
 fall on a line of slope -1 (one day closer per day), so a weighted linear
 fit of prediction against day turns the whole series into one estimate:
 the z-intercept -beta0/beta1 is the forecast boundary day.  Weights come
-from per-day uncertainty (w = 1/u^2).
+from per-day uncertainty (w = 1/u^2).  A series is held as arrays: its
+first day, then one predicted countdown and one uncertainty per day.
 
 The theory half quantifies when fusing N consecutive predictions beats a
 single prediction: a threshold function f_th(N) compares the propagated
@@ -19,7 +20,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,51 +36,65 @@ from .errors import (
 #: Smallest |slope| from which a boundary date may still be extracted.
 SLOPE_FLOOR = 1e-6
 
-
-@dataclass(frozen=True)
-class PredictionPoint:
-    """One day's prediction: day z, predicted countdown, uncertainty (std)."""
-
-    z: float
-    y_hat: float
-    u_hat: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.z, self.y_hat, self.u_hat)):
-            raise NonFiniteError("prediction point has non-finite fields")
-        if self.u_hat <= 0:
-            raise NonPositiveWeightError(f"u_hat must be > 0, got {self.u_hat}")
+#: The season boundaries a countdown can run to.
+BOUNDARIES = ("start", "end")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastSeries:
-    """Predictions at consecutive days z for one year's season boundary."""
+    """Predictions for one year's season boundary at consecutive days.
 
-    points: tuple[PredictionPoint, ...]
+    Day i of the series is z = first_z + i; ``y_hat[i]`` is its predicted
+    countdown and ``u_hat[i]`` (> 0) its uncertainty, a standard deviation.
+    Both are read-only float64 arrays of one length.  Series compare equal
+    when every field is equal, the arrays element by element.
+    """
+
+    first_z: float
+    y_hat: np.ndarray
+    u_hat: np.ndarray
     boundary: str
     year: int
 
     def __post_init__(self) -> None:
-        if self.boundary not in ("start", "end"):
+        if self.boundary not in BOUNDARIES:
             raise InvalidRecordError(
                 f"boundary must be 'start' or 'end', got {self.boundary!r}"
             )
-        zs = [p.z for p in self.points]
-        if any(b - a != 1 for a, b in zip(zs, zs[1:])):
-            raise InvalidRecordError("points must sit at consecutive days z")
+        first_z = float(self.first_z)
+        y, u = np.array(self.y_hat, np.float64), np.array(self.u_hat, np.float64)
+        if y.ndim != 1 or y.shape != u.shape:
+            raise InvalidRecordError(f"y_hat and u_hat must be 1-D of one "
+                                     f"length, got {y.shape} and {u.shape}")
+        if not (math.isfinite(first_z) and np.isfinite(y).all()
+                and np.isfinite(u).all()):
+            raise NonFiniteError("forecast series has non-finite values")
+        if (u <= 0).any():
+            raise NonPositiveWeightError(f"u_hat must be > 0, got {u.min()}")
+        y.flags.writeable = u.flags.writeable = False
+        object.__setattr__(self, "first_z", first_z)
+        object.__setattr__(self, "y_hat", y)
+        object.__setattr__(self, "u_hat", u)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ForecastSeries)
+                and (self.first_z, self.boundary, self.year)
+                == (other.first_z, other.boundary, other.year)
+                and np.array_equal(self.y_hat, other.y_hat)
+                and np.array_equal(self.u_hat, other.u_hat))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.y_hat.size
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = np.array([p.z for p in self.points], dtype=np.float64)
-        y = np.array([p.y_hat for p in self.points], dtype=np.float64)
-        u = np.array([p.u_hat for p in self.points], dtype=np.float64)
-        return z, y, u
+        """(z, y_hat, u_hat), with z = first_z + 0, 1, 2, ..."""
+        z = self.first_z + np.arange(len(self), dtype=np.float64)
+        return z, self.y_hat, self.u_hat
 
     def prefix(self, k: int) -> "ForecastSeries":
-        """The series truncated to its first k points."""
-        return ForecastSeries(points=self.points[:k], boundary=self.boundary,
+        """The series truncated to its first k days."""
+        return ForecastSeries(first_z=self.first_z, y_hat=self.y_hat[:k],
+                              u_hat=self.u_hat[:k], boundary=self.boundary,
                               year=self.year)
 
 
@@ -100,15 +114,12 @@ class WLSFit:
     var_beta1: float
     sigma_prime_sq: float
     n_points: int
-    weights_used: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise TooFewPointsError("a line fit needs at least 2 points")
         if self.var_beta0 < 0 or self.var_beta1 < 0 or self.sigma_prime_sq < 0:
             raise InvalidRecordError("variances must be non-negative")
-        if any(w <= 0 for w in self.weights_used):
-            raise NonPositiveWeightError("all weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,34 +155,32 @@ class ThresholdAnalysis:
                 raise InvalidRecordError("f_th(n_min - 1) must be >= 1")
 
 
-def fit_wls(series: ForecastSeries | Sequence[PredictionPoint]) -> WLSFit:
+def fit_wls(series: ForecastSeries) -> WLSFit:
     """Fit y_hat = beta0 + beta1 z by weighted least squares, w = 1/u_hat^2.
 
     Also returns the coefficient-variance approximations; with uniform
     weights these reduce to the textbook simple-regression formulas.
     """
-    points = series.points if isinstance(series, ForecastSeries) else tuple(series)
-    if len(points) < 2:
-        raise TooFewPointsError(f"need at least 2 points, got {len(points)}")
-    z = np.array([p.z for p in points], dtype=np.float64)
-    y = np.array([p.y_hat for p in points], dtype=np.float64)
-    u = np.array([p.u_hat for p in points], dtype=np.float64)
-    if (u <= 0).any():
-        raise NonPositiveWeightError("all u_hat must be positive")
+    n = len(series)
+    if n < 2:
+        raise TooFewPointsError(f"need at least 2 points, got {n}")
+    z, y, u = series.arrays()
     w = 1.0 / u**2
     if not np.isfinite(w).all():
         raise NonPositiveWeightError("weights overflow: u_hat too small")
+    if not (w > 0).all():
+        raise NonPositiveWeightError("weights underflow to 0: u_hat too large")
 
     w_sum = w.sum()
     z_bar = float((w * z).sum() / w_sum)
     y_bar = float((w * y).sum() / w_sum)
     s_zz = float((w * (z - z_bar) ** 2).sum())
     if s_zz == 0.0:
+        # consecutive days round to one value from z = 2**53 on
         raise DegenerateDesignError("all z identical; slope undefined")
     beta1 = float((w * (z - z_bar) * (y - y_bar)).sum() / s_zz)
     beta0 = y_bar - beta1 * z_bar
 
-    n = len(points)
     residuals = y - (beta0 + beta1 * z)
     sigma0_sq = float((w * residuals**2).sum() / w_sum)
     sigma_prime_sq = sigma0_sq / n
@@ -188,7 +197,6 @@ def fit_wls(series: ForecastSeries | Sequence[PredictionPoint]) -> WLSFit:
         var_beta1=float(var_beta1),
         sigma_prime_sq=float(sigma_prime_sq),
         n_points=n,
-        weights_used=tuple(float(v) for v in w),
     )
 
 
@@ -228,9 +236,12 @@ def threshold_function(beta0: float, beta1: float, n: int, z_start: float) -> fl
     if beta1 == 0.0:
         raise ZeroSlopeError("beta1 must be nonzero")
     z_bar, s = _day_moments(n, z_start)
-    return (1.0 / (n * beta1**2)) * (
-        1.0 / n + z_bar**2 / s + (beta0**2 / beta1**2) / s
-    )
+    try:
+        return (1.0 / (n * beta1**2)) * (
+            1.0 / n + z_bar**2 / s + (beta0**2 / beta1**2) / s
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteError(f"f_th({n}) leaves the float range: {exc}") from exc
 
 
 def min_days(
@@ -316,11 +327,9 @@ def monte_carlo_variance(
     for t in range(trials):
         rng = np.random.default_rng(streams[t])
         y = boundary - z + rng.normal(0.0, sigma0, size=n) if sigma0 > 0 else boundary - z
-        points = tuple(
-            PredictionPoint(z=float(zi), y_hat=float(yi), u_hat=1.0)
-            for zi, yi in zip(z, y)
-        )
-        fc = final_forecast(fit_wls(points))
+        # the fit reads neither the boundary nor the year of a series
+        fc = final_forecast(fit_wls(ForecastSeries(
+            first_z=z_start, y_hat=y, u_hat=np.ones(n), boundary="start", year=0)))
         y_stars[t] = fc.y_star
         sigmas[t] = fc.sigma_y_star
     return MonteCarloResult(
@@ -366,5 +375,5 @@ def emit_series_csv(series: ForecastSeries, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z", "y_hat", "u_hat"])
-        for p in series.points:
-            writer.writerow([repr(float(p.z)), repr(float(p.y_hat)), repr(float(p.u_hat))])
+        for row in zip(*(a.tolist() for a in series.arrays())):
+            writer.writerow([repr(v) for v in row])

@@ -19,7 +19,7 @@ from pollencast import pipeline as pl
 from pollencast.data import SeasonDefinition, emit_csv, label_season
 from pollencast.synth import generate_synthetic
 from pollencast.wls import (
-    PredictionPoint,
+    ForecastSeries,
     emit_forecast_json,
     emit_series_csv,
     final_forecast,
@@ -100,10 +100,8 @@ def test_criterion_2_uniform_weight_reduction():
         z = rng.uniform(-20.0, 50.0) + np.arange(n, dtype=np.float64)
         y = rng.uniform(-50.0, 150.0) + rng.uniform(-3.0, 3.0) * z
         y += rng.normal(0.0, rng.uniform(0.1, 3.0), size=n)
-        fit = fit_wls(tuple(
-            PredictionPoint(z=float(zi), y_hat=float(yi), u_hat=1.0)
-            for zi, yi in zip(z, y)
-        ))
+        fit = fit_wls(ForecastSeries(first_z=z[0], y_hat=y, u_hat=np.ones(n),
+                                     boundary="start", year=2001))
         # independent closed form under uniform weights
         zbar = z.mean()
         s = float(((z - zbar) ** 2).sum())

@@ -4,6 +4,7 @@ import contextlib
 import datetime as dt
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from helpers import cores, model_from_trees, year_dataset
 import pollencast
 from pollencast import gbm
 from pollencast import pipeline as pl
-from pollencast.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from pollencast.cli import CONFIG_KEYS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pollencast.data import Dataset, emit_csv, ingest_csv
 from pollencast.features import CATALOG_VERSION
 
@@ -632,6 +633,8 @@ class TestBadInputs:
         ("synth", {"seed": "x", "years": 1}, "--seed"),
         ("synth", {"seed": -1, "years": 1}, "--seed"),
         ("synth", {"years": 1.5}, "--years"),
+        ("label", {"delta_c": 10**400}, "--delta-c"),
+        ("threshold", {"beta0": -(10**400), "beta1": 1}, "--beta0"),
     ])
     def test_config_number_of_wrong_type(self, synth_csv, trained_model,
                                          tmp_path, capsys, command, config,
@@ -649,6 +652,67 @@ class TestBadInputs:
         code = main(["--config", str(path), command, *argv])
         line = assert_one_error_line(capsys, code, EXIT_USAGE)
         assert key in line
+
+    @pytest.mark.parametrize("command,config", [
+        ("backtest", {"out_dir": 3}),
+        ("label", {"input": 0}),
+        ("synth", {"out": 1}),
+        ("threshold", {"out": 1}),
+        ("synth", {"profile": 2.5}),
+        ("predict", {"model": ["m.json"]}),
+        ("predict", {"out_forecast": {}}),
+        ("train", {"boundary": "middle"}),
+        ("backtest", {"boundary": True}),
+        ("train", {"protocol": "kfold"}),
+        ("backtest", {"policy": "x"}),
+    ])
+    def test_config_string_of_wrong_type(self, tmp_path, capsys, command,
+                                         config):
+        # every path names a missing file in an empty directory, so a read
+        # would exit 2 and a write would leave a file behind
+        work = tmp_path / "work"
+        work.mkdir()
+        flags = {
+            "synth": {"years": "1", "out": "s.csv"},
+            "label": {"input": "in.csv"},
+            "train": {"input": "in.csv", "out": "m.json"},
+            "predict": {"input": "in.csv", "model": "m.json", "year": "2008",
+                        "anchor": "110", "out_series": "s.csv"},
+            "backtest": {"input": "in.csv", "out_dir": "report"},
+            "threshold": {"beta0": "0", "beta1": "1"},
+        }[command]
+        argv = [x for key, value in flags.items() if key not in config
+                for x in (f"--{key.replace('_', '-')}",
+                          value if value[0].isdigit() else str(work / value))]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), command, *argv])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        (key,) = config
+        assert line.startswith(f"error: usage: --{key.replace('_', '-')} must be")
+        assert list(work.iterdir()) == []
+
+    def test_config_null_leaves_an_option_unset(self, synth_csv, tmp_path,
+                                                capsys):
+        assert main(["label", "--input", synth_csv]) == EXIT_OK
+        plain = capsys.readouterr().out
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"delta_c": None, "delta_n": None,
+                                    "input": None}))
+        assert main(["--config", str(path), "label", "--input", synth_csv]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("argv", [
+        ["--beta0", "1e200", "--beta1", "1"],
+        ["--beta0", "1", "--beta1", "1e-200"],
+        ["--beta0", "0", "--beta1", "1", "--z-start", "1e200"],
+        ["--beta0", "0", "--beta1", "1", "--z-start", "1e17"],
+    ], ids=["beta0_squared_overflows", "beta1_squared_underflows",
+            "z_squared_overflows", "days_round_to_one_z"])
+    def test_threshold_outside_float_range(self, capsys, argv):
+        code = main(["threshold", *argv, "--n-max", "5"])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert "NonFiniteError" in line
 
     def test_fit_error_in_worker_exits_2(self, synth_csv, tmp_path, capsys):
         cfg = write_config(tmp_path, {"stage1": {"min_samples_leaf": 100}})
@@ -848,3 +912,77 @@ class TestCsvFuzz:
             errors = [ln for ln in lines if ln.startswith("error:")]
             assert len(errors) == (code != EXIT_OK)
             assert code == EXIT_OK or lines[-1] == errors[0]
+
+
+#: JSON values a config mutation stores: every JSON type, integers past
+#: every range, floats where an integer goes, and strings that are no path.
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 400), st.floats(),
+    st.sampled_from([2**63, 10**400, -(10**400)]), st.text(max_size=3),
+    st.sampled_from(["[]", "{}", "[2008]", '{"n_trees": 1}', '"start"',
+                     '"loyo"']).map(json.loads))
+
+#: ``n_max`` is the length of the threshold table, legal at any size, so it
+#: takes no number that would make the table long.
+_N_MAX_VALUES = _CONFIG_VALUES.filter(
+    lambda v: isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 400)
+
+
+@st.composite
+def config_mutations(draw, config: dict) -> dict:
+    """A valid config with one to three of its keys dropped, or set (an
+    existing key, any config key or an unknown one) to any JSON value."""
+    config = dict(config)
+    for _ in range(draw(st.integers(1, 3))):
+        keys = sorted(config)
+        if keys and draw(st.booleans()):
+            del config[draw(st.sampled_from(keys))]
+        else:
+            key = draw(st.sampled_from(keys + sorted(CONFIG_KEYS) + ["bogus"]))
+            config[key] = draw(_N_MAX_VALUES if key == "n_max" else _CONFIG_VALUES)
+    return config
+
+
+class TestConfigFuzz:
+    """Random damage to a valid config: ``label``, ``predict`` and
+    ``threshold`` exit 0, or 2 or 64 with one ``error:`` line, never with a
+    traceback.  ``synth`` is left out: its ``years`` is legal at any size
+    and sets how long it runs."""
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_damaged_config_exits_cleanly(self, trained_model, spring_2008, data):
+        work = os.path.join(os.path.dirname(spring_2008), "config-fuzz")
+        os.makedirs(work, exist_ok=True)
+        valid = {
+            "label": {"input": spring_2008, "delta_c": 120.0, "delta_n": 4},
+            "predict": {"input": spring_2008, "model": trained_model,
+                        "year": 2008, "anchor": 110,
+                        "out_series": os.path.join(work, "series.csv"),
+                        "out_forecast": os.path.join(work, "forecast.json")},
+            "threshold": {"beta0": 10.0, "beta1": -1.0, "z_start": 1.0,
+                          "n_max": 40, "out": os.path.join(work, "f_th.csv")},
+        }
+        command = data.draw(st.sampled_from(sorted(valid)), label="command")
+        config = data.draw(config_mutations(valid[command]), label="config")
+        path = os.path.join(work, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level  # "verbose" sets them
+        err = io.StringIO()
+        try:
+            # a relative output path lands in the work directory
+            with contextlib.chdir(work), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["--config", path, command])
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)
+        assert code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
+        errors = [ln for ln in lines if ln.startswith("error:")]
+        assert len(errors) == (code != EXIT_OK)
+        assert code == EXIT_OK or lines[-1] == errors[0]

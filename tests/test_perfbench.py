@@ -1,8 +1,9 @@
-"""The benchmark's tracer must fit the program's module attributes.
+"""The benchmark's tracer and checks must fit the program's names.
 
-``perfbench/spans.py`` wraps functions by module attribute name; a refactor
-that renames or removes one of them fails here instead of in a traced
-benchmark run.  Its fit span counts trees and split nodes by walking
+``perfbench/spans.py`` wraps functions by module attribute name, and the
+``train`` check in ``perfbench/checks.py`` refits a forecast series from
+its arrays; a refactor that renames or removes one of them fails here
+instead of in a benchmark run.  Its fit span counts trees and split nodes by walking
 ``model.trees``, so those views must keep matching the tree arrays.  Its
 ``pipeline.fit_stage2.s`` must keep measuring the Stage-2 fit, which
 ``train_forecaster`` runs in the parent process beside a pool worker.
@@ -16,16 +17,23 @@ import numpy as np
 
 from helpers import cores
 from pollencast import backtest, cli, gbm, pipeline
+from pollencast.wls import final_forecast, fit_wls
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    """The module ``perfbench/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load("spans")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -77,3 +85,21 @@ def test_stage2_fit_traced_in_the_parent(seed42_dataset, season_def):
     fits = [s for s in tracer.spans if s.name == "gbm.fit"]
     assert [s.parent for s in fits] == [stage2]
     assert [f.X.shape[1] for f in tracer.fits] == [362]
+
+
+def test_train_check_refits_the_series(seed42_dataset, season_def):
+    # the calls the benchmark's ``train`` check makes on a held-out series
+    checks = load("checks")
+    light = gbm.GBMConfig(n_trees=10, max_depth=2)
+    fc = pipeline.train_forecaster(seed42_dataset, season_def,
+                                   (2003, 2004, 2005), stage1_cfg=light,
+                                   stage2_cfg=light)
+    series = fc.predict_series(seed42_dataset, 2006, (60, 110))
+    z, y, u = series.arrays()
+    assert z.tolist() == [float(day) for day in range(60, 111)]
+    assert len(y) == len(u) == len(series) == 51
+    fit = fit_wls(series)
+    b0, b1 = checks.wls_refit(z, y, u)
+    assert checks.close(fit.beta0, b0, rtol=1e-7, atol=1e-7)
+    assert checks.close(fit.beta1, b1, rtol=1e-7, atol=1e-7)
+    assert checks.close(final_forecast(fit).y_star, -b0 / b1, rtol=1e-7, atol=1e-7)

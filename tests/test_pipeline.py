@@ -395,11 +395,11 @@ class TestPredictSeries:
     def test_single_day_range(self, ten):
         series = ten.fc.predict_series(ten.data, 2014, (100, 100))
         assert len(series) == 1
-        assert series.points[0].z == 100.0
+        assert series.arrays()[0].tolist() == [100.0]
 
     def test_clamp_invariant(self, ten):
         _b, series = holdout_series(ten, 2015)
-        assert all(p.u_hat >= pl.U_FLOOR for p in series.points)
+        assert (series.u_hat >= pl.U_FLOOR).all()
 
     def test_bit_exact_reproducibility(self, ten):
         a = ten.fc.predict_series(ten.data, 2016, (60, 110))
@@ -443,9 +443,9 @@ class TestPredictSeries:
         )
         series = pl.predict_series(stage1, stage2, twin_years.data, 2002,
                                    (b - 20, b))
-        for point in series.points:
-            assert point.y_hat == float(b) - point.z
-            assert point.u_hat == 1.0
+        z, y_hat, u_hat = series.arrays()
+        assert (y_hat == float(b) - z).all()
+        assert (u_hat == 1.0).all()
         fit = fit_wls(series)
         assert fit.beta1 == pytest.approx(-1.0, abs=1e-12)
         assert final_forecast(fit).y_star == pytest.approx(b, abs=1e-9)

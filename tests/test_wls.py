@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pollencast.errors import (
     DegenerateDesignError,
@@ -17,7 +19,6 @@ from pollencast.wls import (
     FinalForecast,
     ForecastSeries,
     MonteCarloResult,
-    PredictionPoint,
     ThresholdAnalysis,
     WLSFit,
     emit_forecast_json,
@@ -32,12 +33,9 @@ from pollencast.wls import (
 )
 
 
-def make_series(z, y, u, year=2010, boundary="start"):
-    points = tuple(
-        PredictionPoint(z=float(a), y_hat=float(b), u_hat=float(c))
-        for a, b, c in zip(z, y, u)
-    )
-    return ForecastSeries(points=points, boundary=boundary, year=year)
+def make_series(first_z, y, u, year=2010, boundary="start"):
+    return ForecastSeries(first_z=first_z, y_hat=y, u_hat=u, boundary=boundary,
+                          year=year)
 
 
 def line_series(n=20, z_start=1.0, boundary_day=60.0, noise=None, u=None):
@@ -47,38 +45,51 @@ def line_series(n=20, z_start=1.0, boundary_day=60.0, noise=None, u=None):
         y = y + noise
     if u is None:
         u = np.ones(n)
-    return make_series(z, y, u)
+    return make_series(z_start, y, u)
 
 
 class TestTypes:
-    def test_point_validation(self):
+    def test_series_validation(self):
         with pytest.raises(NonPositiveWeightError):
-            PredictionPoint(z=1.0, y_hat=5.0, u_hat=0.0)
-        with pytest.raises(NonFiniteError):
-            PredictionPoint(z=1.0, y_hat=float("nan"), u_hat=1.0)
+            make_series(1.0, [5.0, 4.0], [1.0, 0.0])
+        for first_z, y, u in ((1.0, [5.0, np.nan], [1.0, 1.0]),
+                              (1.0, [5.0, 4.0], [np.inf, 1.0]),
+                              (np.inf, [5.0, 4.0], [1.0, 1.0])):
+            with pytest.raises(NonFiniteError):
+                make_series(first_z, y, u)
+        for y, u in (([5.0, 4.0], [1.0]), ([[5.0, 4.0]], [[1.0, 1.0]])):
+            with pytest.raises(InvalidRecordError):
+                make_series(1.0, y, u)
 
-    def test_series_requires_consecutive_days(self):
-        points = (
-            PredictionPoint(z=1.0, y_hat=5.0, u_hat=1.0),
-            PredictionPoint(z=3.0, y_hat=4.0, u_hat=1.0),
-        )
-        with pytest.raises(InvalidRecordError):
-            ForecastSeries(points=points, boundary="start", year=2010)
+    def test_series_days_are_consecutive(self):
+        y, u = np.array([5.0, 4.0, 3.0]), np.ones(3)
+        series = make_series(7, y, u)
+        z, y_hat, u_hat = series.arrays()
+        assert z.tolist() == [7.0, 8.0, 9.0]
+        assert np.array_equal(y_hat, y) and np.array_equal(u_hat, u)
+        y[0] = 99.0  # the series holds its own read-only copy
+        assert series.y_hat[0] == 5.0 and not series.y_hat.flags.writeable
+        assert series == make_series(7.0, [5.0, 4.0, 3.0], [1.0, 1.0, 1.0])
+        assert series != make_series(8.0, [5.0, 4.0, 3.0], [1.0, 1.0, 1.0])
+        assert series != make_series(7.0, [5.0, 4.0, 3.0], [1.0, 1.0, 2.0])
 
     def test_series_boundary_name(self):
         with pytest.raises(InvalidRecordError):
-            make_series([1, 2], [5, 4], [1, 1], boundary="middle")
+            make_series(1, [5, 4], [1, 1], boundary="middle")
 
     def test_prefix(self):
-        series = line_series(n=10)
-        assert len(series.prefix(4)) == 4
-        assert series.prefix(4).points == series.points[:4]
+        series = line_series(n=10, z_start=3.0)
+        head = series.prefix(4)
+        assert len(head) == 4
+        assert head == make_series(3.0, series.y_hat[:4], series.u_hat[:4])
+        assert [a.tolist() for a in head.arrays()] == [
+            a[:4].tolist() for a in series.arrays()]
 
     def test_wlsfit_validation(self):
         with pytest.raises(TooFewPointsError):
             WLSFit(
                 beta0=1.0, beta1=-1.0, var_beta0=0.0, var_beta1=0.0,
-                sigma_prime_sq=0.0, n_points=1, weights_used=(1.0,),
+                sigma_prime_sq=0.0, n_points=1,
             )
 
     def test_final_forecast_validation(self):
@@ -110,7 +121,7 @@ class TestFitWls:
         rng = np.random.default_rng(1)
         z = np.arange(10.0, 40.0)
         y = 55.0 - z + rng.normal(0, 3.0, size=z.size)
-        fit = fit_wls(make_series(z, y, np.ones(z.size)))
+        fit = fit_wls(make_series(z[0], y, np.ones(z.size)))
         slope = np.mean((z - z.mean()) * (y - y.mean())) / np.mean(
             (z - z.mean()) ** 2
         )
@@ -125,7 +136,7 @@ class TestFitWls:
             z = np.arange(7.0, 7.0 + n)
             y = 80.0 - z + rng.normal(0, 2.0, size=n)
             u = rng.uniform(0.3, 4.0, size=n)
-            fit = fit_wls(make_series(z, y, u))
+            fit = fit_wls(make_series(z[0], y, u))
             w = 1.0 / u**2
             design = np.stack([np.ones(n), z], axis=1) * np.sqrt(w)[:, None]
             coef, *_ = np.linalg.lstsq(design, y * np.sqrt(w), rcond=None)
@@ -137,44 +148,55 @@ class TestFitWls:
         z = np.arange(1.0, 31.0)
         y = 60.0 - z + rng.normal(0, 2.0, size=30)
         u = rng.uniform(0.5, 2.0, size=30)
-        a = fit_wls(make_series(z, y, u))
-        b = fit_wls(make_series(z, y, 10.0 * u))
+        a = fit_wls(make_series(z[0], y, u))
+        b = fit_wls(make_series(z[0], y, 10.0 * u))
         assert b.beta0 == pytest.approx(a.beta0, rel=1e-13)
         assert b.beta1 == pytest.approx(a.beta1, rel=1e-13)
         ya = final_forecast(a).y_star
         yb = final_forecast(b).y_star
         assert yb == pytest.approx(ya, rel=1e-13)
 
-    def test_shift_equivariance(self):
-        rng = np.random.default_rng(4)
-        n = 25
-        z = np.arange(5.0, 5.0 + n)
-        y = 70.0 - z + rng.normal(0, 1.5, size=n)
-        u = rng.uniform(0.5, 2.0, size=n)
-        base = final_forecast(fit_wls(make_series(z, y, u)))
-        delta = 13.0
-        shifted = final_forecast(fit_wls(make_series(z + delta, y, u)))
-        assert shifted.y_star == pytest.approx(base.y_star + delta, rel=1e-10)
+    @given(n=st.integers(2, 80), first_z=st.integers(-400, 400),
+           shift=st.integers(-10**6, 10**6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_shift_equivariance(self, n, first_z, shift, seed):
+        # Moving every day by d keeps the slope and moves y* by d.  The
+        # propagated sigma is not shift-invariant (no covariance term), so
+        # it is not compared.
+        rng = np.random.default_rng(seed)
+        y = 70.0 - (first_z + np.arange(n)) + rng.normal(0, 1.5, size=n)
+        u = rng.uniform(0.25, 50.0, size=n)
+        base = fit_wls(make_series(first_z, y, u))
+        moved = fit_wls(make_series(first_z + shift, y, u))
+        assert moved.beta1 == pytest.approx(base.beta1, rel=1e-9, abs=1e-12)
+        if abs(base.beta1) > 1e-3:
+            y_star = final_forecast(base).y_star
+            assert final_forecast(moved).y_star == pytest.approx(
+                y_star + shift, rel=1e-10, abs=1e-10 * (1.0 + abs(shift)))
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            fit_wls([PredictionPoint(z=1.0, y_hat=5.0, u_hat=1.0)])
+            fit_wls(make_series(1.0, [5.0], [1.0]))
+
+    @pytest.mark.parametrize("u_hat", [1e-200, 1e160])
+    def test_weight_out_of_range(self, u_hat):
+        # 1/u^2 overflows to inf at 1e-200 and underflows to 0 at 1e160
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(NonPositiveWeightError):
+                fit_wls(make_series(1.0, [5.0, 4.0, 3.0], [1.0, u_hat, 1.0]))
 
     def test_degenerate_design(self):
-        points = [
-            PredictionPoint(z=5.0, y_hat=1.0, u_hat=1.0),
-            PredictionPoint(z=5.0, y_hat=2.0, u_hat=1.0),
-        ]
+        # 2**53 + 1 rounds back to 2**53, so the two days share one z
         with pytest.raises(DegenerateDesignError):
-            fit_wls(points)
+            fit_wls(make_series(2.0**53, [1.0, 2.0], [1.0, 1.0]))
 
     def test_heavier_weight_pulls_line(self):
         # Two clusters disagree; weighting one of them harder must move
         # the fit toward it.
         z = np.array([1.0, 2.0, 3.0, 4.0])
         y = np.array([59.0, 58.0, 50.0, 49.0])
-        tight_tail = fit_wls(make_series(z, y, [10.0, 10.0, 0.1, 0.1]))
-        tight_head = fit_wls(make_series(z, y, [0.1, 0.1, 10.0, 10.0]))
+        tight_tail = fit_wls(make_series(1.0, y, [10.0, 10.0, 0.1, 0.1]))
+        tight_head = fit_wls(make_series(1.0, y, [0.1, 0.1, 10.0, 10.0]))
         resid_tail = y[3] - (tight_tail.beta0 + tight_tail.beta1 * z[3])
         resid_head = y[3] - (tight_head.beta0 + tight_head.beta1 * z[3])
         assert abs(resid_tail) < abs(resid_head)
@@ -190,7 +212,7 @@ class TestFinalForecast:
     def test_degenerate_slope(self):
         flat = WLSFit(
             beta0=5.0, beta1=0.0, var_beta0=0.1, var_beta1=0.1,
-            sigma_prime_sq=1.0, n_points=5, weights_used=(1.0,) * 5,
+            sigma_prime_sq=1.0, n_points=5,
         )
         with pytest.raises(DegenerateSlopeError):
             final_forecast(flat)
@@ -202,7 +224,7 @@ class TestFinalForecast:
             z = np.arange(1.0, 1.0 + n)
             y = 50.0 - z + rng.normal(0, 2.0, size=n)
             u = rng.uniform(0.4, 3.0, size=n)
-            fit = fit_wls(make_series(z, y, u))
+            fit = fit_wls(make_series(z[0], y, u))
             if fit.beta0 == 0.0:
                 continue
             final = final_forecast(fit)
@@ -214,7 +236,7 @@ class TestFinalForecast:
     def test_finite_at_zero_intercept(self):
         fit = WLSFit(
             beta0=0.0, beta1=-1.0, var_beta0=0.04, var_beta1=0.01,
-            sigma_prime_sq=1.0, n_points=5, weights_used=(1.0,) * 5,
+            sigma_prime_sq=1.0, n_points=5,
         )
         final = final_forecast(fit)
         assert final.y_star == 0.0
