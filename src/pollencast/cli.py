@@ -1,19 +1,23 @@
 """Command-line interface: synth, label, train, predict, backtest, threshold.
 
-Every flag has a config-file equivalent (``--config settings.json``); flags
-given on the command line override file values.  Exit codes are stable for
-scripting: 0 success, 2 runtime or data error, 64 usage error.
+Each subcommand's handler, help line and flags are declared once, in
+``COMMANDS``.  Every flag has a config-file equivalent (``--config
+settings.json``); flags given on the command line override file values.
+Exit codes are stable for scripting: 0 success, 2 runtime or data error, 64
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import logging
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from . import backtest as bt
 from .data import SeasonDefinition, ingest_csv, label_years
@@ -51,127 +55,24 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the 64 usage-error convention instead of 2.
-
-    A string option (a path or a choice) is declared with ``type=str``, so
-    that a config value can be held to the same declaration as its flag.
-    """
-
-    #: The subcommand parsers by name, set on the top-level parser.
-    commands: dict[str, argparse.ArgumentParser]
+    """argparse with the 64 usage-error convention instead of 2."""
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _global_flags(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    # Subparsers suppress defaults so an unset repeat of a global flag does
-    # not clobber the value parsed at the top level.
-    default = None if top_level else argparse.SUPPRESS
-    parser.add_argument("--config", metavar="JSON", default=default,
-                        help="JSON file supplying defaults for any flag")
-    parser.add_argument("--seed", type=int, default=default,
-                        help="random seed (default 0)")
-    parser.add_argument("--verbose", action="store_true", default=default,
-                        help="log progress to stderr")
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pollencast",
-                     description="Pollen allergy-season forecasting toolkit")
-    _global_flags(parser, top_level=True)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("synth",
-                       help="generate a synthetic daily dataset CSV")
-    _global_flags(p)
-    p.add_argument("--years", type=int, help="number of calendar years")
-    p.add_argument("--out", type=str, help="output CSV path")
-    p.add_argument("--profile", type=str, help="generator profile JSON")
-
-    p = sub.add_parser("label",
-                       help="print per-year season labels as CSV")
-    _global_flags(p)
-    p.add_argument("--input", type=str, help="daily dataset CSV")
-    p.add_argument("--delta-c", type=float, help="concentration threshold")
-    p.add_argument("--delta-n", type=int, help="typical-day count threshold")
-
-    p = sub.add_parser("train",
-                       help="train the two-stage forecaster and save it")
-    _global_flags(p)
-    p.add_argument("--input", type=str, help="daily dataset CSV")
-    p.add_argument("--years", help="training years, e.g. 2003-2012 or a list")
-    p.add_argument("--boundary", type=str, choices=BOUNDARIES)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--protocol", type=str, choices=PROTOCOLS)
-    p.add_argument("--delta-c", type=float)
-    p.add_argument("--delta-n", type=int)
-    p.add_argument("--out", type=str, help="forecaster JSON path")
-
-    p = sub.add_parser("predict",
-                       help="forecast one year with a saved forecaster")
-    _global_flags(p)
-    p.add_argument("--input", type=str, help="daily dataset CSV")
-    p.add_argument("--model", type=str, help="forecaster JSON from `train`")
-    p.add_argument("--year", type=int)
-    p.add_argument("--anchor", type=int,
-                   help="last prediction day; window is (anchor-H, anchor)")
-    p.add_argument("--z-start", type=int)
-    p.add_argument("--z-end", type=int)
-    p.add_argument("--out-series", type=str, help="per-day predictions CSV")
-    p.add_argument("--out-forecast", type=str, help="final forecast JSON")
-
-    p = sub.add_parser("backtest",
-                       help="rolling-origin evaluation with report files")
-    _global_flags(p)
-    p.add_argument("--input", type=str, help="daily dataset CSV")
-    p.add_argument("--test-years", type=int,
-                   help="number of trailing years to test")
-    p.add_argument("--boundary", type=str, choices=BOUNDARIES)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--policy", type=str, choices=bt.Z_RANGE_POLICIES)
-    p.add_argument("--protocol", type=str, choices=PROTOCOLS)
-    p.add_argument("--delta-c", type=float)
-    p.add_argument("--delta-n", type=int)
-    p.add_argument("--out-dir", type=str, help="report directory")
-
-    p = sub.add_parser("threshold",
-                       help="minimum-day-count table for assumed coefficients")
-    _global_flags(p)
-    p.add_argument("--beta0", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--z-start", type=float)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--out", type=str, help="optional CSV path for the table")
-
-    parser.commands = sub.choices
-    return parser
+def _key(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 # ---------------------------------------------------------------------------
 # Config merging
 # ---------------------------------------------------------------------------
-
-#: Config keys every command accepts on top of its own options.
-GLOBAL_KEYS = ("seed", "verbose", "stage1", "stage2")
-
-OPTION_KEYS = {
-    "synth": ("years", "out", "profile"),
-    "label": ("input", "delta_c", "delta_n"),
-    "train": ("input", "years", "boundary", "horizon", "protocol",
-              "delta_c", "delta_n", "out"),
-    "predict": ("input", "model", "year", "anchor", "z_start", "z_end",
-                "out_series", "out_forecast"),
-    "backtest": ("input", "test_years", "boundary", "horizon", "policy",
-                 "protocol", "delta_c", "delta_n", "out_dir"),
-    "threshold": ("beta0", "beta1", "z_start", "n_max", "out"),
-}
-
-# one config file can serve every subcommand, so a key only has to be
-# meaningful somewhere in the toolkit; commands ignore keys they don't read
-CONFIG_KEYS = set(GLOBAL_KEYS).union(*OPTION_KEYS.values())
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -192,20 +93,23 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _check_config(flags: Sequence[argparse.Action], args: argparse.Namespace,
+def _check_config(flags: Sequence[Flag], args: argparse.Namespace,
                   config: dict) -> None:
     """Hold each config value the command reads to its flag's declaration:
-    a string option takes a JSON string, a choice one of its choices."""
-    for action in flags:
-        key = action.dest
-        if config.get(key) is None or getattr(args, key, None) is not None:
+    a string option takes a JSON string, a choice one of its choices, a
+    switch a JSON boolean."""
+    for name, spec in flags:
+        key = _key(name)
+        value = config.get(key)
+        if value is None or getattr(args, key, None) is not None:
             continue  # unset in the config, or its flag was given
-        value, flag = config[key], f"--{key.replace('_', '-')}"
-        if action.type is str and not isinstance(value, str):
-            raise UsageError(f"{flag} must be a string, got {value!r}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"{flag} must be one of "
-                             f"{', '.join(action.choices)}, got {value!r}")
+        if spec.get("type") is str and not isinstance(value, str):
+            raise UsageError(f"{name} must be a string, got {value!r}")
+        if "choices" in spec and value not in spec["choices"]:
+            raise UsageError(f"{name} must be one of "
+                             f"{', '.join(spec['choices'])}, got {value!r}")
+        if spec.get("action") == "store_true" and not isinstance(value, bool):
+            raise UsageError(f"{name} must be true or false, got {value!r}")
 
 
 class Options:
@@ -226,7 +130,7 @@ class Options:
     def require(self, key: str):
         value = self.get(key)
         if value is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+            raise UsageError(f"{_flag(key)} is required")
         return value
 
 
@@ -386,9 +290,7 @@ def _finite(value, key: str) -> float:
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        raise UsageError(
-            f"--{key.replace('_', '-')} must be a finite number, got {value!r}"
-        )
+        raise UsageError(f"{_flag(key)} must be a finite number, got {value!r}")
     return number
 
 
@@ -408,9 +310,7 @@ def _int(value, key: str, minimum: int | None = None) -> int | None:
             pass
     if number is None or (minimum is not None and number < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise UsageError(
-            f"--{key.replace('_', '-')} must be an integer{bound}, got {value!r}"
-        )
+        raise UsageError(f"{_flag(key)} must be an integer{bound}, got {value!r}")
     return number
 
 
@@ -419,10 +319,8 @@ def _year(value, key: str) -> int:
     error naming ``--key``."""
     year = _int(value, key)
     if not dt.MINYEAR <= year <= dt.MAXYEAR:
-        raise UsageError(
-            f"--{key.replace('_', '-')} must be a year in "
-            f"{dt.MINYEAR}..{dt.MAXYEAR}, got {value!r}"
-        )
+        raise UsageError(f"{_flag(key)} must be a year in "
+                         f"{dt.MINYEAR}..{dt.MAXYEAR}, got {value!r}")
     return year
 
 
@@ -444,14 +342,110 @@ def cmd_threshold(opts: Options) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "label": cmd_label,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "backtest": cmd_backtest,
-    "threshold": cmd_threshold,
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+#: A flag: its name and its argparse keywords.  A string option (a path or a
+#: choice) is declared with ``type=str``, so that a config value can be held
+#: to the same declaration as its flag.
+Flag = tuple[str, dict]
+
+_CONFIG: Flag = ("--config", dict(metavar="JSON",
+                                  help="JSON file supplying defaults for any flag"))
+#: Flags every command takes, before or after its name, as config keys too.
+_GLOBAL: tuple[Flag, ...] = (
+    ("--seed", dict(type=int, help="random seed (default 0)")),
+    ("--verbose", dict(action="store_true", help="log progress to stderr")),
+)
+_INPUT: Flag = ("--input", dict(type=str, help="daily dataset CSV"))
+_SEASON: tuple[Flag, ...] = (
+    ("--delta-c", dict(type=float, help="concentration threshold")),
+    ("--delta-n", dict(type=int, help="typical-day count threshold")),
+)
+_MODEL: tuple[Flag, ...] = (
+    ("--boundary", dict(type=str, choices=BOUNDARIES)),
+    ("--horizon", dict(type=int)),
+    ("--protocol", dict(type=str, choices=PROTOCOLS)),
+)
+
+
+class Command(NamedTuple):
+    run: Callable[[Options], int]
+    help: str
+    flags: tuple[Flag, ...]
+
+
+#: Every subcommand with its handler, help line and own flags; the parser,
+#: ``CONFIG_KEYS`` and the config checks are all built from this table.
+COMMANDS: dict[str, Command] = {
+    "synth": Command(cmd_synth, "generate a synthetic daily dataset CSV", (
+        ("--years", dict(type=int, help="number of calendar years")),
+        ("--out", dict(type=str, help="output CSV path")),
+        ("--profile", dict(type=str, help="generator profile JSON")),
+    )),
+    "label": Command(cmd_label, "print per-year season labels as CSV",
+                     (_INPUT, *_SEASON)),
+    "train": Command(cmd_train, "train the two-stage forecaster and save it", (
+        _INPUT,
+        ("--years", dict(help="training years, e.g. 2003-2012 or a list")),
+        *_MODEL,
+        *_SEASON,
+        ("--out", dict(type=str, help="forecaster JSON path")),
+    )),
+    "predict": Command(cmd_predict, "forecast one year with a saved forecaster", (
+        _INPUT,
+        ("--model", dict(type=str, help="forecaster JSON from `train`")),
+        ("--year", dict(type=int)),
+        ("--anchor", dict(type=int,
+                          help="last prediction day; window is (anchor-H, anchor)")),
+        ("--z-start", dict(type=int)),
+        ("--z-end", dict(type=int)),
+        ("--out-series", dict(type=str, help="per-day predictions CSV")),
+        ("--out-forecast", dict(type=str, help="final forecast JSON")),
+    )),
+    "backtest": Command(cmd_backtest, "rolling-origin evaluation with report files", (
+        _INPUT,
+        ("--test-years", dict(type=int, help="number of trailing years to test")),
+        *_MODEL,
+        ("--policy", dict(type=str, choices=bt.Z_RANGE_POLICIES)),
+        *_SEASON,
+        ("--out-dir", dict(type=str, help="report directory")),
+    )),
+    "threshold": Command(cmd_threshold,
+                         "minimum-day-count table for assumed coefficients", (
+        ("--beta0", dict(type=float)),
+        ("--beta1", dict(type=float)),
+        ("--z-start", dict(type=float)),
+        ("--n-max", dict(type=int)),
+        ("--out", dict(type=str, help="optional CSV path for the table")),
+    )),
 }
+
+# one config file can serve every subcommand, so a key only has to be
+# meaningful somewhere in the toolkit; commands ignore keys they don't read
+CONFIG_KEYS = {"stage1", "stage2"}.union(
+    *({_key(name) for name, _ in (*_GLOBAL, *c.flags)} for c in COMMANDS.values()))
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every command, built from ``COMMANDS`` once per process."""
+    parser = _Parser(prog="pollencast",
+                     description="Pollen allergy-season forecasting toolkit")
+    for name, spec in (_CONFIG, *_GLOBAL):
+        parser.add_argument(name, default=None, **spec)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for command, (_run, help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        # a command suppresses the global flags' defaults, so leaving one out
+        # after the command keeps the value given before it
+        for name, spec in (_CONFIG, *_GLOBAL):
+            p.add_argument(name, default=argparse.SUPPRESS, **spec)
+        for name, spec in flags:
+            p.add_argument(name, **spec)
+    return parser
 
 
 def _one_line(exc: BaseException) -> str:
@@ -459,20 +453,19 @@ def _one_line(exc: BaseException) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0; parse errors exit 64
         return int(exc.code or 0)
+    command = COMMANDS[args.command]
     try:
         config = _load_config_file(args.config)
-        # argparse lists a parser's declared options only in _actions
-        _check_config(parser.commands[args.command]._actions, args, config)
+        _check_config((*_GLOBAL, *command.flags), args, config)
         opts = Options(args, config)
         if opts.get("verbose"):
             logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                                 format="%(levelname)s %(message)s")
-        return COMMANDS[args.command](opts)
+        return command.run(opts)
     except UsageError as exc:
         print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
         return EXIT_USAGE

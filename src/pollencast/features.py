@@ -1,7 +1,7 @@
 """Rolling-window feature extraction.
 
 Every day gets one feature row built from the trailing 14-day window of
-each of the 12 series, 30 statistics per window.  Only past data enters a
+each of the 12 series, 29 statistics per window.  Only past data enters a
 row: predictions made on day d must not peek beyond d.  The statistic
 catalog is fixed and versioned so serialized models can name the exact
 layout they were trained on.
@@ -36,7 +36,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "q75",
     "iqr",
     "range",
-    "sum",
     "first",
     "last",
     "delta",
@@ -59,9 +58,9 @@ FEATURE_NAMES: tuple[str, ...] = (
     "diff_sign_flips",
 )
 
-N_FEATURES = len(FEATURE_NAMES)  # 30
+N_FEATURES = len(FEATURE_NAMES)  # 29
 
-CATALOG_VERSION = "w14s30-v1"
+CATALOG_VERSION = "w14s29-v1"
 
 #: Name of the last flat column, the day-of-year.
 DOY_NAME = "day_of_year"
@@ -79,7 +78,7 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """The 30 catalog statistics for each row of a (rows, 14) window matrix,
+    """The 29 catalog statistics for each row of a (rows, 14) window matrix,
     with ``references[i]`` as row i's ``n_above_ref`` threshold."""
     w = windows
     n = w.shape[1]
@@ -121,7 +120,6 @@ def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
         q75,
         q75 - q25,
         wmax - wmin,
-        w.sum(axis=1),
         w[:, 0],
         w[:, -1],
         w[:, -1] - w[:, 0],
@@ -226,7 +224,7 @@ def _doy(date: dt.date) -> float:
 def flatten_row(m: FeatureMatrix, day: int) -> np.ndarray:
     """One flat feature vector: series-major concatenation, then day-of-year.
 
-    Layout: series 1 features 1..30, series 2 features 1..30, and so on;
+    Layout: series 1 features 1..29, series 2 features 1..29, and so on;
     the day-of-year is the last entry.
     """
     if not 0 <= day < len(m):

@@ -88,14 +88,14 @@ class GBMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise InvalidRecordError("n_trees must be >= 1")
-        if self.max_depth < 0:
-            raise InvalidRecordError("max_depth must be >= 0")
+        for name, least in (("n_trees", 1), ("max_depth", 0),
+                            ("min_samples_leaf", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidRecordError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidRecordError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise InvalidRecordError("min_samples_leaf must be >= 1")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise InvalidRecordError("subsample_fraction must be in (0, 1]")
 
@@ -670,7 +670,7 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
         raise InvalidRecordError(f"{what}: config values must be finite")
     try:
         config = GBMConfig(**settings)
-    except TypeError as exc:
+    except (TypeError, InvalidRecordError) as exc:
         raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
     feature_count = json_field(doc, "feature_count", (int,), what)
     cols = [json_array(doc, name, kinds, dtype, what)

@@ -8,8 +8,8 @@ run of consecutive-day predictions into one final date with an error bar.
 
 This module builds the two training sets, fits and serializes the models,
 and turns a fitted pair plus fresh data into a ForecastSeries.  Both stages
-and inference read flat feature rows in the fixed Stage-1 layout of 361
-columns: 12 series x 30 window statistics, then day-of-year.  Stage 2
+and inference read flat feature rows in the fixed Stage-1 layout of 349
+columns: 12 series x 29 window statistics, then day-of-year.  Stage 2
 prepends the Stage-1 prediction.  A row depends only on its own 14-day
 window, so each training year and each forecast builds the rows of just the
 days it reads: it slices those days' windows from the dataset's value
@@ -672,7 +672,6 @@ def forecaster_to_json(fc: Forecaster) -> str:
         "boundary": fc.stage1.boundary,
         "horizon": fc.stage1.horizon,
         "references": list(fc.stage1.references),
-        "include_doy": True,
         "train_years": list(fc.stage1.train_years),
         "u_floor": fc.stage2.u_floor,
         "stage2_protocol": fc.stage2.protocol,
@@ -712,8 +711,6 @@ def _forecaster_from_obj(obj: object) -> Forecaster:
         retrain = "; retrain the model" if fmt == "forecaster-json-v1" else ""
         raise InvalidRecordError(
             f"expected format {BUNDLE_FORMAT!r}, got {fmt!r}{retrain}")
-    require(get("include_doy", (bool,)) is True,
-            "include_doy must be true; day-of-year is the last Stage-1 column")
     refs = gbm.json_array(obj, "references", gbm.NUMBER, np.float64, "model bundle")
     require(refs.size == len(SERIES_NAMES),
             f"references must be {len(SERIES_NAMES)} numbers")
@@ -729,7 +726,7 @@ def _forecaster_from_obj(obj: object) -> Forecaster:
     if s1_model.catalog_version != CATALOG_VERSION:
         raise InvalidRecordError(
             f"stage1_model: catalog_version {s1_model.catalog_version!r}, "
-            f"expected {CATALOG_VERSION!r}"
+            f"expected {CATALOG_VERSION!r}; retrain the model"
         )
     s2_model = gbm.from_obj(get("stage2_model", (dict,)), "stage2_model")
     for name, model, want in (("stage1_model", s1_model, STAGE1_COLUMNS),

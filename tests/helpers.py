@@ -221,7 +221,7 @@ def nested_trees(arrays: gbm.TreeArrays) -> list[dict]:
 
 
 def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarray:
-    """The 30 catalog statistics of one 14-value window, in catalog order:
+    """The 29 catalog statistics of one 14-value window, in catalog order:
     ``features._window_stats`` on that window alone.
 
     ``reference`` is the series threshold behind the ``n_above_ref`` count.

@@ -1,5 +1,6 @@
 """CLI tests: argument handling, exit codes, file outputs, reproducibility."""
 
+import argparse
 import contextlib
 import datetime as dt
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import cores, model_from_trees, year_dataset
 import pollencast
-from pollencast import gbm
+from pollencast import cli, gbm
 from pollencast import pipeline as pl
 from pollencast.cli import CONFIG_KEYS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pollencast.data import Dataset, emit_csv, ingest_csv
@@ -62,8 +63,61 @@ class TestParsing:
 
     @pytest.mark.parametrize("command", ["synth", "label", "train", "predict",
                                          "backtest", "threshold"])
-    def test_subcommand_help_exits_zero(self, command):
+    def test_subcommand_help_exits_zero(self, command, capsys):
         assert main([command, "--help"]) == 0
+        listed = capsys.readouterr().out
+        for name, _ in (*cli._GLOBAL, *cli.COMMANDS[command].flags):
+            assert name in listed
+
+    @pytest.mark.parametrize("command,keys", [
+        ("synth", {"years", "out", "profile"}),
+        ("label", {"input", "delta_c", "delta_n"}),
+        ("train", {"input", "years", "boundary", "horizon", "protocol",
+                   "delta_c", "delta_n", "out"}),
+        ("predict", {"input", "model", "year", "anchor", "z_start", "z_end",
+                     "out_series", "out_forecast"}),
+        ("backtest", {"input", "test_years", "boundary", "horizon", "policy",
+                      "protocol", "delta_c", "delta_n", "out_dir"}),
+        ("threshold", {"beta0", "beta1", "z_start", "n_max", "out"}),
+    ])
+    def test_command_flags_are_pinned(self, command, keys):
+        flags = cli.COMMANDS[command].flags
+        assert {name[2:].replace("-", "_") for name, _ in flags} == keys
+
+    def test_config_keys_are_pinned(self):
+        assert CONFIG_KEYS == {
+            "seed", "verbose", "stage1", "stage2", "input", "delta_c",
+            "delta_n", "years", "out", "profile", "boundary", "horizon",
+            "protocol", "model", "year", "anchor", "z_start", "z_end",
+            "out_series", "out_forecast", "test_years", "policy", "out_dir",
+            "beta0", "beta1", "n_max"}
+
+    def test_parser_is_built_once(self, monkeypatch):
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        cli._parser.cache_clear()
+        argv = ["threshold", "--beta0", "1", "--beta1", "-1", "--n-max", "3"]
+        assert main(argv) == EXIT_OK
+        assert calls
+        built = len(calls)
+        assert main(argv) == EXIT_OK
+        assert len(calls) == built
+
+    def test_calls_share_no_values(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        argv = ["threshold", "--beta0", "1", "--beta1", "-1"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        first = capsys.readouterr().out
+        out.unlink()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert not out.exists()
 
     def test_no_command_is_usage_error(self):
         assert main([]) == EXIT_USAGE
@@ -210,14 +264,15 @@ class TestTrainPredict:
 
     def test_degenerate_slope_is_runtime_error(self, synth_csv, tmp_path,
                                                capsys):
-        flat = model_from_trees((), feature_count=361, base_prediction=30.0,
+        flat = model_from_trees((), feature_count=pl.STAGE1_COLUMNS,
+                                base_prediction=30.0,
                                 catalog_version=CATALOG_VERSION)
         fc = pl.Forecaster(
             stage1=pl.Stage1Model(model=flat, boundary="start", horizon=59,
                                   references=(120.0,) + (10.0,) * 11,
                                   train_years=(2003,)),
             stage2=pl.Stage2Model(model=model_from_trees(
-                (), feature_count=362, base_prediction=1.0),
+                (), feature_count=pl.STAGE1_COLUMNS + 1, base_prediction=1.0),
                 u_floor=0.25, protocol="loyo", train_years=(2003,)),
         )
         model_path = tmp_path / "flat.json"
@@ -330,6 +385,17 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "train", "--input", synth_csv,
                      "--out", str(tmp_path / "m.json")]) == EXIT_USAGE
 
+    def test_non_integer_stage_setting_is_usage_error(self, synth_csv, tmp_path,
+                                                      capsys):
+        # the fit would fail in a pool worker; the config check stops it first
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"stage1": {"n_trees": 2.5}}))
+        code = main(["--config", str(cfg), "train", "--input", synth_csv,
+                     "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert line == ("error: usage: bad stage1 settings: "
+                        "n_trees must be an integer >= 1, got 2.5")
+
 
 def run_module(*args):
     """``python -m pollencast`` on the package these tests import."""
@@ -431,7 +497,6 @@ BROKEN_BUNDLES = {
     "missing_model_key": lambda b: b["stage2_model"].pop("right"),
     "wrong_type": lambda b: b.update(horizon="59"),
     "bool_for_int": lambda b: b.update(horizon=True),
-    "include_doy_false": lambda b: b.update(include_doy=False),
     "eleven_references": lambda b: b["references"].pop(),
     "nan_reference": lambda b: b["references"].__setitem__(3, float("nan")),
     "inf_reference": lambda b: b["references"].__setitem__(0, float("inf")),
@@ -441,6 +506,7 @@ BROKEN_BUNDLES = {
     "other_catalog_version": lambda b: _stage1(b).update(
         catalog_version="w14s29-v0"),
     "bad_model_config": lambda b: b["stage2_model"].update(config={"bogus": 1}),
+    "float_for_int_model_config": lambda b: _stage1(b)["config"].update(max_depth=1.5),
     "zero_u_floor": lambda b: b.update(u_floor=0),
     # a split whose left side points to itself, as a leaf's does
     "split_without_left": lambda b: _put(b, "left", _first_split(b), _first_split(b)),
@@ -531,6 +597,20 @@ class TestBadInputs:
         line = assert_one_error_line(
             capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
         assert "InvalidRecordError" in line and "retrain" in line
+
+    def test_w14s30_bundle_asks_for_retraining(self, synth_csv, trained_model,
+                                              tmp_path, capsys):
+        # the layout of the catalog with the window sum: 361 and 362 columns
+        bundle = json.loads(open(trained_model).read())
+        bundle["include_doy"] = True
+        for key, columns in (("stage1_model", 361), ("stage2_model", 362)):
+            bundle[key].update(catalog_version="w14s30-v1", feature_count=columns)
+        path = tmp_path / "w14s30.json"
+        path.write_text(json.dumps(bundle))
+        line = assert_one_error_line(
+            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        assert line == ("error: InvalidRecordError: stage1_model: catalog_version "
+                        f"'w14s30-v1', expected {CATALOG_VERSION!r}; retrain the model")
 
     @pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe\x00garbage",
                                       b"[1, 2]"],
@@ -665,6 +745,7 @@ class TestBadInputs:
         ("backtest", {"boundary": True}),
         ("train", {"protocol": "kfold"}),
         ("backtest", {"policy": "x"}),
+        ("synth", {"verbose": "false"}),
     ])
     def test_config_string_of_wrong_type(self, tmp_path, capsys, command,
                                          config):
@@ -780,7 +861,8 @@ class TestYearRange:
 #: that ``json.dumps`` writes as NaN or Infinity.
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 400),
-    st.sampled_from([361, 362, 2**63, 10**400]), st.floats(),
+    st.sampled_from([pl.STAGE1_COLUMNS, pl.STAGE1_COLUMNS + 1, 2**63, 10**400]),
+    st.floats(),
     st.text(max_size=3),
     st.sampled_from(["[]", "{}", "[0]", '{"value": 1.0}']).map(json.loads))
 

@@ -25,6 +25,8 @@ from pollencast.features import (
     flatten_row,
 )
 
+from pollencast.pipeline import STAGE1_COLUMNS
+
 from helpers import dataset_from_pollen, window_features
 
 NEUTRAL_REFS = (120.0,) + (10.0,) * 11
@@ -61,7 +63,6 @@ def oracle_window_features(window, reference):
         q75,
         q75 - q25,
         max(x) - min(x),
-        sum(x),
         x[0],
         x[-1],
         x[-1] - x[0],
@@ -87,9 +88,9 @@ def oracle_window_features(window, reference):
 
 class TestWindowFeatures:
     def test_catalog_size(self):
-        assert N_FEATURES == 30
-        assert len(FEATURE_NAMES) == 30
-        assert len(set(FEATURE_NAMES)) == 30
+        assert N_FEATURES == 29
+        assert len(FEATURE_NAMES) == 29
+        assert len(set(FEATURE_NAMES)) == 29
 
     def test_constant_window(self):
         out = window_features([5.0] * 14)
@@ -121,7 +122,7 @@ class TestWindowFeatures:
             reference = float(rng.uniform(0.0, 100.0))
             got = window_features(window, reference)
             want = oracle_window_features(window, reference)
-            assert got.shape == (30,)
+            assert got.shape == (N_FEATURES,)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_integer_heavy_windows_match_oracle(self):
@@ -157,7 +158,7 @@ class TestWindowFeatures:
         base = dict(zip(FEATURE_NAMES, window_features(window, ref)))
         scaled = dict(zip(FEATURE_NAMES, window_features(c * window, c * ref)))
         linear = (
-            "mean std min max median q25 q75 iqr range sum first last delta "
+            "mean std min max median q25 q75 iqr range first last delta "
             "slope intercept mean_abs_diff max_diff std_diff rms ewma "
             "mean_last3 mean_first3"
         ).split()
@@ -177,7 +178,7 @@ class TestBuildFeatureMatrix:
         data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
         assert len(m) == 1
-        assert m.values.shape == (1, 30, 12)
+        assert m.values.shape == (1, N_FEATURES, 12)
         assert m.dates == (dt.date(2020, 3, 14),)
 
     def test_too_short(self):
@@ -299,7 +300,7 @@ class TestFlatten:
         return build_feature_matrix(data, NEUTRAL_REFS)
 
     def test_lengths(self, matrix):
-        assert flatten_row(matrix, 0).shape == (361,)
+        assert flatten_row(matrix, 0).shape == (STAGE1_COLUMNS,)
 
     def test_doy_appended(self, matrix):
         row = flatten_row(matrix, 0)
@@ -309,7 +310,7 @@ class TestFlatten:
         row = flatten_row(matrix, 2)
         for s in range(12):
             np.testing.assert_array_equal(
-                row[s * 30 : (s + 1) * 30], matrix.values[2, :, s]
+                row[s * N_FEATURES : (s + 1) * N_FEATURES], matrix.values[2, :, s]
             )
 
     def test_constant_dataset_rows_identical_but_doy(self):
@@ -322,7 +323,7 @@ class TestFlatten:
 
     def test_flatten_all_matches_rows(self, matrix):
         flat = flatten_all(matrix)
-        assert flat.shape == (len(matrix), 361)
+        assert flat.shape == (len(matrix), STAGE1_COLUMNS)
         for r in range(len(matrix)):
             np.testing.assert_array_equal(flat[r], flatten_row(matrix, r))
 
@@ -332,9 +333,9 @@ class TestFlatten:
 
     def test_names(self):
         names = flat_feature_names()
-        assert len(names) == 361
+        assert len(names) == STAGE1_COLUMNS
         assert names[0] == "pollen__mean"
-        assert names[30] == f"{SERIES_NAMES[1]}__mean"
+        assert names[N_FEATURES] == f"{SERIES_NAMES[1]}__mean"
         assert names[-1] == "day_of_year"
 
 
@@ -342,4 +343,4 @@ class TestCsvExport:
     def test_catalog_version_recorded(self):
         data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
-        assert m.catalog_version == CATALOG_VERSION == "w14s30-v1"
+        assert m.catalog_version == CATALOG_VERSION == "w14s29-v1"

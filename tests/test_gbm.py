@@ -53,6 +53,12 @@ class TestConfig:
             dict(min_samples_leaf=0),
             dict(subsample_fraction=0.0),
             dict(subsample_fraction=1.2),
+            dict(n_trees=2.5),
+            dict(n_trees=True),
+            dict(max_depth=1.5),
+            dict(min_samples_leaf=2.0),
+            dict(seed=-1),
+            dict(seed=1.5),
         ],
     )
     def test_invalid(self, kwargs):

@@ -84,7 +84,7 @@ def test_stage2_fit_traced_in_the_parent(seed42_dataset, season_def):
                  if s.name == "pipeline.fit_stage2"]
     fits = [s for s in tracer.spans if s.name == "gbm.fit"]
     assert [s.parent for s in fits] == [stage2]
-    assert [f.X.shape[1] for f in tracer.fits] == [362]
+    assert [f.X.shape[1] for f in tracer.fits] == [pipeline.STAGE1_COLUMNS + 1]
 
 
 def test_train_check_refits_the_series(seed42_dataset, season_def):

@@ -34,13 +34,18 @@ from pollencast.errors import (
     WindowUnavailableError,
     WorkerLostError,
 )
-from pollencast.features import build_feature_matrix, flatten_all, flatten_row
+from pollencast.features import (
+    CATALOG_VERSION,
+    build_feature_matrix,
+    flatten_all,
+    flatten_row,
+)
 from pollencast.wls import final_forecast, fit_wls
 
 LIGHT = gbm.GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
 
-DOY_INDEX = 360  # last column of the flattened feature vector
-N_FLAT = 361
+N_FLAT = pl.STAGE1_COLUMNS
+DOY_INDEX = N_FLAT - 1  # last column of the flattened feature vector
 TRAIN_YEARS = tuple(range(2003, 2013))
 HOLDOUT_YEARS = tuple(range(2013, 2020))
 
@@ -258,7 +263,7 @@ class TestFitStage1:
         assert gbm.predict(m.model, X[11]) == 7.0
 
     def test_model_is_tagged_with_catalog_version(self, ten):
-        assert ten.fc.stage1.model.catalog_version == "w14s30-v1"
+        assert ten.fc.stage1.model.catalog_version == CATALOG_VERSION
 
     def test_curve_non_increasing(self, ten):
         curve = np.array(ten.fc.stage1.curve)
@@ -573,13 +578,15 @@ class TestPinnedBundles:
     which moved a few split thresholds on slope and intercept columns by
     1-2 ulp, and retaken for the ``forecaster-json-v2`` bundle, whose node
     arrays equal those of the nested ``forecaster-json-v1`` bundle bit for
-    bit; any change to the rows, folds, fits or their order shows here,
-    for every pool size.
+    bit.  They were retaken for the ``w14s29-v1`` catalog without the
+    window sum, whose node arrays equal the ``w14s30-v1`` ones once the
+    feature indices are renumbered; any change to the rows, folds, fits or
+    their order shows here, for every pool size.
     """
 
     DIGESTS = {
-        "loyo": "5832e147cc0b9f53497c792bf159fb6e65aa2074bf0e58aac683b36480282a31",
-        "holdout": "64d7bf0fb4e57bc839f6eed0808d05feca9f5df70ae5dfe2ce1737cfd1bd603b",
+        "loyo": "0f9adcbab93a2837bb45e40ee80dc4fad0e5e565783b1591326e4d178fb8fb03",
+        "holdout": "5c53a4e22dee1ba1c08b0d1a89a02075bd6e86ce3818c3ae2aaf3718c7bb0509",
     }
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3])
