@@ -372,8 +372,41 @@ def _records_ok(m: np.ndarray) -> np.ndarray:
 _PLAIN = bytes([10, *range(0x20, 0x7F)]).replace(b'"', b"")
 
 
-def _ordinal(text: str) -> int:
-    return dt.date.fromisoformat(text).toordinal()
+#: The one-pass read of a row: the date's first 11 bytes, then the values.
+#: ``np.loadtxt`` cuts a longer field to 11 bytes, one more than a strict
+#: ``YYYY-MM-DD``, so a date that is too long still shows.
+_ROW = np.dtype([("date", "S11"), ("values", "<f8", (len(SERIES_NAMES),))])
+
+#: Where a ``YYYY-MM-DD`` date has its digits and its dashes.
+_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]
+_DASH_AT = [4, 7]
+
+#: Days before the first of each month (1-12), and days in each month, of
+#: a common year.
+_DAYS_BEFORE = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _iso_ordinals(dates: np.ndarray) -> np.ndarray | None:
+    """The proleptic Gregorian ordinals (``dt.date.toordinal``) of an
+    ``S11`` array of dates, or None unless every date is a strict
+    ``YYYY-MM-DD`` of a day that exists, in year 1 or later."""
+    raw = np.ascontiguousarray(dates).view(np.uint8).reshape(-1, 11)
+    digits = raw[:, _DIGIT_AT] - np.uint8(ord("0"))  # other bytes wrap past 9
+    if (digits > 9).any() or (raw[:, _DASH_AT] != ord("-")).any() or raw[:, 10].any():
+        return None
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    if (year < 1).any() or ((month < 1) | (month > 12)).any():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if ((day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))).any():
+        return None
+    y = year - 1
+    return (y * 365 + y // 4 - y // 100 + y // 400
+            + _DAYS_BEFORE[month] + (leap & (month > 2)) + day)
 
 
 def _fast_rows(
@@ -386,11 +419,13 @@ def _fast_rows(
     declines anything that ``np.loadtxt`` might read otherwise than
     ``csv.reader``, ``dt.date.fromisoformat`` and ``float`` do: a byte
     outside :data:`_PLAIN`, a line longer than ``csv.field_size_limit()``,
-    or nothing but white space after the header.  ``np.loadtxt`` refuses
-    what ``float`` reads only with more grammar, such as ``1_000`` or
-    non-ASCII digits, and a date column that is also read as a value.
-    Both readers skip empty lines only, and ``np.loadtxt`` hands the date
-    converter its field unstripped.
+    nothing but white space after the header, or a date that is not a
+    strict ``YYYY-MM-DD`` (:func:`_iso_ordinals`), such as the
+    ``YYYYMMDD`` and week dates that ``fromisoformat`` also reads.
+    ``np.loadtxt`` refuses what ``float`` reads only with more grammar,
+    such as ``1_000`` or non-ASCII digits, and a date column that is also
+    read as a value.  Both readers skip empty lines only, and
+    ``np.loadtxt`` keeps a date field's white space.
     """
     body = text.find("\n") + 1
     limit = csv.field_size_limit()
@@ -403,12 +438,13 @@ def _fast_rows(
     ):
         return None
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
-                           skiprows=1, usecols=[date_at, *value_at],
-                           converters={date_at: _ordinal}, ndmin=2)
+        table = np.loadtxt(io.StringIO(text), dtype=_ROW, delimiter=",",
+                           comments=None, skiprows=1,
+                           usecols=[date_at, *value_at], ndmin=1)
     except ValueError:
         return None
-    return table[:, 0].astype(np.int64), table[:, 1:]
+    ordinals = _iso_ordinals(table["date"])
+    return None if ordinals is None else (ordinals, table["values"])
 
 
 def _tokenized_rows(

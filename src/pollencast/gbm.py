@@ -46,9 +46,10 @@ evaluating that expression on the whole matrix with fresh arrays:
 
 A model keeps all its trees in one set of flat node arrays
 (:class:`TreeArrays`), written in preorder by the builder.  The
-``gbm-json-v2`` object holds the same arrays as JSON number lists: saving
-is ``tolist`` on each array, loading is ``np.array`` on each list plus
-checks over whole arrays, with no walk from node to node.  A leaf is its
+``gbm-json-v3`` object holds each array as one base64 string of its
+little-endian bytes (int32 indices, float64 numbers): saving is
+``tobytes`` on each array, loading is ``np.frombuffer`` on each string plus
+checks over whole arrays, with no Python object per node.  A leaf is its
 own child, so prediction moves every (tree, row) pair down one level per
 step, as many steps as the deepest tree has levels.  The leaf values are
 then added tree by tree from 0.0 with a running sum, which rounds as
@@ -60,6 +61,7 @@ them.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -75,7 +77,10 @@ from .errors import (
     WrongFeatureCountError,
 )
 
-SERIALIZATION_FORMAT = "gbm-json-v2"
+SERIALIZATION_FORMAT = "gbm-json-v3"
+
+#: The most trees a model may have: the saved roots are int32 node indices.
+MAX_TREES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,13 @@ class GBMConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise InvalidRecordError(
                     f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidRecordError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.subsample_fraction <= 1.0:
-            raise InvalidRecordError("subsample_fraction must be in (0, 1]")
+        if self.n_trees > MAX_TREES:
+            raise InvalidRecordError(
+                f"n_trees must be at most {MAX_TREES}, got {self.n_trees}")
+        for name in ("learning_rate", "subsample_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0.0 < value <= 1.0:
+                raise InvalidRecordError(f"{name} must be in (0, 1], got {value!r}")
 
 
 class TreeNode(NamedTuple):
@@ -581,19 +589,44 @@ def json_array(
     return arr
 
 
-#: The node lists of a model object: the fields of :class:`TreeArrays`.
-_NODE_LISTS = (
-    ("feature", (int,), np.intp),
-    ("threshold", NUMBER, np.float64),
-    ("left", (int,), np.intp),
-    ("right", (int,), np.intp),
-    ("value", NUMBER, np.float64),
-    ("roots", (int,), np.intp),
+#: The packed node arrays of a model object, the fields of
+#: :class:`TreeArrays`: (key, stored little-endian dtype, loaded dtype).
+_NODE_FIELDS = (
+    ("feature", "<i4", np.intp),
+    ("threshold", "<f8", np.float64),
+    ("left", "<i4", np.intp),
+    ("right", "<i4", np.intp),
+    ("value", "<f8", np.float64),
+    ("roots", "<i4", np.intp),
 )
 
 
+def _packed(a: np.ndarray, stored: str) -> str:
+    """``a`` as the base64 text of its ``stored`` bytes."""
+    return base64.b64encode(a.astype(stored).tobytes()).decode("ascii")
+
+
+def _unpacked(doc: object, key: str, stored: str, dtype: type, what: str) -> np.ndarray:
+    """``doc[key]`` as a read-only 1-D array of ``dtype`` if it is the
+    base64 text of whole ``stored`` items; a float array must be finite."""
+    text = json_field(doc, key, (str,), what)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise InvalidRecordError(f"{what}: {key!r} is not base64: {exc}") from exc
+    item = np.dtype(stored).itemsize
+    if len(raw) % item:
+        raise InvalidRecordError(
+            f"{what}: {key!r} holds {len(raw)} bytes, not whole {item}-byte items")
+    arr = np.frombuffer(raw, dtype=stored).astype(dtype)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InvalidRecordError(f"{what}: {key!r} must hold only finite numbers")
+    arr.setflags(write=False)
+    return arr
+
+
 def _checked_trees(cols: list[np.ndarray], feature_count: int, what: str) -> TreeArrays:
-    """The node lists as :class:`TreeArrays` if they encode trees that
+    """The node arrays as :class:`TreeArrays` if they encode trees that
     prediction can walk; the checks run over whole arrays.
 
     Each tree is the nodes from its root to the next root.  A leaf points
@@ -606,7 +639,7 @@ def _checked_trees(cols: list[np.ndarray], feature_count: int, what: str) -> Tre
     feature, _, left, right, value, roots = cols
     n = value.size
     if any(a.size != n for a in cols[:4]):
-        raise InvalidRecordError(f"{what}: the node lists must have equal lengths")
+        raise InvalidRecordError(f"{what}: the node arrays must have equal lengths")
     if (roots.size == 0) != (n == 0) or roots.size and (
         roots[0] != 0 or roots[-1] >= n or (np.diff(roots) <= 0).any()
     ):
@@ -654,8 +687,8 @@ def to_obj(model: GBMModel) -> dict:
         "feature_count": model.feature_count,
         "catalog_version": model.catalog_version,
     }
-    for name, _, _ in _NODE_LISTS:
-        doc[name] = getattr(model.arrays, name).tolist()
+    for name, stored, _ in _NODE_FIELDS:
+        doc[name] = _packed(getattr(model.arrays, name), stored)
     return doc
 
 
@@ -673,8 +706,8 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
     except (TypeError, InvalidRecordError) as exc:
         raise InvalidRecordError(f"{what}: bad config: {exc}") from exc
     feature_count = json_field(doc, "feature_count", (int,), what)
-    cols = [json_array(doc, name, kinds, dtype, what)
-            for name, kinds, dtype in _NODE_LISTS]
+    cols = [_unpacked(doc, name, stored, dtype, what)
+            for name, stored, dtype in _NODE_FIELDS]
     return GBMModel(
         base_prediction=json_number(doc, "base_prediction", what),
         arrays=_checked_trees(cols, feature_count, what),

@@ -93,7 +93,7 @@ DEFAULT_HORIZON = 59
 #: weights 1/u^2 finite when the residual model predicts ~0.
 U_FLOOR = 0.25
 
-BUNDLE_FORMAT = "forecaster-json-v2"
+BUNDLE_FORMAT = "forecaster-json-v3"
 
 #: Flat Stage-1 columns: the window statistics of every series, then
 #: day-of-year.  Stage 2 prepends the Stage-1 prediction.
@@ -708,7 +708,8 @@ def _forecaster_from_obj(obj: object) -> Forecaster:
 
     fmt = get("format", (str,))
     if fmt != BUNDLE_FORMAT:
-        retrain = "; retrain the model" if fmt == "forecaster-json-v1" else ""
+        retired = fmt in ("forecaster-json-v1", "forecaster-json-v2")
+        retrain = "; retrain the model" if retired else ""
         raise InvalidRecordError(
             f"expected format {BUNDLE_FORMAT!r}, got {fmt!r}{retrain}")
     refs = gbm.json_array(obj, "references", gbm.NUMBER, np.float64, "model bundle")

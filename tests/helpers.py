@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import datetime as dt
 import io
 import math
 import os
+import struct
 import time
 from dataclasses import asdict
 from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pollencast import gbm, pipeline
 from pollencast.data import (
@@ -358,7 +361,7 @@ def reference_decode_trees(trees: list, feature_count: int, what: str = "model")
     ``gbm.json_field`` and appends each node with ``_Nodes.add``.
 
     Hand-made test trees go through it, and it decodes bundles of that
-    format for comparison with the flat ``gbm-json-v2`` lists."""
+    format for comparison with the flat node arrays."""
     nodes = gbm._Nodes()
     for tree in trees:
         # (object holding the node, key of the node in it or None, parent, depth)
@@ -386,43 +389,91 @@ def reference_decode_trees(trees: list, feature_count: int, what: str = "model")
     return nodes.arrays()
 
 
-#: (field, JSON element types) of the node lists of a ``gbm-json-v2`` object.
-_V2_LISTS = (("feature", (int,)), ("threshold", (int, float)), ("left", (int,)),
-             ("right", (int,)), ("value", (int, float)), ("roots", (int,)))
+#: (field, struct format of one item) of the packed node arrays of a
+#: ``gbm-json-v3`` object: int32 indices and float64 numbers, little-endian.
+PACKED_FIELDS = (("feature", "<i"), ("threshold", "<d"), ("left", "<i"),
+                 ("right", "<i"), ("value", "<d"), ("roots", "<i"))
+
+
+def pack(items, item: str) -> str:
+    """``items`` as the base64 text of their packed ``item`` bytes (a
+    struct format such as ``"<i"``): the encoding of a ``gbm-json-v3``
+    node array, for damaged arrays too."""
+    return base64.b64encode(b"".join(struct.pack(item, v) for v in items)).decode()
+
+
+def unpack(doc: dict, key: str) -> list:
+    """The packed node array ``doc[key]`` of a valid ``gbm-json-v3`` object
+    as a list of numbers."""
+    item = dict(PACKED_FIELDS)[key]
+    return [v for (v,) in struct.iter_unpack(item, base64.b64decode(doc[key]))]
+
+
+#: Characters outside the base64 alphabet, or padding out of place.
+NOT_BASE64 = ["!", "-", "_", " ", "\n", "=", "\u00e9"]
+#: The bytes of a float64 NaN and infinities.
+NON_FINITE_BYTES = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf)]
+
+
+def damaged_text(draw, text: str) -> str:
+    """A packed node array's text with two characters swapped, one dropped
+    or replaced by one outside base64, its bytes cut (often inside an
+    item), or the bytes of a NaN or an infinity spliced in at an 8-byte
+    boundary; ``draw`` is a hypothesis ``st.composite`` draw."""
+    if not text:
+        return draw(st.sampled_from(["A", "="]))
+    kind = draw(st.sampled_from(["swap", "drop", "replace", "cut", "splice"]))
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # damaged before
+        kind = "swap"
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "drop":
+        return text[:at] + text[at + 1:]
+    if kind == "replace":
+        return text[:at] + draw(st.sampled_from(NOT_BASE64)) + text[at + 1:]
+    if kind == "swap":
+        other = draw(st.integers(0, len(text) - 1))
+        chars = list(text)
+        chars[at], chars[other] = chars[other], chars[at]
+        return "".join(chars)
+    if kind == "cut":
+        raw = raw[:draw(st.integers(0, len(raw)))]
+    else:
+        at = draw(st.integers(0, len(raw) // 8)) * 8
+        raw = raw[:at] + draw(st.sampled_from(NON_FINITE_BYTES)) + raw[at + 8:]
+    return base64.b64encode(raw).decode()
 
 
 def reference_check_trees(doc: dict, feature_count: int, what: str = "model") -> gbm.TreeArrays:
-    """Oracle for the node-list checks of ``gbm.from_obj``: the node lists
-    of a ``gbm-json-v2`` object as node arrays, checked one element and
-    one node at a time.
+    """Oracle for the node-array checks of ``gbm.from_obj``: the packed
+    node arrays of a ``gbm-json-v3`` object as node arrays, unpacked one
+    item at a time and checked one node at a time.
 
-    Each element has an exact JSON type and fits its array; every node
-    feature lies in ``[0, feature_count)``.  Each tree runs from its root
-    to the next root and is walked from the root: a leaf points to itself,
-    a split's left child is the next node and its right child lies after
-    that inside the tree, and every node of the tree is reached exactly
-    once.  ``levels`` is the depth of the deepest node reached.
+    Each array is a base64 string of whole items; every float is finite and
+    every node feature lies in ``[0, feature_count)``.  Each tree runs from
+    its root to the next root and is walked from the root: a leaf points to
+    itself, a split's left child is the next node and its right child lies
+    after that inside the tree, and every node of the tree is reached
+    exactly once.  ``levels`` is the depth of the deepest node reached.
     """
     lists = {}
-    for key, kinds in _V2_LISTS:
-        items = gbm.json_field(doc, key, (list,), what)
-        for v in items:
-            if type(v) not in kinds:
-                raise InvalidRecordError(f"{what}: {key!r} holds a {type(v).__name__}")
-            if kinds == (int,) and not -2**63 <= v < 2**63:
-                raise InvalidRecordError(f"{what}: {key!r} holds {v}")
-            if kinds != (int,):
-                try:
-                    finite = math.isfinite(float(v))
-                except OverflowError:
-                    finite = False
-                if not finite:
-                    raise InvalidRecordError(f"{what}: {key!r} holds {v}")
+    for key, item in PACKED_FIELDS:
+        text = gbm.json_field(doc, key, (str,), what)
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:
+            raise InvalidRecordError(f"{what}: {key!r} is not base64") from None
+        if len(raw) % struct.calcsize(item):
+            raise InvalidRecordError(f"{what}: {key!r} ends inside an item")
+        items = [v for (v,) in struct.iter_unpack(item, raw)]
+        if item == "<d" and not all(map(math.isfinite, items)):
+            raise InvalidRecordError(f"{what}: {key!r} holds a non-finite number")
         lists[key] = items
     feature, left, right, roots = (lists[k] for k in ("feature", "left", "right", "roots"))
     n = len(lists["value"])
     if any(len(lists[k]) != n for k in ("feature", "threshold", "left", "right")):
-        raise InvalidRecordError(f"{what}: node lists of unequal lengths")
+        raise InvalidRecordError(f"{what}: node arrays of unequal lengths")
     if any(not 0 <= f < feature_count for f in feature):
         raise InvalidRecordError(f"{what}: a node feature outside [0, {feature_count})")
     ends = roots[1:] + [n]
@@ -447,6 +498,6 @@ def reference_check_trees(doc: dict, feature_count: int, what: str = "model") ->
             todo += [(left[i], depth + 1), (right[i], depth + 1)]
         if len(reached) != end - root:
             raise InvalidRecordError(f"{what}: a node of tree {root} is not reached")
-    cols = [np.array(lists[k], dtype=np.float64 if kinds != (int,) else np.intp)
-            for k, kinds in _V2_LISTS]
+    cols = [np.array(lists[k], dtype=np.float64 if item == "<d" else np.intp)
+            for k, item in PACKED_FIELDS]
     return gbm.TreeArrays(*cols, levels=levels)

@@ -1,20 +1,30 @@
 """CLI tests: argument handling, exit codes, file outputs, reproducibility."""
 
 import argparse
+import base64
 import contextlib
 import datetime as dt
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from helpers import cores, model_from_trees, year_dataset
+from helpers import (
+    PACKED_FIELDS,
+    cores,
+    damaged_text,
+    model_from_trees,
+    pack,
+    unpack,
+    year_dataset,
+)
 import pollencast
 from pollencast import cli, gbm
 from pollencast import pipeline as pl
@@ -446,8 +456,7 @@ def _stage1(bundle):
 
 def _splits(bundle):
     """Indices of the split nodes of the Stage-1 model of a bundle object."""
-    m = _stage1(bundle)
-    return [i for i, left in enumerate(m["left"]) if left != i]
+    return [i for i, left in enumerate(unpack(_stage1(bundle), "left")) if left != i]
 
 
 def _first_split(bundle):
@@ -455,24 +464,47 @@ def _first_split(bundle):
 
 
 def _first_leaf(bundle):
-    m = _stage1(bundle)
-    return next(i for i, left in enumerate(m["left"]) if left == i)
+    return next(i for i, left in enumerate(unpack(_stage1(bundle), "left")) if left == i)
+
+
+def _edit(bundle, key, change=None, model="stage1_model", item=None):
+    """Unpack the node array ``key`` of a model of the bundle, let
+    ``change`` edit the list of its items, and pack them again, as
+    ``item`` if given (a struct format such as ``"<d"``)."""
+    doc = bundle[model]
+    items = unpack(doc, key)
+    if change:
+        change(items)
+    doc[key] = pack(items, item or dict(PACKED_FIELDS)[key])
 
 
 def _put(bundle, key, at, value):
-    """Store ``value`` at node ``at`` of the Stage-1 node list ``key``."""
-    _stage1(bundle)[key][at] = value
+    """Store ``value`` at node ``at`` of the Stage-1 node array ``key``."""
+    _edit(bundle, key, lambda items: items.__setitem__(at, value))
 
 
 def _share_child(bundle):
     """Point a split's right side at its left child's right child."""
     i = next(i for i in _splits(bundle) if i + 1 in _splits(bundle))
-    _put(bundle, "right", i, _stage1(bundle)["right"][i + 1])
+    _put(bundle, "right", i, unpack(_stage1(bundle), "right")[i + 1])
 
 
 def _swap_roots(bundle):
-    roots = _stage1(bundle)["roots"]
-    roots[1], roots[2] = roots[2], roots[1]
+    def swap(roots):
+        roots[1], roots[2] = roots[2], roots[1]
+
+    _edit(bundle, "roots", swap)
+
+
+def _retext(bundle, key, change):
+    """Replace the packed text of the Stage-1 node array ``key`` by
+    ``change(text)``."""
+    _stage1(bundle)[key] = change(_stage1(bundle)[key])
+
+
+def _cut(text: str, n: int) -> str:
+    """Packed text whose bytes lose their last ``n``."""
+    return base64.b64encode(base64.b64decode(text)[:-n]).decode()
 
 
 #: A number that a mutation stores where the bundle's text must hold a
@@ -492,6 +524,8 @@ class _Literal:
 
 
 #: Ways to break a valid bundle object; each must give exit 2 and one line.
+#: The node arrays are damaged by unpacking, editing and packing them again
+#: (:func:`_edit`), or in their packed text.
 BROKEN_BUNDLES = {
     "missing_key": lambda b: b.pop("u_floor"),
     "missing_model_key": lambda b: b["stage2_model"].pop("right"),
@@ -507,31 +541,41 @@ BROKEN_BUNDLES = {
         catalog_version="w14s29-v0"),
     "bad_model_config": lambda b: b["stage2_model"].update(config={"bogus": 1}),
     "float_for_int_model_config": lambda b: _stage1(b)["config"].update(max_depth=1.5),
+    "n_trees_past_int32": lambda b: _stage1(b)["config"].update(n_trees=2**31),
+    "learning_rate_true": lambda b: b["stage2_model"]["config"].update(
+        learning_rate=True),
     "zero_u_floor": lambda b: b.update(u_floor=0),
     # a split whose left side points to itself, as a leaf's does
     "split_without_left": lambda b: _put(b, "left", _first_split(b), _first_split(b)),
-    "child_is_list": lambda b: _put(
-        b, "right", _first_split(b), [_stage1(b)["right"][_first_split(b)]]),
-    "leaf_value_string": lambda b: _put(b, "value", _first_leaf(b), "1.5"),
-    "leaf_value_null": lambda b: _put(b, "value", _first_leaf(b), None),
-    "threshold_bool": lambda b: _put(b, "threshold", _first_split(b), True),
-    "feature_float": lambda b: _put(
-        b, "feature", _first_split(b), float(_stage1(b)["feature"][_first_split(b)])),
-    "tree_is_number": lambda b: b["stage2_model"]["roots"].__setitem__(1, 0.5),
-    # a node with no threshold: the node lists differ in length
-    "empty_node": lambda b: _stage1(b)["threshold"].pop(_first_split(b)),
-    "leaf_value_true": lambda b: _put(b, "value", _first_leaf(b), True),
+    # a node array that is not a packed string
+    "child_is_list": lambda b: _stage1(b).update(right=unpack(_stage1(b), "right")),
+    "leaf_value_null": lambda b: _stage1(b).update(value=None),
+    "leaf_value_true": lambda b: _stage1(b).update(value=True),
+    "threshold_bool": lambda b: _stage1(b).update(threshold=True),
+    "tree_is_number": lambda b: b["stage2_model"].update(roots=0.5),
+    "index_bool": lambda b: _stage1(b).update(roots=False),
+    # packed text that is not base64
+    "leaf_value_string": lambda b: _stage1(b).update(value="1.5"),
+    "not_base64": lambda b: _retext(b, "left", lambda t: "!" + t[1:]),
+    "non_ascii_base64": lambda b: _retext(b, "left", lambda t: "\u00e9" + t[1:]),
+    "base64_character_dropped": lambda b: _retext(b, "right", lambda t: t[:9] + t[10:]),
+    # bytes that end inside an item
+    "partial_index": lambda b: _retext(b, "feature", lambda t: _cut(t, 2)),
+    "partial_number": lambda b: _retext(b, "threshold", lambda t: _cut(t, 5)),
+    # index arrays packed as float64: twice the items, or roots 0, 0, ...
+    "feature_float": lambda b: _edit(b, "feature", item="<d"),
+    "index_float": lambda b: _edit(b, "roots", item="<d"),
+    # a node with no threshold: the node arrays differ in length
+    "empty_node": lambda b: _edit(b, "threshold", lambda t: t.pop(_first_split(b))),
     "child_out_of_range": lambda b: _put(
-        b, "right", _first_split(b), len(_stage1(b)["value"])),
+        b, "right", _first_split(b), len(unpack(_stage1(b), "value"))),
     "child_points_backwards": lambda b: _put(b, "right", _splits(b)[1], 0),
     "shared_child": _share_child,
-    "unequal_lengths": lambda b: b["stage2_model"]["value"].pop(),
+    "unequal_lengths": lambda b: _edit(b, "value", list.pop, model="stage2_model"),
     "roots_not_increasing": _swap_roots,
-    # np.array takes false for 0 and 3.0 for 3 without a word
-    "index_bool": lambda b: _stage1(b)["roots"].__setitem__(0, False),
-    "index_float": lambda b: _stage1(b)["roots"].__setitem__(
-        1, float(_stage1(b)["roots"][1])),
-    "index_huge_int": lambda b: _put(b, "left", _first_leaf(b), 10**400),
+    # int32 indices at either end of their range
+    "index_huge_int": lambda b: _put(b, "left", _first_leaf(b), 2**31 - 1),
+    "index_int32_min": lambda b: _put(b, "right", _first_split(b), -(2**31)),
     # layouts that load as gbm models but do not fit the feature rows
     "stage1_feature_count_400": lambda b: _stage1(b).update(feature_count=400),
     "stage2_feature_count_363": lambda b: b["stage2_model"].update(
@@ -539,15 +583,15 @@ BROKEN_BUNDLES = {
     "horizon_zero": lambda b: b.update(horizon=0),
     "boundary_unknown": lambda b: b.update(boundary="middle"),
     "protocol_bogus": lambda b: b.update(stage2_protocol="bogus"),
-    # only the array checks see these: JSON reads them as inf or a huge int
-    "leaf_value_overflow": _Literal(
-        lambda b, v: _put(b, "value", _first_leaf(b), v), "1e999"),
-    "threshold_overflow": _Literal(
-        lambda b, v: _put(b, "threshold", _first_split(b), v), "-1e999"),
+    # NaN or infinity bits in a packed number array
+    "leaf_value_overflow": lambda b: _put(b, "value", _first_leaf(b), math.inf),
+    "threshold_overflow": lambda b: _put(b, "threshold", _first_split(b), -math.inf),
+    "leaf_value_nan": lambda b: _put(b, "value", _first_leaf(b), math.nan),
+    # only the number checks see these: JSON reads them as inf or a huge int
     "base_prediction_overflow": _Literal(
         lambda b, v: _stage1(b).update(base_prediction=v), "1e999"),
     "leaf_value_huge_int": _Literal(
-        lambda b, v: _put(b, "value", _first_leaf(b), v), "1" + "0" * 400),
+        lambda b, v: _stage1(b).update(value=v), "1" + "0" * 400),
     "u_floor_huge_int": _Literal(lambda b, v: b.update(u_floor=v), "1" + "0" * 400),
     "config_overflow": _Literal(
         lambda b, v: _stage1(b)["config"].update(max_depth=v), "1e999"),
@@ -597,6 +641,23 @@ class TestBadInputs:
         line = assert_one_error_line(
             capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
         assert "InvalidRecordError" in line and "retrain" in line
+
+    def test_v2_bundle_asks_for_retraining(self, synth_csv, trained_model,
+                                          tmp_path, capsys):
+        # the node arrays as JSON number lists, as that format stored them
+        bundle = json.loads(open(trained_model).read())
+        bundle["format"] = "forecaster-json-v2"
+        for key in ("stage1_model", "stage2_model"):
+            model = bundle[key]
+            model.update(format="gbm-json-v2",
+                         **{name: unpack(model, name) for name, _ in PACKED_FIELDS})
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(bundle))
+        line = assert_one_error_line(
+            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        assert line == ("error: InvalidRecordError: expected format "
+                        "'forecaster-json-v3', got 'forecaster-json-v2'; "
+                        "retrain the model")
 
     def test_w14s30_bundle_asks_for_retraining(self, synth_csv, trained_model,
                                               tmp_path, capsys):
@@ -795,6 +856,25 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert "NonFiniteError" in line
 
+    @pytest.mark.parametrize("config", [
+        {"stage1": {"n_trees": 10**21}},
+        {"stage2": {"n_trees": 2**31}},
+        {"stage2": {"learning_rate": True}},
+        {"stage1": {"subsample_fraction": True}},
+    ], ids=["n_trees_huge", "n_trees_past_int32", "learning_rate_true",
+            "subsample_fraction_true"])
+    def test_stage_setting_out_of_range(self, synth_csv, tmp_path, capsys,
+                                        config):
+        # a huge n_trees used to fail in a pool worker, and true trained as 1.0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "train", "--input", synth_csv,
+                     "--out", str(tmp_path / "m.json")])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        (stage,) = config
+        assert line.startswith(f"error: usage: bad {stage} settings: ")
+        assert not (tmp_path / "m.json").exists()
+
     def test_fit_error_in_worker_exits_2(self, synth_csv, tmp_path, capsys):
         cfg = write_config(tmp_path, {"stage1": {"min_samples_leaf": 100}})
         with cores(2):
@@ -879,9 +959,16 @@ def _containers(obj) -> list:
 @st.composite
 def bundle_mutations(draw, text: str) -> str:
     """A valid bundle's text with one to three of its keys or list
-    elements deleted, added or replaced by any JSON value."""
+    elements deleted, added or replaced by any JSON value, or its packed
+    node arrays damaged (``helpers.damaged_text``)."""
     bundle = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
+        model = bundle.get(draw(st.sampled_from(["stage1_model", "stage2_model"])))
+        key, _ = draw(st.sampled_from(PACKED_FIELDS))
+        if (draw(st.booleans()) and isinstance(model, dict)
+                and isinstance(model.get(key), str)):
+            model[key] = damaged_text(draw, model[key])
+            continue
         found = _containers(bundle)
         holder = found[draw(st.integers(0, len(found) - 1))]
         keys = sorted(holder) + ["extra"] if isinstance(holder, dict) else None
@@ -926,6 +1013,7 @@ class TestBundleFuzz:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["predict", "--input", spring_2008, "--model", path,
                          "--year", "2008", "--anchor", "110"])
+        event(f"exit {code}")
         assert code in (EXIT_OK, EXIT_RUNTIME)
         assert "Traceback" not in err.getvalue()
         lines = err.getvalue().splitlines()

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -330,11 +331,35 @@ class TestIngestCsv:
 
 
 #: Text that never parses as a date or as a finite number.
-BAD_DATES = ("2020-02-30", "yesterday", "", "2020/03/01")
+BAD_DATES = ("2020-02-30", "yesterday", "", "2020/03/01", "0000-01-01",
+             "1900-02-29", "2021-04-31", "2021-06-31", "2021-09-31",
+             "2021-11-31", "2021-13-01", "2021-00-10", "2021-01-00")
 BAD_NUMBERS = ("oops", "nan", "inf", "-Infinity", "1e999", "", "1.5.2")
 FAULTS = ("short_row", "bad_date", "bad_number", "negative_pollen",
           "percent_out_of_range", "tmin_above_tavg", "repeated_date",
-          "earlier_date", "field_over_csv_limit")
+          "earlier_date", "field_over_csv_limit", "other_date_form")
+#: First days of a file, before a shift of 0-20 days: the first and the
+#: last days a date can have, the end of February in a year that is not a
+#: leap year (1900) and in one that is (2000), and the end of April.
+FIRST_DAYS = (dt.date(2019, 12, 25), dt.date.min, dt.date(1900, 2, 20),
+              dt.date(2000, 2, 20), dt.date(2021, 4, 20), dt.date(9999, 11, 29))
+
+
+def _other_date_form(rng: random.Random, day: dt.date) -> str:
+    """``day`` written otherwise than as a strict ``YYYY-MM-DD``: as
+    ``YYYYMMDD`` or a week date, which ``dt.date.fromisoformat`` reads from
+    Python 3.11 on, or padded or with short fields, which it refuses."""
+    year, week, weekday = day.isocalendar()
+    return rng.choice([
+        f"{day.year:04d}{day.month:02d}{day.day:02d}",
+        f"{year:04d}-W{week:02d}-{weekday}",
+        f"{year:04d}W{week:02d}{weekday}",
+        f" {day.isoformat()}",
+        f"{day.isoformat()} ",
+        f"0{day.isoformat()}",
+        f"{day.year}-{day.month}-{day.day}",
+        day.isoformat()[:-1],
+    ])
 
 
 def _value_text(rng: random.Random, v: float, plain: bool = False) -> str:
@@ -379,7 +404,7 @@ def csv_files(draw):
     gaps = [0] * n
     if draw(st.booleans()):
         gaps[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
-    first = dt.date(2019, 12, 25) + dt.timedelta(days=draw(st.integers(0, 20)))
+    first = draw(st.sampled_from(FIRST_DAYS)) + dt.timedelta(days=draw(st.integers(0, 20)))
     days = [first + dt.timedelta(days=k + sum(gaps[: k + 1])) for k in range(n)]
     rows = [
         dict(date=day.isoformat(),
@@ -403,12 +428,14 @@ def csv_files(draw):
         elif fault == "tmin_above_tavg":
             row["tmin"] = repr(float(row["tavg"]) + 1.0)
         elif fault in ("repeated_date", "earlier_date") and k > 0:
-            back = 1 if fault == "earlier_date" else 0
+            back = 1 if fault == "earlier_date" and days[k - 1] > dt.date.min else 0
             row["date"] = (days[k - 1] - dt.timedelta(days=back)).isoformat()
         elif fault == "short_row":
             short[k] = draw(st.integers(1, len(header) - 1))
         elif fault == "field_over_csv_limit":
             row[rng.choice(SERIES_NAMES)] = "7" * (csv.field_size_limit() + 1)
+        elif fault == "other_date_form":
+            row["date"] = _other_date_form(rng, days[k])
 
     lines = [",".join(header)]
     for k, row in enumerate(rows):
@@ -492,6 +519,9 @@ FAST_PARSE_HAZARDS = {
     "nul_in_extra_column": (
         lambda t: "\n".join(f"{ln},\x00" for ln in t.split("\n")[:-1]) + "\n", None),
     "padded_date": (lambda t: t.replace("\n2020", "\n 2020", 1), NonMonotoneDatesError),
+    # strict YYYY-MM-DD of a day that does not exist
+    "year_zero": (lambda t: t.replace("2020-03-01", "0000-03-01"), NonMonotoneDatesError),
+    "april_31": (lambda t: t.replace("2020-03-01", "2020-04-31"), NonMonotoneDatesError),
     "padded_date_end": (lambda t: t.replace("-01,", "-01 ,", 1), NonMonotoneDatesError),
     "info_separator": (lambda t: t.replace(",5.0,", ",5.0\x1f,", 1), NonFiniteError),
     "full_width_digits": (lambda t: t.replace(",5.0,", ",１２,", 1), None),
@@ -546,6 +576,22 @@ class TestFastParse:
         outcome = _outcome(ingest_csv, str(path), column_map)
         assert outcome == _outcome(reference_ingest_csv, str(path), column_map)
         assert outcome[0] is NonFiniteError
+
+    def test_compact_dates_read_by_the_tokenizer(self, tmp_path):
+        # the fast parse takes strict YYYY-MM-DD only; fromisoformat reads
+        # YYYYMMDD from Python 3.11 on, and so does the tokenizer
+        text = plain_csv()
+        compact = re.sub(r"^(\d{4})-(\d\d)-(\d\d),", r"\1\2\3,", text, flags=re.M)
+        assert compact.count("\n20200301,") == 1
+        assert _fast_read(compact, {}) is None
+        plain, path = tmp_path / "plain.csv", tmp_path / "compact.csv"
+        plain.write_text(text)
+        path.write_text(compact)
+        outcome = _outcome(ingest_csv, str(path), {})
+        assert outcome == _outcome(reference_ingest_csv, str(path), {})
+        if sys.version_info >= (3, 11):
+            assert ingest_csv(str(path)) == ingest_csv(str(plain))
+            assert outcome == _outcome(ingest_csv, str(plain), {})
 
     @pytest.mark.parametrize("hazard", sorted(FAST_PARSE_HAZARDS))
     def test_hazard_declined(self, tmp_path, hazard):

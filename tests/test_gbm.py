@@ -1,21 +1,26 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PACKED_FIELDS,
+    damaged_text,
     model_from_trees,
     nested_trees,
+    pack,
     reference_best_split,
     reference_check_trees,
     reference_decode_trees,
     reference_predict,
     reference_split_gains,
     split_search,
+    unpack,
 )
 from pollencast import gbm
 from pollencast.errors import (
@@ -59,6 +64,10 @@ class TestConfig:
             dict(min_samples_leaf=2.0),
             dict(seed=-1),
             dict(seed=1.5),
+            dict(n_trees=2**31),
+            dict(n_trees=10**21),
+            dict(learning_rate=True),
+            dict(subsample_fraction=True),
         ],
     )
     def test_invalid(self, kwargs):
@@ -311,34 +320,35 @@ class TestPinnedFits:
 
     The digests were taken with the original split kernel and retaken for
     the ``gbm-json-v2`` node lists, whose arrays equal those of the nested
-    ``gbm-json-v1`` trees bit for bit; any change to the fitted trees,
-    thresholds, leaf values or curve shows here.
+    ``gbm-json-v1`` trees bit for bit, and for the packed ``gbm-json-v3``
+    arrays, which decode to the ``gbm-json-v2`` arrays bit for bit; any
+    change to the fitted trees, thresholds, leaf values or curve shows here.
     """
 
     CASES = {
         "default": (
             GBMConfig(),
-            "3c06c0ccac6352e8bd21a14e0bc99f266f359b663e0f8b46353b34f8ca6596d9",
+            "19811f5e5cda136069842fc6aff1c6e1a70150ef52c3d2a8f053d8e2daa38e6c",
         ),
         "depth0": (
             GBMConfig(n_trees=40, max_depth=0),
-            "bb5b00ea9c26c4db941e638b8c622b450da1b7364031e731312e5df21728a8c8",
+            "2adc118459707b3742147e4db04d96f04003383ea1f72c885422077e369f576e",
         ),
         "depth1": (
             GBMConfig(n_trees=60, max_depth=1),
-            "dd6d5760d33119cc1ce531e2090be71eb5c058d36f7240ce4d3e8689182a93be",
+            "a02a9d6cad39d4e10dd21cb810a2f16c9dc28b424a5792f3a3e78c52fec38f5e",
         ),
         "depth2": (
             GBMConfig(n_trees=60, max_depth=2),
-            "1571367dfbf1d38742c56dd85a426eac4433d6f93a5fbf4239ebcf82a6b49d69",
+            "c8b84bef49d616a1df3bb47cf9752c8cfa60c7df40a5aadafae7862a3556b462",
         ),
         "min_leaf1": (
             GBMConfig(n_trees=60, min_samples_leaf=1),
-            "ec40e6b6d6440e6d4f45af581f4bc5e29d515a74975e40e14c97d03a7fab7dd7",
+            "a5a847d884d327f54a0df43f2ebb99beec0d26bee0977d1ced58aa930f01e023",
         ),
         "subsample": (
             GBMConfig(n_trees=60, subsample_fraction=0.5, seed=7),
-            "86827bf64c334c76c8a48a63c2031fd608e586e569d83f2be62d56aa04fe88ac",
+            "5aa7e2cc3e7cd3511dff3e1390b2c652374033376395e62677beb04caef7788d",
         ),
     }
 
@@ -507,24 +517,36 @@ def decode_outcome(decode, doc: dict):
 
 
 _DROP, _NODES, _SELF = object(), object(), object()
-#: Values that may break an element of a node list: _DROP removes the
-#: element, _NODES stands for the node count and _SELF for the element's
-#: own index; small integers are drawn besides these.
-_BAD_ELEMENTS = [_DROP, _NODES, _SELF, "x", None, True, False, 0.0, 1.5, -1,
-                 2**63, 10**400, float("inf"), []]
+#: Items that may break an index array: _DROP removes the item, _NODES
+#: stands for the node count and _SELF for the item's own index; small
+#: integers are drawn besides these.
+_BAD_INDEXES = [_DROP, _NODES, _SELF, -1, 2**31 - 1, -(2**31)]
+#: Items that may break a number array.
+_BAD_NUMBERS = [_DROP, math.nan, math.inf, -math.inf, -0.0, 1.5, 5e-324]
+#: JSON values that may stand in place of a packed array.
+_BAD_FIELDS = [None, True, 0, 1.5, [], [0], {}, "", "=", "AAAA", "AAAAAA=="]
 
 
 @st.composite
 def broken_tree_docs(draw):
-    """The ``gbm-json-v2`` object of a random fit with one to three
-    elements of its node lists dropped, appended or replaced by a
-    mistyped, out-of-range or other node's value."""
+    """The ``gbm-json-v3`` object of a random fit with one to three of its
+    node arrays damaged: items dropped, appended or replaced by an
+    out-of-range, non-finite or other node's value and packed again, an
+    index array packed as float64, the packed text damaged
+    (``helpers.damaged_text``) or replaced by another JSON value."""
     model, _ = draw(random_fits())
     doc = gbm.to_obj(model)
+    arrays = {key: unpack(doc, key) for key, _ in PACKED_FIELDS}
+    damage = {}
     for _ in range(draw(st.integers(1, 3))):
-        items = doc[draw(st.sampled_from([name for name, _, _ in gbm._NODE_LISTS]))]
-        n = len(doc["value"])
-        new = draw(st.sampled_from(_BAD_ELEMENTS) | st.integers(-1, n + 1))
+        key, item = draw(st.sampled_from(PACKED_FIELDS))
+        kind = draw(st.sampled_from(["item", "item", "item", "field", "text", "float64"]))
+        if kind != "item":
+            damage[key] = kind
+            continue
+        items, n = arrays[key], len(arrays["value"])
+        bad = _BAD_INDEXES if item == "<i" else _BAD_NUMBERS
+        new = draw(st.sampled_from(bad) | st.integers(-1, n + 1))
         at = draw(st.integers(0, len(items))) if items else 0
         if new is _DROP:
             if items:
@@ -535,16 +557,29 @@ def broken_tree_docs(draw):
             items.append(new)
         else:
             items[at] = new
+    for key, item in PACKED_FIELDS:
+        kind = damage.get(key)
+        if kind == "float64" and item == "<i":
+            doc[key] = pack(map(float, arrays[key]), "<d")
+            continue
+        text = pack(arrays[key], item)
+        if kind == "field":
+            doc[key] = draw(st.sampled_from(_BAD_FIELDS))
+            continue
+        if kind == "text":
+            text = damaged_text(draw, text)
+        doc[key] = text
     return doc
 
 
-def v2_doc(left: list, right: list, roots: list) -> dict:
-    """A ``gbm-json-v2`` object over one feature with these child pointers
+def packed_doc(left: list, right: list, roots: list) -> dict:
+    """A ``gbm-json-v3`` object over one feature with these child pointers
     and roots; every node has feature 0, threshold 0.0 and value 0.0."""
     n = len(left)
     doc = gbm.to_obj(model_from_trees((), 1))
-    doc.update(feature=[0] * n, threshold=[0.0] * n, left=left, right=right,
-               value=[0.0] * n, roots=roots)
+    doc.update(feature=pack([0] * n, "<i"), threshold=pack([0.0] * n, "<d"),
+               left=pack(left, "<i"), right=pack(right, "<i"),
+               value=pack([0.0] * n, "<d"), roots=pack(roots, "<i"))
     return doc
 
 
@@ -564,9 +599,9 @@ def hand_made_models(draw):
 
 
 class TestDecoderProperty:
-    """The node lists load into the arrays they were saved from, bit for
-    bit, and the checks over whole arrays reject exactly what the
-    node-by-node oracle rejects."""
+    """The packed node arrays load into the arrays they were saved from,
+    bit for bit, and the checks over whole arrays reject exactly what the
+    item-by-item, node-by-node oracle rejects."""
 
     @given(case=random_fits())
     @settings(max_examples=40, deadline=None)
@@ -591,13 +626,14 @@ class TestDecoderProperty:
     @given(doc=broken_tree_docs())
     # node 1's right child is a leaf of the next tree, and every node but
     # the roots still has one parent
-    @example(doc=v2_doc(left=[1, 2, 2, 3, 5, 5, 6, 7],
+    @example(doc=packed_doc(left=[1, 2, 2, 3, 5, 5, 6, 7],
                         right=[3, 6, 2, 3, 7, 5, 6, 7], roots=[0, 4]))
     @settings(max_examples=200, deadline=None)
     def test_broken_trees_fail_like_reference(self, doc):
         got = decode_outcome(lambda d: gbm.from_obj(d).arrays, doc)
         want = decode_outcome(
             lambda d: reference_check_trees(d, d["feature_count"]), doc)
+        event("refused" if want is None else "loaded")
         if want is None:
             assert got is None
         else:

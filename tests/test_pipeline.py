@@ -580,13 +580,15 @@ class TestPinnedBundles:
     arrays equal those of the nested ``forecaster-json-v1`` bundle bit for
     bit.  They were retaken for the ``w14s29-v1`` catalog without the
     window sum, whose node arrays equal the ``w14s30-v1`` ones once the
-    feature indices are renumbered; any change to the rows, folds, fits or
-    their order shows here, for every pool size.
+    feature indices are renumbered, and for the packed
+    ``forecaster-json-v3`` bundle, whose node arrays decode to the
+    ``forecaster-json-v2`` ones bit for bit; any change to the rows, folds,
+    fits or their order shows here, for every pool size.
     """
 
     DIGESTS = {
-        "loyo": "0f9adcbab93a2837bb45e40ee80dc4fad0e5e565783b1591326e4d178fb8fb03",
-        "holdout": "5c53a4e22dee1ba1c08b0d1a89a02075bd6e86ce3818c3ae2aaf3718c7bb0509",
+        "loyo": "95bcdba19c5773fefd0876d7fa4f5a063669a008f82efb9df2dc9ef7f94141f6",
+        "holdout": "fd6d4869375e6acb055d6c0ef0da8a218aad7f630ae2a4e04020d59c4804703c",
     }
 
     @pytest.mark.parametrize("n_cores", [1, 2, 3])
