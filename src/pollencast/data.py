@@ -381,10 +381,8 @@ _ROW = np.dtype([("date", "S11"), ("values", "<f8", (len(SERIES_NAMES),))])
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9]
 _DASH_AT = [4, 7]
 
-#: Days before the first of each month (1-12), and days in each month, of
-#: a common year.
-_DAYS_BEFORE = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+#: The ordinal (``dt.date.toordinal``) of day 0 of ``datetime64[D]``.
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def _iso_ordinals(dates: np.ndarray) -> np.ndarray | None:
@@ -395,18 +393,12 @@ def _iso_ordinals(dates: np.ndarray) -> np.ndarray | None:
     digits = raw[:, _DIGIT_AT] - np.uint8(ord("0"))  # other bytes wrap past 9
     if (digits > 9).any() or (raw[:, _DASH_AT] != ord("-")).any() or raw[:, 10].any():
         return None
-    d = digits.astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month = d[:, 4] * 10 + d[:, 5]
-    day = d[:, 6] * 10 + d[:, 7]
-    if (year < 1).any() or ((month < 1) | (month > 12)).any():
+    try:
+        days = dates.astype("S10").astype("datetime64[D]")
+    except ValueError:  # a month or day that does not exist
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if ((day < 1) | (day > _MONTH_DAYS[month] + (leap & (month == 2)))).any():
-        return None
-    y = year - 1
-    return (y * 365 + y // 4 - y // 100 + y // 400
-            + _DAYS_BEFORE[month] + (leap & (month > 2)) + day)
+    ordinals = days.astype(np.int64) + _EPOCH_ORDINAL
+    return None if (ordinals < 1).any() else ordinals  # year 0000
 
 
 def _fast_rows(

@@ -46,10 +46,6 @@ class DatasetTooShortError(PollencastError):
     """The dataset is shorter than one rolling window."""
 
 
-class IndexOutOfRangeError(PollencastError):
-    """A row index is outside the feature matrix."""
-
-
 # --- boosted-tree learner ----------------------------------------------------
 
 class TooFewRowsError(PollencastError):

@@ -5,6 +5,9 @@ each of the 12 series, 29 statistics per window.  Only past data enters a
 row: predictions made on day d must not peek beyond d.  The statistic
 catalog is fixed and versioned so serialized models can name the exact
 layout they were trained on.
+
+The rows come out flat, in the 349-column layout that both stages and
+inference read: the statistics of each series in turn, then day-of-year.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, SERIES_NAMES
-from .errors import (
-    DatasetTooShortError,
-    IndexOutOfRangeError,
-    NonFiniteError,
-    WrongWindowLengthError,
-)
+from .errors import DatasetTooShortError, NonFiniteError, WrongWindowLengthError
 
 WINDOW_LEN = 14
 
@@ -65,9 +63,9 @@ CATALOG_VERSION = "w14s29-v1"
 #: Name of the last flat column, the day-of-year.
 DOY_NAME = "day_of_year"
 
-#: Windows per statistics pass: one pass covers a forecast's or a training
-#: year's rows, and a long dataset's temporaries stay small.
-_WINDOW_BLOCK = 4096
+#: Days per statistics pass, 12 windows each: one pass covers a forecast's
+#: or a training year's rows, and a long dataset's temporaries stay small.
+_BLOCK_DAYS = 341
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -146,36 +144,38 @@ def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Day x feature x series tensor plus the date each row describes.
+    """Flat Stage-1 feature rows and the date of the first.
 
-    ``values[r, f, s]`` is catalog statistic f of series s over the window
-    ending on ``dates[r]``.  ``references`` records the per-series count
-    thresholds the rows were built with.
+    ``rows[r]`` describes the day ``start + r``: the 29 catalog statistics
+    of series 1 over its window ending that day, then those of series 2,
+    and so on, then the day-of-year (:func:`flat_feature_names`).
+    ``references`` records the per-series count thresholds the rows were
+    built with.
     """
 
-    values: np.ndarray
-    dates: tuple[dt.date, ...]
+    rows: np.ndarray
+    start: dt.date
     references: tuple[float, ...]
     catalog_version: str = CATALOG_VERSION
 
     def __post_init__(self) -> None:
-        n, f, s = self.values.shape
-        if f != N_FEATURES or s != len(SERIES_NAMES):
-            raise WrongWindowLengthError(
-                f"feature tensor must be N x {N_FEATURES} x {len(SERIES_NAMES)}, "
-                f"got {self.values.shape}"
-            )
-        if n != len(self.dates):
-            raise WrongWindowLengthError("one date per row required")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteError("feature tensor contains non-finite values")
+        if not np.isfinite(self.rows).all():
+            raise NonFiniteError("feature rows contain non-finite values")
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """A read-only (rows, 29, 12) view of ``rows`` without the
+        day-of-year: ``values[r, f, s]`` is statistic f of series s.  Only
+        the benchmark's window-statistics check (``perfbench``) reads it."""
+        return self.rows[:, :-1].reshape(
+            len(self), len(SERIES_NAMES), N_FEATURES).transpose(0, 2, 1)
 
 
 def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureMatrix:
-    """Feature tensor for every day with a full trailing window.
+    """Feature rows for every day with a full trailing window.
 
     Row r describes the day at dataset index ``r + 13``; its
     statistics read only that day and the 13 before it.  ``references``
@@ -195,52 +195,30 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
             f"need at least {WINDOW_LEN} days, got {matrix.shape[0]}"
         )
 
-    # every (day, series) window as one row, (rows, 12, 14) -> (rows * 12, 14);
-    # each block is copied so that numpy reduces every window as a contiguous
-    # row, pairwise like a lone window (the view would add values one by one)
+    # every (day, series) window of a block as one row, (days, 12, 14) ->
+    # (days * 12, 14); each block is copied so that numpy reduces every window
+    # as a contiguous row, pairwise like a lone window (the view would add
+    # values one by one), and its statistics go straight into their rows
     windows = np.lib.stride_tricks.sliding_window_view(matrix, WINDOW_LEN, axis=0)
     n_rows, n_series = windows.shape[:2]
-    windows = windows.reshape(n_rows * n_series, WINDOW_LEN)
-    row_refs = np.tile(refs, n_rows)
-    stats = np.empty((len(windows), N_FEATURES))
-    for lo in range(0, len(windows), _WINDOW_BLOCK):
-        part = slice(lo, lo + _WINDOW_BLOCK)
-        stats[part] = _window_stats(np.ascontiguousarray(windows[part]), row_refs[part])
-    values = stats.reshape(n_rows, n_series, N_FEATURES).transpose(0, 2, 1)
-    values.setflags(write=False)
+    rows = np.empty((n_rows, n_series * N_FEATURES + 1))
+    block_refs = np.tile(refs, _BLOCK_DAYS)
+    for lo in range(0, n_rows, _BLOCK_DAYS):
+        block = windows[lo:lo + _BLOCK_DAYS]  # a view; its copy lives for one pass
+        rows[lo:lo + len(block), :-1] = _window_stats(
+            np.ascontiguousarray(block).reshape(-1, WINDOW_LEN),
+            block_refs[:len(block) * n_series],
+        ).reshape(len(block), -1)
 
-    first, _ = data.span
-    offset = WINDOW_LEN - 1
-    dates = tuple(
-        first + dt.timedelta(days=offset + r) for r in range(values.shape[0])
-    )
-    return FeatureMatrix(values=values, dates=dates, references=refs)
-
-
-def _doy(date: dt.date) -> float:
-    return float(date.timetuple().tm_yday)
-
-
-def flatten_row(m: FeatureMatrix, day: int) -> np.ndarray:
-    """One flat feature vector: series-major concatenation, then day-of-year.
-
-    Layout: series 1 features 1..29, series 2 features 1..29, and so on;
-    the day-of-year is the last entry.
-    """
-    if not 0 <= day < len(m):
-        raise IndexOutOfRangeError(f"row {day} outside 0..{len(m) - 1}")
-    return np.concatenate([m.values[day].T.reshape(-1), [_doy(m.dates[day])]])
-
-
-def flatten_all(m: FeatureMatrix) -> np.ndarray:
-    """All rows flattened at once; row r equals ``flatten_row(m, r)``."""
-    flat = m.values.transpose(0, 2, 1).reshape(len(m), -1)
-    doy = np.array([_doy(d) for d in m.dates], dtype=np.float64)
-    return np.concatenate([flat, doy[:, None]], axis=1)
+    start = data.span[0] + dt.timedelta(days=WINDOW_LEN - 1)
+    days = np.datetime64(start, "D") + np.arange(n_rows)
+    rows[:, -1] = (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+    rows.setflags(write=False)
+    return FeatureMatrix(rows=rows, start=start, references=refs)
 
 
 def flat_feature_names() -> tuple[str, ...]:
-    """Column names matching :func:`flatten_row` order."""
+    """The names of the columns of :attr:`FeatureMatrix.rows`."""
     names = [
         f"{series}__{feat}" for series in SERIES_NAMES for feat in FEATURE_NAMES
     ]

@@ -12,9 +12,9 @@ and inference read flat feature rows in the fixed Stage-1 layout of 349
 columns: 12 series x 29 window statistics, then day-of-year.  Stage 2
 prepends the Stage-1 prediction.  A row depends only on its own 14-day
 window, so each training year and each forecast builds the rows of just the
-days it reads: it slices those days' windows from the dataset's value
-matrix, and takes each row's year from the dataset's first date and the row
-index, so no :class:`~pollencast.data.DailyRecord` is built.
+days it reads: it slices those days from the dataset's value matrix and
+uses the flat rows of :func:`~pollencast.features.build_feature_matrix`
+as they are, with no :class:`~pollencast.data.DailyRecord` or per-row date.
 
 The Stage-1 fits of one training are independent: one per out-of-fold split
 of the Stage-2 protocol, then the full fit.  They run on forked worker
@@ -56,7 +56,6 @@ from .features import (
     SERIES_NAMES,
     WINDOW_LEN,
     build_feature_matrix,
-    flatten_all,
 )
 from .wls import BOUNDARIES, ForecastSeries
 
@@ -276,7 +275,7 @@ def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
             f"year {year}, days {z_lo}..{z_hi}: no feature window "
             f"(features cover {start + dt.timedelta(WINDOW_LEN - 1)}..{end})"
         )
-    return flatten_all(build_feature_matrix(data[first:last + 1], refs))
+    return build_feature_matrix(data[first:last + 1], refs).rows
 
 
 _YearRows = tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
@@ -297,8 +296,9 @@ def _labeled_years(
     """
     if boundary not in BOUNDARIES:
         raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
-    if horizon < 1:
-        raise HorizonOutOfRangeError(f"horizon must be >= 1, got {horizon}")
+    # the first row's day, boundary - horizon, must be day 1 or later
+    if not 1 <= horizon <= 365:
+        raise HorizonOutOfRangeError(f"horizon must be in 1..365, got {horizon}")
     ys = tuple(sorted(set(years)))
     if len(ys) < min_years:
         raise TooFewYearsError(f"need >= {min_years} training years, got {len(ys)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,6 +66,20 @@ class GeneratorProfile:
     soil_alpha: float = 0.06
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int,) if f.type == "int" else (int, float)
+            # the float range also bounds an int, which numpy turns to a float
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or not abs(value) <= sys.float_info.max):
+                kind = "integer" if f.type == "int" else "number"
+                raise InvalidRecordError(f"{f.name} must be a finite {kind}, got {value!r}")
+            if f.name.endswith(("_sigma", "_scale")) and value < 0:
+                raise InvalidRecordError(f"{f.name} must be >= 0, got {value!r}")
+        if self.start_year < 1:
+            raise InvalidRecordError(f"start_year must be >= 1, got {self.start_year}")
+        if not -1 <= self.noise_rho <= 1:
+            raise InvalidRecordError(f"noise_rho must be in [-1, 1], got {self.noise_rho}")
         if self.rise_width <= 0 or self.decay_width_mean <= 0:
             raise InvalidRecordError("bump widths must be positive")
         if not 0 < self.soil_alpha <= 1:
@@ -74,9 +89,15 @@ class GeneratorProfile:
 
     @classmethod
     def from_json(cls, path: str) -> "GeneratorProfile":
-        """Load a profile from a JSON file; unknown keys are rejected."""
-        with open(path) as fh:
-            raw = json.load(fh)
+        """Load a profile from a JSON object in a file; unknown keys are rejected."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise InvalidRecordError(
+                    f"generator profile {path} is not readable JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidRecordError(f"generator profile {path} must hold a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -90,6 +111,7 @@ def _year_days(year: int) -> int:
     return 366 if (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days == 365 else 365
 
 
+@np.errstate(all="ignore")  # extreme profiles overflow; from_matrix refuses the result
 def generate_synthetic(
     seed: int, years: int, profile: GeneratorProfile | None = None
 ) -> Dataset:
@@ -102,6 +124,9 @@ def generate_synthetic(
     if years < 1:
         raise InvalidRecordError(f"years must be >= 1, got {years}")
     p = profile or GeneratorProfile()
+    last_year = p.start_year + years - 1
+    if last_year > 9999:  # the last year a date can have
+        raise InvalidRecordError(f"years {p.start_year}..{last_year} go past 9999")
     rng = np.random.default_rng(seed)
 
     year_list = list(range(p.start_year, p.start_year + years))

@@ -3,6 +3,7 @@
 import argparse
 import base64
 import contextlib
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -31,6 +32,7 @@ from pollencast import pipeline as pl
 from pollencast.cli import CONFIG_KEYS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pollencast.data import Dataset, emit_csv, ingest_csv
 from pollencast.features import CATALOG_VERSION
+from pollencast.synth import GeneratorProfile
 
 LIGHT_CONFIG = {
     "stage1": {"n_trees": 30, "max_depth": 2, "learning_rate": 0.25},
@@ -844,6 +846,48 @@ class TestBadInputs:
         assert main(["--config", str(path), "label", "--input", synth_csv]) == EXIT_OK
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    @pytest.mark.parametrize("horizon", ["366", "100000000000000000000"])
+    def test_horizon_past_a_year(self, synth_csv, tmp_path, capsys, command,
+                                 horizon):
+        # the first row's day, boundary - horizon, would come before day 1
+        out = {"train": ["--out", str(tmp_path / "m.json")],
+               "backtest": ["--test-years", "1",
+                            "--out-dir", str(tmp_path / "report")]}[command]
+        code = main([command, "--input", synth_csv, "--horizon", horizon, *out])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert line == ("error: HorizonOutOfRangeError: horizon must be in "
+                        f"1..365, got {horizon}")
+
+    @pytest.mark.parametrize("years,profile,message", [
+        (8000, None, "years 2003..10002 go past 9999"),
+        (1, b"not json", "is not readable JSON"),
+        (1, b"\xff{}", "is not readable JSON"),
+        (1, b"[1, 2]", "must hold a JSON object"),
+        (1, b'{"rise_width": "a"}', "rise_width must be a finite number"),
+        (1, b'{"coldest_doy": 20.5}', "coldest_doy must be a finite integer"),
+        (1, b'{"peak_mean": true}', "peak_mean must be a finite number"),
+        (1, b'{"peak_mean": NaN}', "peak_mean must be a finite number"),
+        (1, b'{"tavg_mean": 1e999}', "tavg_mean must be a finite number"),
+        (1, b'{"gdd_base": -1' + b"0" * 400 + b"}", "gdd_base must be a finite"),
+        (1, b'{"start_year": 0}', "start_year must be >= 1"),
+        (2, b'{"start_year": 9999}', "years 9999..10000 go past 9999"),
+        (1, b'{"noise_rho": 2.0}', "noise_rho must be in [-1, 1]"),
+        (1, b'{"noise_sigma": -1}', "noise_sigma must be >= 0"),
+        (1, b'{"rain_scale": -0.5}', "rain_scale must be >= 0"),
+    ], ids=["years_past_9999", "not_json", "not_utf8", "list", "string",
+            "float_for_int", "bool", "nan", "inf", "int_past_float",
+            "year_zero", "start_past_9999", "rho_past_one", "negative_sigma",
+            "negative_scale"])
+    def test_bad_synth_input(self, tmp_path, capsys, years, profile, message):
+        argv = ["synth", "--years", str(years), "--out", str(tmp_path / "s.csv")]
+        if profile is not None:
+            (tmp_path / "p.json").write_bytes(profile)
+            argv += ["--profile", str(tmp_path / "p.json")]
+        line = assert_one_error_line(capsys, main(argv), EXIT_RUNTIME)
+        assert line.startswith("error: InvalidRecordError: ") and message in line
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--beta0", "1e200", "--beta1", "1"],
         ["--beta0", "1", "--beta1", "1e-200"],
@@ -1092,10 +1136,17 @@ _CONFIG_VALUES = st.one_of(
     st.sampled_from(["[]", "{}", "[2008]", '{"n_trees": 1}', '"start"',
                      '"loyo"']).map(json.loads))
 
-#: ``n_max`` is the length of the threshold table, legal at any size, so it
-#: takes no number that would make the table long.
-_N_MAX_VALUES = _CONFIG_VALUES.filter(
-    lambda v: isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 400)
+#: ``n_max`` is the length of the threshold table and ``years`` the number of
+#: years ``synth`` generates.  Both set how long a command runs, so they take
+#: no number that would make it run long: ``years`` is 1-2 or one that
+#: ``synth`` refuses for every profile.
+_SIZE_VALUES = {
+    "n_max": _CONFIG_VALUES.filter(
+        lambda v: isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 400),
+    "years": _CONFIG_VALUES.filter(
+        lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
+        or not 2 < v <= 9999),
+}
 
 
 @st.composite
@@ -1109,15 +1160,38 @@ def config_mutations(draw, config: dict) -> dict:
             del config[draw(st.sampled_from(keys))]
         else:
             key = draw(st.sampled_from(keys + sorted(CONFIG_KEYS) + ["bogus"]))
-            config[key] = draw(_N_MAX_VALUES if key == "n_max" else _CONFIG_VALUES)
+            config[key] = draw(_SIZE_VALUES.get(key, _CONFIG_VALUES))
     return config
 
 
+#: A generator profile's keys.
+_PROFILE_KEYS = sorted(f.name for f in dataclasses.fields(GeneratorProfile))
+
+#: Values a profile key takes: any JSON value, plain numbers, and floats at
+#: the ends of the float range, which the generator may overflow.
+_PROFILE_VALUES = st.one_of(
+    _CONFIG_VALUES, st.floats(-1e3, 1e3), st.integers(-3, 3000),
+    st.sampled_from([1e308, -1e308, 5e-324]))
+
+
+@st.composite
+def profile_files(draw) -> bytes:
+    """A generator profile file: an object with up to three keys (a known or
+    an unknown one) set to any value, another JSON value, or random bytes."""
+    kind = draw(st.sampled_from(["object", "value", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=8))
+    if kind == "value":
+        return json.dumps(draw(_CONFIG_VALUES)).encode()
+    keys = st.sampled_from(_PROFILE_KEYS + ["bogus"])
+    profile = draw(st.dictionaries(keys, _PROFILE_VALUES, max_size=3))
+    return json.dumps(profile).encode()
+
+
 class TestConfigFuzz:
-    """Random damage to a valid config: ``label``, ``predict`` and
-    ``threshold`` exit 0, or 2 or 64 with one ``error:`` line, never with a
-    traceback.  ``synth`` is left out: its ``years`` is legal at any size
-    and sets how long it runs."""
+    """Random damage to a valid config: ``synth``, ``label``, ``predict``
+    and ``threshold`` exit 0, or 2 or 64 with one ``error:`` line, never
+    with a traceback.  ``synth`` also reads a damaged generator profile."""
 
     @given(data=st.data())
     @settings(max_examples=250, deadline=None,
@@ -1125,7 +1199,10 @@ class TestConfigFuzz:
     def test_damaged_config_exits_cleanly(self, trained_model, spring_2008, data):
         work = os.path.join(os.path.dirname(spring_2008), "config-fuzz")
         os.makedirs(work, exist_ok=True)
+        profile = os.path.join(work, "profile.json")
         valid = {
+            "synth": {"years": 2, "seed": 3, "out": "synth.csv",
+                      "profile": profile},
             "label": {"input": spring_2008, "delta_c": 120.0, "delta_n": 4},
             "predict": {"input": spring_2008, "model": trained_model,
                         "year": 2008, "anchor": 110,
@@ -1136,6 +1213,9 @@ class TestConfigFuzz:
         }
         command = data.draw(st.sampled_from(sorted(valid)), label="command")
         config = data.draw(config_mutations(valid[command]), label="config")
+        if command == "synth":
+            with open(profile, "wb") as fh:
+                fh.write(data.draw(profile_files(), label="profile"))
         path = os.path.join(work, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
@@ -1150,6 +1230,7 @@ class TestConfigFuzz:
         finally:
             root.handlers[:] = handlers
             root.setLevel(level)
+        event(f"{command} exit {code}")
         assert code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
         assert "Traceback" not in err.getvalue()
         lines = err.getvalue().splitlines()

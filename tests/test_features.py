@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pollencast.data import SERIES_NAMES, DailyRecord, Dataset
 from pollencast.errors import (
     DatasetTooShortError,
-    IndexOutOfRangeError,
     NonFiniteError,
     WrongWindowLengthError,
 )
@@ -21,8 +20,6 @@ from pollencast.features import (
     WINDOW_LEN,
     build_feature_matrix,
     flat_feature_names,
-    flatten_all,
-    flatten_row,
 )
 
 from pollencast.pipeline import STAGE1_COLUMNS
@@ -178,8 +175,9 @@ class TestBuildFeatureMatrix:
         data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
         assert len(m) == 1
+        assert m.rows.shape == (1, STAGE1_COLUMNS)
         assert m.values.shape == (1, N_FEATURES, 12)
-        assert m.dates == (dt.date(2020, 3, 14),)
+        assert m.start == dt.date(2020, 3, 14)
 
     def test_too_short(self):
         data = dataset_from_pollen([1.0] * 13, dt.date(2020, 3, 1))
@@ -190,15 +188,16 @@ class TestBuildFeatureMatrix:
         data = dataset_from_pollen([1.0] * 20, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
         assert len(m) == 7
-        assert m.dates[0] == dt.date(2020, 3, 14)
-        assert m.dates[-1] == dt.date(2020, 3, 20)
+        assert m.start == dt.date(2020, 3, 14)
+        # 14 March 2020 is day 74 of a leap year; the last row is 20 March
+        assert m.rows[:, -1].tolist() == [74.0, 75.0, 76.0, 77.0, 78.0, 79.0, 80.0]
 
     def test_constant_dataset_rows_match_scalar_path(self):
         data = dataset_from_pollen([7.0] * 20, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
         pollen_expected = window_features([7.0] * 14, NEUTRAL_REFS[0])
         for r in range(len(m)):
-            np.testing.assert_array_equal(m.values[r, :, 0], pollen_expected)
+            np.testing.assert_array_equal(m.rows[r, :N_FEATURES], pollen_expected)
 
     def test_rows_match_scalar_path_on_random_data(self):
         rng = np.random.default_rng(23)
@@ -210,7 +209,7 @@ class TestBuildFeatureMatrix:
             for s in range(12):
                 window = raw[r : r + 14, s]
                 np.testing.assert_allclose(
-                    m.values[r, :, s],
+                    m.rows[r, s * N_FEATURES : (s + 1) * N_FEATURES],
                     window_features(window, NEUTRAL_REFS[s]),
                     rtol=1e-12,
                 )
@@ -227,8 +226,8 @@ class TestBuildFeatureMatrix:
             dataset_from_pollen(changed, dt.date(2020, 3, 1)), NEUTRAL_REFS
         )
         # Rows ending before the first changed day are untouched.
-        np.testing.assert_array_equal(base.values[:7], other.values[:7])
-        assert not np.array_equal(base.values[7:], other.values[7:])
+        np.testing.assert_array_equal(base.rows[:7], other.rows[:7])
+        assert not np.array_equal(base.rows[7:], other.rows[7:])
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(25)
@@ -243,8 +242,8 @@ class TestBuildFeatureMatrix:
             ),
             NEUTRAL_REFS,
         )
-        np.testing.assert_array_equal(shifted.values[5:], base.values)
-        assert shifted.dates[5:] == base.dates
+        np.testing.assert_array_equal(shifted.rows[5:], base.rows)
+        assert shifted.start + dt.timedelta(days=5) == base.start
 
     def test_reference_count_wrong(self):
         data = dataset_from_pollen([1.0] * 14, dt.date(2020, 3, 1))
@@ -277,7 +276,8 @@ def random_datasets(draw):
 
 class TestStackedRows:
     """All series' windows go through one stacked statistics pass; each row
-    must keep the bits of its window computed alone."""
+    must keep the bits of its window computed alone, series after series,
+    then the day-of-year."""
 
     @given(case=random_datasets())
     @settings(max_examples=40, deadline=None)
@@ -285,51 +285,65 @@ class TestStackedRows:
         data, refs = case
         m = build_feature_matrix(data, refs)
         raw = data.series_matrix()
+        first, _ = data.span
         want = np.array([
-            [window_features(raw[r : r + WINDOW_LEN, s], refs[s]) for s in range(12)]
+            [*(v for s in range(12)
+               for v in window_features(raw[r : r + WINDOW_LEN, s], refs[s])),
+             (first + dt.timedelta(days=r + WINDOW_LEN - 1)).timetuple().tm_yday]
             for r in range(len(m))
-        ]).transpose(0, 2, 1)
-        np.testing.assert_array_equal(m.values.view(np.uint64), want.view(np.uint64))
+        ])
+        np.testing.assert_array_equal(m.rows.view(np.uint64), want.view(np.uint64))
 
 
 class TestFlatten:
+    """The flat row layout: series-major statistics, then day-of-year."""
+
     @pytest.fixture()
-    def matrix(self):
+    def data(self):
         rng = np.random.default_rng(26)
-        data = dataset_from_pollen(rng.uniform(0, 300, size=25), dt.date(2020, 3, 1))
+        return dataset_from_pollen(rng.uniform(0, 300, size=25), dt.date(2020, 3, 1))
+
+    @pytest.fixture()
+    def matrix(self, data):
         return build_feature_matrix(data, NEUTRAL_REFS)
 
     def test_lengths(self, matrix):
-        assert flatten_row(matrix, 0).shape == (STAGE1_COLUMNS,)
+        assert matrix.rows.shape == (len(matrix), STAGE1_COLUMNS)
+        assert matrix.rows.dtype == np.float64
 
-    def test_doy_appended(self, matrix):
-        row = flatten_row(matrix, 0)
-        assert row[-1] == float(matrix.dates[0].timetuple().tm_yday)
+    def test_doy_appended(self):
+        # across year ends and leap days, from the first to the last year
+        for first in (dt.date(1, 1, 1), dt.date(1900, 2, 20), dt.date(2000, 2, 20),
+                      dt.date(2019, 12, 20), dt.date(9999, 12, 1)):
+            m = build_feature_matrix(dataset_from_pollen([1.0] * 31, first), NEUTRAL_REFS)
+            want = [(m.start + dt.timedelta(days=r)).timetuple().tm_yday
+                    for r in range(len(m))]
+            assert m.rows[:, -1].tolist() == want
 
-    def test_series_major_order(self, matrix):
-        row = flatten_row(matrix, 2)
+    def test_series_major_order(self, data, matrix):
+        raw = data.series_matrix()
+        row = matrix.rows[2]
         for s in range(12):
             np.testing.assert_array_equal(
-                row[s * N_FEATURES : (s + 1) * N_FEATURES], matrix.values[2, :, s]
+                row[s * N_FEATURES : (s + 1) * N_FEATURES],
+                window_features(raw[2 : 2 + WINDOW_LEN, s], NEUTRAL_REFS[s]),
             )
 
     def test_constant_dataset_rows_identical_but_doy(self):
         data = dataset_from_pollen([7.0] * 20, dt.date(2020, 3, 1))
         m = build_feature_matrix(data, NEUTRAL_REFS)
-        a = flatten_row(m, 0)
-        b = flatten_row(m, 3)
+        a, b = m.rows[0], m.rows[3]
         np.testing.assert_array_equal(a[:-1], b[:-1])
         assert b[-1] - a[-1] == 3.0
 
-    def test_flatten_all_matches_rows(self, matrix):
-        flat = flatten_all(matrix)
-        assert flat.shape == (len(matrix), STAGE1_COLUMNS)
-        for r in range(len(matrix)):
-            np.testing.assert_array_equal(flat[r], flatten_row(matrix, r))
-
-    def test_out_of_range(self, matrix):
-        with pytest.raises(IndexOutOfRangeError):
-            flatten_row(matrix, len(matrix))
+    def test_values_is_a_read_only_view_of_rows(self, matrix):
+        values = matrix.values
+        assert values.shape == (len(matrix), N_FEATURES, 12)
+        assert np.shares_memory(values, matrix.rows)
+        assert not values.flags.writeable and not matrix.rows.flags.writeable
+        for s in range(12):
+            np.testing.assert_array_equal(
+                values[:, :, s], matrix.rows[:, s * N_FEATURES : (s + 1) * N_FEATURES])
 
     def test_names(self):
         names = flat_feature_names()

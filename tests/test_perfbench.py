@@ -1,10 +1,12 @@
 """The benchmark's tracer and checks must fit the program's names.
 
-``perfbench/spans.py`` wraps functions by module attribute name, and the
-``train`` check in ``perfbench/checks.py`` refits a forecast series from
-its arrays; a refactor that renames or removes one of them fails here
-instead of in a benchmark run.  Its fit span counts trees and split nodes by walking
-``model.trees``, so those views must keep matching the tree arrays.  Its
+``perfbench/spans.py`` wraps functions by module attribute name and counts
+the rows of each feature matrix it sees, ``perfbench/checks.py`` reads a
+feature matrix's ``values[r, :, s]`` to check window statistics, and its
+``train`` check refits a forecast series from its arrays; a refactor that
+renames or removes one of them fails here instead of in a benchmark run.
+Its fit span counts trees and split nodes by walking ``model.trees``, so
+those views must keep matching the tree arrays.  Its
 ``pipeline.fit_stage2.s`` must keep measuring the Stage-2 fit, which
 ``train_forecaster`` runs in the parent process beside a pool worker.
 """
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from helpers import cores
-from pollencast import backtest, cli, gbm, pipeline
+from pollencast import backtest, cli, features, gbm, pipeline
 from pollencast.wls import final_forecast, fit_wls
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -103,3 +105,31 @@ def test_train_check_refits_the_series(seed42_dataset, season_def):
     assert checks.close(fit.beta0, b0, rtol=1e-7, atol=1e-7)
     assert checks.close(fit.beta1, b1, rtol=1e-7, atol=1e-7)
     assert checks.close(final_forecast(fit).y_star, -b0 / b1, rtol=1e-7, atol=1e-7)
+
+
+def test_window_stats_check_reads_the_feature_matrix(seed42_dataset):
+    checks = load("checks")
+    data = seed42_dataset[:120]
+    raw = data.series_matrix()
+    refs = (120.0, *(float(v) for v in raw[:, 1:].mean(axis=0)))
+    fm = features.build_feature_matrix(data, refs)
+    rng = np.random.default_rng(4)
+    assert checks.check_window_stats(fm, raw, refs, rng, features.FEATURE_NAMES,
+                                     samples=200) == []
+
+
+def test_feature_span_counts_the_rows_of_a_day_range(seed42_dataset,
+                                                      season_def):
+    light = gbm.GBMConfig(n_trees=5, max_depth=2)
+    fc = pipeline.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                   stage1_cfg=light, stage2_cfg=light)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        fc.predict_series(seed42_dataset, 2006, (60, 110))
+    finally:
+        tracer.uninstall()
+    (built,) = [s for s in tracer.spans if s.name == "features.build_feature_matrix"]
+    predict = tracer.spans[built.parent]
+    assert predict.name == "pipeline.predict_series"
+    assert built.counts == {"rows_built": 51} and predict.counts == {"rows_used": 51}

@@ -34,12 +34,7 @@ from pollencast.errors import (
     WindowUnavailableError,
     WorkerLostError,
 )
-from pollencast.features import (
-    CATALOG_VERSION,
-    build_feature_matrix,
-    flatten_all,
-    flatten_row,
-)
+from pollencast.features import CATALOG_VERSION, build_feature_matrix
 from pollencast.wls import final_forecast, fit_wls
 
 LIGHT = gbm.GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
@@ -211,7 +206,7 @@ class TestBuildS1(TrainingSetChecks):
         fm = build_feature_matrix(seed42_dataset, s1.references)
         year, z = s1.provenance[17]
         date = dt.date(year, 1, 1) + dt.timedelta(days=z - 1)
-        expected = flatten_row(fm, (date - fm.dates[0]).days)
+        expected = fm.rows[(date - fm.start).days]
         assert np.array_equal(s1.features[17], expected)
 
     def test_end_boundary_targets(self, seed42_dataset, season_def,
@@ -474,7 +469,7 @@ class TestDayRows:
     @pytest.fixture(scope="class")
     def full(self, seed42_dataset, season_def):
         refs = pl.series_references(seed42_dataset, season_def, TRAIN_YEARS)
-        return refs, flatten_all(build_feature_matrix(seed42_dataset, refs))
+        return refs, build_feature_matrix(seed42_dataset, refs).rows
 
     @given(span=seed42_spans())
     @example(span=(2003, 14, 14))  # the first day with a full window
