@@ -5,6 +5,7 @@ import base64
 import contextlib
 import dataclasses
 import datetime as dt
+import hashlib
 import io
 import json
 import logging
@@ -32,7 +33,7 @@ from pollencast import pipeline as pl
 from pollencast.cli import CONFIG_KEYS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pollencast.data import Dataset, emit_csv, ingest_csv
 from pollencast.features import CATALOG_VERSION
-from pollencast.synth import GeneratorProfile
+from pollencast.synth import GeneratorProfile, generate_synthetic
 
 LIGHT_CONFIG = {
     "stage1": {"n_trees": 30, "max_depth": 2, "learning_rate": 0.25},
@@ -208,6 +209,21 @@ class TestLabel:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "2001,,,"
 
+    def test_stdout_bytes_pinned(self, tmp_path, capsys):
+        # three synthetic years, the middle one with no pollen: a season, no
+        # season, a season; sha256 of stdout as printed row by row
+        data = generate_synthetic(seed=11, years=3)
+        m = data.series_matrix().copy()
+        m[data.index_of(dt.date(2004, 1, 1)):data.index_of(dt.date(2004, 12, 31)) + 1, 0] = 0.0
+        path = tmp_path / "three.csv"
+        emit_csv(Dataset.from_matrix(data.start, m), str(path))
+        assert main(["label", "--input", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[2] == "2004,,,"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c28dab1a2c09d8bb78e9342cef97002415e2b0b00614a24daae0f47f707bceb6"
+        )
+
     def test_labels_stable_across_runs(self, synth_csv, capsys):
         assert main(["label", "--input", synth_csv]) == EXIT_OK
         first = capsys.readouterr().out
@@ -326,6 +342,18 @@ class TestThreshold:
         assert lines[0] == "N,f_th"
         assert lines[1] == "2,0.5"
         assert lines[-1] == "n_min=2"
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--beta0", "10", "--beta1=-1", "--z-start", "1", "--n-max", "40"],
+         "2d74d5f4fec0124b624350c94ecd66c9d895b039b8125538b1a479f665325486"),
+        (["--beta0", "1e6", "--beta1", "1", "--n-max", "10"],
+         "cb60cbce0b879739debbc5f0b1509e35ec67586d6015d9999ab9901ba52b036e"),
+    ], ids=["n_min_7", "no_n_min"])
+    def test_stdout_bytes_pinned(self, capsys, argv, digest):
+        # sha256 of stdout as printed row by row
+        assert main(["threshold", *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_out_file_matches_stdout_table(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

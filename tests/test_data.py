@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import hashlib
 import io
 import math
 import random
@@ -643,6 +644,14 @@ class TestEmitIngestRoundTrip:
         again = path.with_name("again.csv")
         emit_csv(back, str(again))
         assert again.read_bytes() == path.read_bytes()
+
+    def test_synthetic_bytes_pinned(self, tmp_path):
+        # sha256 of the file as written when emit_csv had its own csv.writer
+        path = tmp_path / "d.csv"
+        emit_csv(generate_synthetic(seed=7, years=1), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "81a2a8b3ada2265b8aa4fb3e8a3ff6cb06a5c4f2d2c328aca31ec41fb5c0754f"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -397,3 +398,20 @@ class TestExports:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "z,y_hat,u_hat"
         assert len(lines) == 6
+
+    def test_series_csv_bytes_pinned(self, tmp_path):
+        # sha256 of the file as written when wls had its own csv.writer
+        series = make_series(40.0, [60.0 - k + (k % 3) / 7 for k in range(20)],
+                             [0.5 + k / 13 for k in range(20)])
+        path = tmp_path / "series.csv"
+        emit_series_csv(series, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "52a8025f23fed3004def38813751fd6d10cb644b4eff1606ab587c8dd3d36a6a"
+        )
+
+    def test_threshold_csv_bytes_pinned(self, tmp_path):
+        path = tmp_path / "threshold.csv"
+        emit_threshold_csv(min_days(10.0, -1.0, z_start=1.0, n_max=40), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e7c941fa1d4d0f91cca2834b81aab9771da7c6cd8d3691c4ceebc062e88f6536"
+        )
