@@ -4,6 +4,11 @@ Each fold trains both stages on its training years only, forecasts the
 held-out test year over a fixed day range, fuses the per-day predictions,
 and records how the fused estimate and its error bar evolve as more
 prediction days become available (the convergence trace).
+
+A report is emitted as ``report.json``, the :class:`BacktestReport`
+dataclass as it stands (``dataclasses.asdict``), plus ``folds.csv`` and one
+``convergence_<year>.csv`` per fold, tables of named fields of its
+:class:`FoldResult` and :class:`TracePoint` objects.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SeasonDefinition, label_season
+from .data import Dataset, SeasonDefinition, label_season, write_table
 from .errors import (
     DegenerateSlopeError,
     EmptyInputError,
@@ -268,45 +273,12 @@ def rolling_backtest(data: Dataset, cfg: BacktestConfig) -> BacktestReport:
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+#: The columns of folds.csv, each a :class:`FoldResult` field.
+FOLD_COLUMNS = ("test_year", "truth", "y_star", "sigma_y_star", "abs_error",
+                "stage1_last_day", "n_min")
 
-
-def _report_obj(report: BacktestReport) -> dict:
-    return {
-        "boundary": report.boundary,
-        "horizon": report.horizon,
-        "mae": report.mae,
-        "stage1_mae": report.stage1_mae,
-        "folds": [
-            {
-                "test_year": r.test_year,
-                "truth": r.truth,
-                "y_star": r.y_star,
-                "sigma_y_star": r.sigma_y_star,
-                "abs_error": r.abs_error,
-                "stage1_last_day": r.stage1_last_day,
-                "z_range": list(r.z_range),
-                "beta0": r.beta0,
-                "beta1": r.beta1,
-                "n_min": r.n_min,
-                "trace": [
-                    {
-                        "k": p.k,
-                        "y_star": p.y_star,
-                        "sigma_y_star": p.sigma_y_star,
-                        "theory_reduces": p.theory_reduces,
-                    }
-                    for p in r.trace
-                ],
-            }
-            for r in report.folds
-        ],
-    }
+#: The columns of a convergence CSV, each a :class:`TracePoint` field.
+TRACE_COLUMNS = ("k", "y_star", "sigma_y_star")
 
 
 def emit_report(report: BacktestReport, directory: str) -> tuple[str, ...]:
@@ -321,36 +293,17 @@ def emit_report(report: BacktestReport, directory: str) -> tuple[str, ...]:
     written = []
 
     path = os.path.join(directory, "report.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_report_obj(report), sort_keys=True, indent=2))
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     written.append(path)
 
-    path = os.path.join(directory, "folds.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("test_year,truth,y_star,sigma_y_star,abs_error,"
-                 "stage1_last_day,n_min\n")
-        for r in report.folds:
-            fh.write(",".join([
-                str(r.test_year),
-                str(r.truth),
-                _csv_cell(r.y_star),
-                _csv_cell(r.sigma_y_star),
-                _csv_cell(r.abs_error),
-                _csv_cell(r.stage1_last_day),
-                _csv_cell(r.n_min),
-            ]) + "\n")
-    written.append(path)
-
-    for r in report.folds:
-        path = os.path.join(directory, f"convergence_{r.test_year}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("k,y_star,sigma_y_star\n")
-            for p in r.trace:
-                fh.write(",".join([
-                    str(p.k),
-                    _csv_cell(p.y_star),
-                    _csv_cell(p.sigma_y_star),
-                ]) + "\n")
+    # one row per fold or trace point: the fields its columns name
+    tables = [("folds.csv", FOLD_COLUMNS, report.folds)]
+    tables += [(f"convergence_{r.test_year}.csv", TRACE_COLUMNS, r.trace)
+               for r in report.folds]
+    for name, columns, items in tables:
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_table(fh, columns, ([getattr(item, c) for c in columns] for item in items))
         written.append(path)
     return tuple(written)

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from . import backtest as bt
-from .data import SeasonDefinition, ingest_csv, label_years
+from .data import SeasonDefinition, emit_csv, ingest_csv, label_years, write_table
 from .errors import PollencastError
 from .gbm import GBMConfig
 from .pipeline import (
@@ -189,8 +189,6 @@ def cmd_synth(opts: Options) -> int:
     profile = GeneratorProfile.from_json(profile_path) if profile_path else None
     log.info("generating %d years with seed %d", years, seed)
     data = generate_synthetic(seed=seed, years=years, profile=profile)
-    from .data import emit_csv
-
     emit_csv(data, out)
     print(f"wrote {out}: {len(data)} daily records, {years} years, seed {seed}")
     return EXIT_OK
@@ -199,13 +197,9 @@ def cmd_synth(opts: Options) -> int:
 def cmd_label(opts: Options) -> int:
     data = ingest_csv(opts.require("input"))
     labels = label_years(data, _season(opts))
-    print("year,start_day,end_day,length")
-    for year in sorted(labels):
-        lab = labels[year]
-        if lab.present:
-            print(f"{year},{lab.start_day},{lab.end_day},{lab.length_days}")
-        else:
-            print(f"{year},,,")
+    write_table(sys.stdout, ("year", "start_day", "end_day", "length"),
+                ((year, lab.start_day, lab.end_day, lab.length_days)
+                 for year, lab in sorted(labels.items())))
     return EXIT_OK
 
 
@@ -335,9 +329,7 @@ def cmd_threshold(opts: Options) -> int:
     if out:
         emit_threshold_csv(analysis, out)
         log.info("wrote %s", out)
-    print("N,f_th")
-    for n, f in analysis.table:
-        print(f"{n},{repr(float(f))}")
+    write_table(sys.stdout, ("N", "f_th"), analysis.table)
     print(f"n_min={'' if analysis.n_min is None else analysis.n_min}")
     return EXIT_OK
 

@@ -6,7 +6,10 @@ A :class:`Dataset` is matrix-first: it holds its first date, a read-only
 reading a CSV, slicing a dataset and building features make none.
 :func:`ingest_csv` reads a plain file's values with one ``np.loadtxt``
 call, and falls back to ``csv.reader`` and ``float`` for any other file
-and to name a bad file's first failing line.
+and to name a bad file's first failing line.  Every CSV file and stdout
+table that pollencast emits is written by :func:`write_table`, in one
+format: shortest round-trip floats, an empty cell for ``None``, ``\n``
+line ends.
 
 A season is defined by two patient-specific thresholds: a day is "typical"
 when its pollen concentration strictly exceeds ``delta_c``, and the season
@@ -24,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -120,13 +123,14 @@ class Dataset:
     takes consecutive :class:`DailyRecord` objects and keeps that tuple as
     ``records``.  A dataset made from a matrix (by :func:`ingest_csv`,
     :meth:`from_matrix` or a slice ``data[i:j]``) builds its records on
-    first access to ``records`` and caches them.  Records keep a ``-0.0``
-    that was read or given; the matrix holds it as ``0.0``.  Two datasets
-    are equal when their first dates and values are, as their records
-    would be.  Instances are safe to share across threads.
+    first access to ``records`` and caches them.  The matrix holds a
+    ``-0.0`` as ``0.0``, and so do the records, slices and CSV rows made
+    from it; only the records given to ``Dataset(records)`` keep theirs.
+    Two datasets are equal when their first dates and values are.
+    Instances are safe to share across threads.
     """
 
-    __slots__ = ("start", "filled_dates", "_matrix", "_values", "_records")
+    __slots__ = ("start", "filled_dates", "_matrix", "_records")
 
     def __init__(
         self, records: tuple[DailyRecord, ...], filled_dates: tuple[dt.date, ...] = ()
@@ -181,15 +185,10 @@ class Dataset:
         # would otherwise take either sign by numpy's reduction path
         matrix = values + 0.0
         matrix.setflags(write=False)
-        if np.signbit(values[matrix == 0.0]).any():
-            values.setflags(write=False)  # the records read it, -0.0 and all
-        else:
-            values = matrix
         set_field = object.__setattr__
         set_field(self, "start", start)
         set_field(self, "filled_dates", filled_dates)
         set_field(self, "_matrix", matrix)
-        set_field(self, "_values", values)
         set_field(self, "_records", records)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -204,7 +203,7 @@ class Dataset:
         if self._records is None:
             first = self.start.toordinal()
             days = map(dt.date.fromordinal, range(first, first + len(self)))
-            records = tuple(map(DailyRecord, days, *self._values.T.tolist()))
+            records = tuple(map(DailyRecord, days, *self._matrix.T.tolist()))
             object.__setattr__(self, "_records", records)
         return self._records
 
@@ -225,7 +224,7 @@ class Dataset:
         lo, hi, step = days.indices(len(self))
         if step != 1 or lo >= hi:
             raise InsufficientDataError(f"dataset slice {days} is empty or has a step")
-        return Dataset._of(self.start + dt.timedelta(days=lo), self._values[lo:hi])
+        return Dataset._of(self.start + dt.timedelta(days=lo), self._matrix[lo:hi])
 
     @property
     def span(self) -> tuple[dt.date, dt.date]:
@@ -578,20 +577,39 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     return _filled(ordinals, m, gaps)
 
 
+def _cell(value: str | int | float | None) -> str:
+    """One table cell: empty for ``None``, a string or an integer as it is,
+    any other number as the shortest string that reads back as its float."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header``, then each of ``rows``, to ``fh`` as CSV lines: the
+    cells (see :func:`_cell`) joined by ``,``, each line ended by ``\n``.
+
+    Cells are not quoted, so none may hold a comma, a quote or a line end.
+    """
+    fh.write(",".join(header) + "\n")
+    fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
 def emit_csv(data: Dataset, path: str) -> None:
     """Write ``data`` in the canonical CSV schema.
 
     Floats are written in shortest round-trip form, so
     ``ingest_csv(emit_csv(d)) == d`` and repeated emissions are
-    byte-identical.  The rows come from the dataset's values, so no
+    byte-identical.  The rows come from the dataset's matrix, so no
     records are built.
     """
     first = data.start.toordinal()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for k, row in enumerate(data._values.tolist()):
-            writer.writerow([dt.date.fromordinal(first + k).isoformat(), *map(repr, row)])
+    days = map(dt.date.fromordinal, range(first, first + len(data)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, CSV_COLUMNS, ((day.isoformat(), *values) for day, values
+                                      in zip(days, data.series_matrix().tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ Carlo routine provides the empirical check of those closed forms.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_table
 from .errors import (
     DegenerateDesignError,
     DegenerateSlopeError,
@@ -218,9 +218,15 @@ def final_forecast(fit: WLSFit) -> FinalForecast:
 
 
 def _day_moments(n: int, z_start: float) -> tuple[float, float]:
+    """The mean day and the sum of squared day deviations over the days
+    z_start .. z_start+n-1; both must be finite."""
     z = z_start + np.arange(n, dtype=np.float64)
-    z_bar = float(z.mean())
-    s = float(((z - z_bar) ** 2).sum())
+    with np.errstate(all="ignore"):  # a sum past the float range is refused below
+        z_bar = float(z.mean())
+        s = float(((z - z_bar) ** 2).sum())
+    if not (math.isfinite(z_bar) and math.isfinite(s)):
+        raise NonFiniteError(f"the day moments of {n} days from z = {z_start!r} "
+                             f"leave the float range")
     return z_bar, s
 
 
@@ -237,11 +243,14 @@ def threshold_function(beta0: float, beta1: float, n: int, z_start: float) -> fl
         raise ZeroSlopeError("beta1 must be nonzero")
     z_bar, s = _day_moments(n, z_start)
     try:
-        return (1.0 / (n * beta1**2)) * (
+        f = (1.0 / (n * beta1**2)) * (
             1.0 / n + z_bar**2 / s + (beta0**2 / beta1**2) / s
         )
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteError(f"f_th({n}) leaves the float range: {exc}") from exc
+    if not math.isfinite(f):
+        raise NonFiniteError(f"f_th({n}) leaves the float range: {f!r}")
+    return f
 
 
 def min_days(
@@ -347,11 +356,8 @@ def monte_carlo_variance(
 
 def emit_threshold_csv(analysis: ThresholdAnalysis, path: str) -> None:
     """The (N, f_th) table as CSV, the data behind a threshold plot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "f_th"])
-        for n, f in analysis.table:
-            writer.writerow([n, repr(float(f))])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, ("N", "f_th"), analysis.table)
 
 
 def forecast_to_json(final: FinalForecast, fit: WLSFit) -> str:
@@ -372,8 +378,6 @@ def emit_forecast_json(final: FinalForecast, fit: WLSFit, path: str) -> None:
 
 def emit_series_csv(series: ForecastSeries, path: str) -> None:
     """Per-day predictions as CSV `z,y_hat,u_hat` (convergence plot data)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["z", "y_hat", "u_hat"])
-        for row in zip(*(a.tolist() for a in series.arrays())):
-            writer.writerow([repr(v) for v in row])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, ("z", "y_hat", "u_hat"),
+                    zip(*(a.tolist() for a in series.arrays())))

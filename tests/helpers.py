@@ -324,8 +324,8 @@ def reference_ingest_csv(path: str, column_map: Mapping[str, str] | None = None)
             raise NonMonotoneDatesError(
                 f"line {lineno}: bad date {raw_date!r}"
             ) from None
-        values = {
-            name: _parse_float(row[header_for[name]], name, lineno)
+        values = {  # + 0.0: a dataset holds a -0.0 it reads as 0.0
+            name: _parse_float(row[header_for[name]], name, lineno) + 0.0
             for name in SERIES_NAMES
         }
         rec = DailyRecord(date=date, **values)

@@ -1,5 +1,6 @@
 """Tests for the rolling-origin backtest harness and report emission."""
 
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -194,7 +195,7 @@ class TestRollingBacktest:
     def test_deterministic(self, small_report, seed42_dataset):
         cfg, report = small_report
         again = bt.rolling_backtest(seed42_dataset, cfg)
-        assert bt._report_obj(again) == bt._report_obj(report)
+        assert dataclasses.asdict(again) == dataclasses.asdict(report)
 
     def test_report_bytes_pinned(self, small_report, tmp_path):
         # sha256 over file names and bytes of the emitted report, taken when
@@ -217,7 +218,7 @@ class TestRollingBacktest:
         cut = seed42_dataset.index_of(dt.date(2005, 12, 31))
         truncated = Dataset(records=seed42_dataset.records[:cut + 1])
         trimmed = bt.rolling_backtest(truncated, cfg)
-        assert bt._report_obj(trimmed) == bt._report_obj(full)
+        assert dataclasses.asdict(trimmed) == dataclasses.asdict(full)
 
     def test_no_folds_rejected(self, seed42_dataset, season_def):
         with pytest.raises(EmptyInputError):

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -921,12 +922,20 @@ class TestBadInputs:
         ["--beta0", "1", "--beta1", "1e-200"],
         ["--beta0", "0", "--beta1", "1", "--z-start", "1e200"],
         ["--beta0", "0", "--beta1", "1", "--z-start", "1e17"],
+        ["--beta0", "10", "--beta1=-1", "--z-start", "1e308"],
+        ["--beta0", "10", "--beta1=-1", "--z-start=-1e308"],
+        ["--beta0", "1e150", "--beta1", "1e-150"],
     ], ids=["beta0_squared_overflows", "beta1_squared_underflows",
-            "z_squared_overflows", "days_round_to_one_z"])
+            "z_squared_overflows", "days_round_to_one_z", "day_sum_overflows",
+            "negative_day_sum_overflows", "intercept_ratio_overflows"])
     def test_threshold_outside_float_range(self, capsys, argv):
-        code = main(["threshold", *argv, "--n-max", "5"])
-        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
-        assert "NonFiniteError" in line
+        # the last three used to print rows of nan (after a numpy warning) or inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["threshold", *argv, "--n-max", "5"])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (EXIT_RUNTIME, "", [])
+        assert err.startswith("error: NonFiniteError: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("config", [
         {"stage1": {"n_trees": 10**21}},

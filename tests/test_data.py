@@ -146,7 +146,7 @@ class TestDataset:
         assert part == Dataset(records=data.records[1:4])
         assert part.span == (dt.date(2020, 3, 2), dt.date(2020, 3, 4))
         assert part.series_matrix().tobytes() == data.series_matrix()[1:4].tobytes()
-        assert math.copysign(1.0, part.records[0].pollen) == -1.0
+        assert math.copysign(1.0, part.records[0].pollen) == 1.0  # from the matrix
         for empty_or_strided in (slice(2, 2), slice(0, 4, 2)):
             with pytest.raises(InsufficientDataError):
                 data[empty_or_strided]
@@ -314,13 +314,19 @@ class TestIngestCsv:
                   header=["pollen", *CSV_COLUMNS])
         assert ingest_csv(str(path)).records[0].pollen == 7.0
 
-    def test_negative_zero_kept_in_records_not_matrix(self, tmp_path):
+    def test_negative_zero_read_as_zero(self, tmp_path):
+        # a dataset holds one matrix: its records and its CSV rows read it
         path = tmp_path / "d.csv"
         write_csv(path, [full_row("2020-03-01", "-0"), full_row("2020-03-03", 1.0)])
         data = ingest_csv(str(path))
-        assert [math.copysign(1.0, r.pollen) for r in data.records] == [-1.0, -1.0, 1.0]
+        assert [math.copysign(1.0, r.pollen) for r in data.records] == [1.0, 1.0, 1.0]
         assert not np.signbit(data.series_matrix()).any()
-        assert not np.signbit(Dataset(records=data.records).series_matrix()).any()
+        out = tmp_path / "out.csv"
+        emit_csv(data, str(out))
+        assert out.read_text().splitlines()[1].split(",")[1] == "0.0"
+        given = (make_record(dt.date(2020, 3, 1), -0.0),)
+        assert Dataset(records=given).records is given
+        assert not np.signbit(Dataset(records=given).series_matrix()).any()
 
     def test_round_trip_after_fill(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -494,9 +500,9 @@ def _fast_read(text: str, column_map: dict):
     if rows is None:
         return None
     ordinals, values = rows
-    return ordinals, values, [
+    return ordinals, values, [  # + 0.0: a dataset holds a -0.0 it reads as 0.0
         (dt.date.fromordinal(o), *map(float.hex, v))
-        for o, v in zip(ordinals.tolist(), values.tolist())]
+        for o, v in zip(ordinals.tolist(), (values + 0.0).tolist())]
 
 
 def plain_csv(n: int = 3) -> str:
@@ -638,8 +644,10 @@ class TestEmitIngestRoundTrip:
         emit_csv(data, str(path))
         back = ingest_csv(str(path))
         assert back.filled_dates == ()
+        # the rows are written from the matrix, which holds a -0.0 as 0.0
+        matrix = Dataset.from_matrix(data.start, data.series_matrix())
         assert [(r.date, *map(float.hex, r.values())) for r in back.records] == [
-            (r.date, *map(float.hex, r.values())) for r in data.records]
+            (r.date, *map(float.hex, r.values())) for r in matrix.records]
         assert back.series_matrix().tobytes() == data.series_matrix().tobytes()
         again = path.with_name("again.csv")
         emit_csv(back, str(again))

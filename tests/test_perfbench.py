@@ -9,6 +9,8 @@ Its fit span counts trees and split nodes by walking ``model.trees``, so
 those views must keep matching the tree arrays.  Its
 ``pipeline.fit_stage2.s`` must keep measuring the Stage-2 fit, which
 ``train_forecaster`` runs in the parent process beside a pool worker.
+Its ``forecast`` and ``backtest`` checks read the emitted series CSV,
+forecast JSON, ``folds.csv`` and ``report.json`` by column and key name.
 """
 
 import importlib.util
@@ -19,7 +21,8 @@ import numpy as np
 
 from helpers import cores
 from pollencast import backtest, cli, features, gbm, pipeline
-from pollencast.wls import final_forecast, fit_wls
+from pollencast.data import label_years
+from pollencast.wls import emit_forecast_json, emit_series_csv, final_forecast, fit_wls
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -133,3 +136,40 @@ def test_feature_span_counts_the_rows_of_a_day_range(seed42_dataset,
     predict = tracer.spans[built.parent]
     assert predict.name == "pipeline.predict_series"
     assert built.counts == {"rows_built": 51} and predict.counts == {"rows_used": 51}
+
+
+def test_forecast_check_reads_the_emitted_files(seed42_dataset, season_def,
+                                                tmp_path):
+    checks = load("checks")
+    light = gbm.GBMConfig(n_trees=10, max_depth=2)
+    fc = pipeline.train_forecaster(seed42_dataset, season_def, (2003, 2004),
+                                   stage1_cfg=light, stage2_cfg=light)
+    series = fc.predict_series(seed42_dataset, 2006, (60, 110))
+    fit = fit_wls(series)
+    final = final_forecast(fit)
+    series_path, forecast_path = tmp_path / "series.csv", tmp_path / "forecast.json"
+    emit_series_csv(series, str(series_path))
+    emit_forecast_json(final, fit, str(forecast_path))
+    errors, y_star, last = checks.check_forecast_files(
+        str(series_path), str(forecast_path), (60, 110))
+    assert errors == []
+    z, y, _u = series.arrays()
+    assert (y_star, last) == (final.y_star, z[-1] + y[-1])
+
+
+def test_backtest_check_reads_the_emitted_report(seed42_dataset, season_def,
+                                                 tmp_path):
+    checks = load("checks")
+    # the benchmark's backtest models; the check also holds the fused MAE
+    # to at most the last day's Stage-1 MAE + 1, and the error bar to shrink
+    light = gbm.GBMConfig(n_trees=30, max_depth=2, learning_rate=0.25)
+    cfg = backtest.BacktestConfig(
+        folds=backtest.expanding_folds(range(2003, 2008), 2),
+        definition=season_def, stage1_cfg=light, stage2_cfg=light)
+    report = backtest.rolling_backtest(seed42_dataset, cfg)
+    backtest.emit_report(report, str(tmp_path))
+    truths = {year: (label.start_day, label.end_day)
+              for year, label in label_years(seed42_dataset, season_def).items()}
+    errors, stage3, stage1 = checks.check_backtest_report(str(tmp_path), truths)
+    assert errors == []
+    assert (stage3, stage1) == (report.mae, report.stage1_mae)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,13 @@ class TestMinDays:
         assert ns == list(range(2, 31))
         for n, f in analysis.table:
             assert f == pytest.approx(threshold_function(10.0, 1.0, n, 0.0))
+
+    @pytest.mark.parametrize("z_start", [1e308, -1e308])
+    def test_day_moments_past_the_float_range(self, z_start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(NonFiniteError, match="day moments"):
+                min_days(10.0, -1.0, z_start=z_start, n_max=4)
 
     def test_threshold_semantics_when_monotone(self):
         analysis = min_days(10.0, 1.0, 0.0, n_max=60)
