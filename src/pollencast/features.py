@@ -13,6 +13,7 @@ inference read: the statistics of each series in turn, then day-of-year.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,25 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(zero, 0.0, out)
 
 
+def _sorted_quantile(s: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(w, q, axis=1)`` (method ``linear``) of the rows of
+    ``s = np.sort(w, axis=1)``, in the arithmetic of numpy's ``_lerp``:
+    ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` when ``t >= 0.5``."""
+    virtual = (s.shape[1] - 1) * q
+    i = math.floor(virtual)
+    t = virtual - i
+    a, b = s[:, i], s[:, min(i + 1, s.shape[1] - 1)]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _sorted_median(s: np.ndarray) -> np.ndarray:
+    """``np.median(w, axis=1)`` of the rows of ``s = np.sort(w, axis=1)``:
+    as numpy does, the mean of the middle one or two."""
+    half = s.shape[1] // 2
+    return np.mean(s[:, half - 1 + s.shape[1] % 2 : half + 1], axis=1)
+
+
 def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
     """The 29 catalog statistics for each row of a (rows, 14) window matrix,
     with ``references[i]`` as row i's ``n_above_ref`` threshold."""
@@ -92,8 +112,12 @@ def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
     std = np.sqrt(m2)
     wmin = w.min(axis=1)
     wmax = w.max(axis=1)
-    q25 = np.quantile(w, 0.25, axis=1)
-    q75 = np.quantile(w, 0.75, axis=1)
+    # one sort serves the order statistics; a window holds no -0.0 (the
+    # dataset matrix stores 0.0), so the sorted values equal numpy's
+    # partitioned ones bit for bit
+    ordered = np.sort(w, axis=1)
+    q25 = _sorted_quantile(ordered, 0.25)
+    q75 = _sorted_quantile(ordered, 0.75)
     # row by row, so a row's bits do not depend on the rows around it
     slope = (centered * t_centered).sum(axis=1) / s_tt
     intercept = mean - slope * t.mean()
@@ -113,7 +137,7 @@ def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
         std,
         wmin,
         wmax,
-        np.median(w, axis=1),
+        _sorted_median(ordered),
         q25,
         q75,
         q75 - q25,

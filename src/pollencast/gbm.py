@@ -8,38 +8,66 @@ index, then the smallest threshold.
 Determinism is part of the contract: training rows are brought into a
 canonical order before fitting so the resulting model is bit-identical
 under any permutation of the input rows, and serialized models round-trip
-losslessly through JSON.
+losslessly through JSON.  The canonical order sorts by every column, then
+y; it is found by sorting on the leading columns first, 16 and then twice
+as many while two neighbouring rows still tie on all of them, since the
+later keys only break those ties.
 
 The split search is the exact greedy algorithm on presorted columns
 (Chen & Guestrin 2016, arXiv:1603.02754), in numpy only.  A node is a
 (features, k) matrix of row indices, row f holding the node's rows in
-ascending order of feature f, plus the matching matrix of values; the root
-is one stable argsort per fit, and children keep their parent's order.
-For each node the kernel gathers the centred residuals into a (features,
-k) matrix, takes running sums along each row and evaluates
-``s_left**2/n_left + s_right**2/n_right - total**2/k`` at every position;
-the first maximum over (feature, position) wins.  Each step below is
-arranged so that every gain, and hence every tree, is bit-identical to
-evaluating that expression on the whole matrix with fresh arrays:
+ascending order of feature f; the root is one stable argsort per fit, and
+children keep their parent's order.  The chosen split is the first maximum
+over (feature, position) of ``s_left**2/n_left + s_right**2/n_right -
+total**2/k``, where ``s_left`` is the running sum of the node's centred
+residuals in the feature's order and ``total`` its last value.
+
+Most features cannot win, so the search screens them.  With ``n_right = k
+- n_left >= min_samples_leaf`` at every legal position and ``q =
+s_left**2 * k / (n_left * n_right)``, the gain is exactly::
+
+    gain = q - 2 * total * s_left / n_right + total**2 * (1/n_right - 1/k)
+
+With ``|s_left| <= s_max_f = sqrt(qmax_f / min(k / (n_left * n_right)))``,
+feature f's best gain is at most::
+
+    B_f = qmax_f + (2 * |total_f| * s_max_f + total_f**2) / min_samples_leaf
+          + 1e-9 * (qmax_f + total_f**2 + |total_f| * s_max_f) + 1e-300
+
+The centred residuals sum to ``total``, 0 up to rounding, so ``B_f`` sits
+just above ``qmax_f``.  The 1e-9 and the 1e-300 cover the rounding of
+both formulas, subnormal numbers included.  A feature whose ``|total| +
+s_max`` passes 1e153, where the gain's squares may overflow, gets an
+infinite bound.  ``q`` takes two passes and a row maximum over the
+running sums.  The exact gains of the 8 features with the largest
+``qmax`` give a floor ``g_low``; every feature with ``not (B_f < g_low)``
+is a candidate, so a NaN bound is one, and a floor of -inf or NaN makes
+every feature one.  The candidates get their exact gains and the first
+maximum over them, in ascending feature order, wins: the same (feature,
+position, gain) as the full search, bit for bit.  Each step below is
+arranged so that every exact gain, and hence every tree, is bit-identical
+to evaluating the expression on the whole matrix with fresh arrays:
 
 * Only positions that leave ``min_samples_leaf`` rows on both sides are
   evaluated.  The others would be -inf and could never win.
 * The expression runs term by term, in place, in the same order of
   operations (square, divide, add, subtract), so each value is rounded the
   same way.  Positions where the value does not change are set to -inf
-  after the arithmetic.
+  after the arithmetic.  Running sums are sequential along each row, so a
+  row's sums do not depend on the rows beside it.
 * The residuals are centred before the gather, which gives the same
   numbers as centring the gathered matrix.
-* A child's order and values are gathered from its parent's with 1-D
-  ``take`` at the positions of the parent's rows that go to that side.
-  This keeps each row's order and copies values, so it equals sorting and
-  gathering again.
-* The gain temporaries, the gathered residuals and the children's
-  matrices live in buffers allocated once per fit.  Fresh temporaries of
-  this size are returned to the system on release and page-fault again on
-  the next node, which costs more than the arithmetic.
-* Without subsampling the root's sorted value matrix is the same for every
-  tree and is computed once per fit.
+* Nodes carry order matrices only.  The few candidate rows gather their
+  values from the fit's ``XT`` through their order rows, and a threshold
+  reads ``XT`` at its two rows.
+* A child's order is gathered from its parent's with 1-D ``take`` at the
+  positions of the parent's rows that go to that side.  This keeps each
+  row's order, so it equals sorting again.
+* The screen's temporaries, the gathered residuals and the children's
+  matrices live in buffers allocated once per fit, a depth's buffer when a
+  node first reaches that depth.  Fresh temporaries of this size are
+  returned to the system on release and page-fault again on the next
+  node, which costs more than the arithmetic.
 * Children at ``max_depth`` are leaves and read only their first order row
   (its rows give the leaf mean, in the same summation order), so the last
   split level partitions that row only.
@@ -226,8 +254,28 @@ def _validate_matrix(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return X, y
 
 
+#: Columns of the first sort in :func:`_canonical_order`.  In the fits of a
+#: training 13-14 leading columns told every row apart, so one sort of 16
+#: usually settles the order.
+_LEADING_KEYS = 16
+
+
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row order independent of input permutation: sort by all columns, then y."""
+    """Row order independent of input permutation: sort by all columns, then y.
+
+    The later keys only break ties of the earlier ones, so when no two
+    neighbouring rows of the order by the first m columns tie on all m, it
+    is the order by every column.  m starts at :data:`_LEADING_KEYS` and
+    doubles while some neighbours tie; the last sort takes every column
+    and then y.
+    """
+    m = _LEADING_KEYS
+    while m < X.shape[1]:
+        order = np.lexsort(X[:, m - 1 :: -1].T)  # the last key sorts first
+        lead = X[order, :m]
+        if not (lead[1:] == lead[:-1]).all(axis=1).any():
+            return order
+        m *= 2
     keys = tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1))
     return np.lexsort((y,) + keys)
 
@@ -238,7 +286,8 @@ def _leading(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Scratch(NamedTuple):
-    """Flat buffers for the temporaries of :func:`_split_gains`."""
+    """Flat buffers for the temporaries of :func:`_split_gains` and
+    :func:`_best_split`."""
 
     gain: np.ndarray
     right: np.ndarray
@@ -250,13 +299,13 @@ class _Scratch(NamedTuple):
 
 
 def _split_gains(
-    V: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
+    V: np.ndarray, csum: np.ndarray, min_leaf: int, scratch: _Scratch
 ) -> np.ndarray:
-    """SSE gain of every legal split of one node, one row per feature.
+    """SSE gain of every legal split of some features of one node, one row
+    per feature.
 
-    ``V`` and ``C`` are (features, k) matrices of values and of residuals
-    minus the node mean, each row in that feature's ascending value order;
-    ``C`` is overwritten with its running sums.
+    ``V`` holds each feature's values in ascending order and ``csum`` the
+    running sums of the residuals minus the node mean, in the same order.
     Column j is the split after position ``min_leaf - 1 + j``: only
     positions that leave ``min_leaf`` rows on both sides are computed.
     Positions where the value does not change get -inf.  The result is a
@@ -268,7 +317,6 @@ def _split_gains(
     gain = _leading(scratch.gain, shape)
     right = _leading(scratch.right, shape)
     tie = _leading(scratch.tie, shape)
-    csum = np.cumsum(C, axis=1, out=C)
     total = csum[:, -1:]
     s_left = csum[:, lo:hi]
     n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
@@ -286,23 +334,94 @@ def _split_gains(
     return gain
 
 
+#: Features whose exact gains give the floor ``g_low`` on a node's best
+#: gain, those with the largest ``qmax``.  The winner is nearly always among
+#: them: on the benchmark's fits 0.2-1.7 more features per node reached
+#: the floor, so 8 exact rows cut all but a few of the 349.
+_PROBES = 8
+
+#: Relative slack of a feature's gain bound.  The gain expression and the
+#: bound each round by a few units in the last place, about 1e-15 of
+#: ``qmax + total**2 + |total|*s_max``; 1e-9 covers both many times over and
+#: still cuts the features that cannot win.
+_REL_SLACK = 1e-9
+
+#: Absolute slack of a bound, for rounding on subnormal numbers: 2**-1074
+#: per operation, and up to about ``2 * |total| * 1e-161`` of the cross
+#: term where ``qmax`` underflowed (the relative slack covers that once
+#: ``|total|`` passes about 1e-152).  1e-300 covers both and vanishes
+#: beside any gain of real data.
+_ABS_SLACK = 1e-300
+
+#: Past this ``|total| + s_max`` a square of the gain expression may
+#: overflow (near 1.3e154), so the bound could miss an inf or NaN gain;
+#: such a feature is always a candidate.
+_S_OVERFLOW = 1e153
+
+
 def _best_split(
-    V: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
+    XT: np.ndarray, order: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
 ) -> tuple[int, int, float]:
     """Best (feature, position, gain) of one node, or (-1, -1, -inf).
 
+    ``order`` is the node's (features, k) matrix of rows, row f in
+    ascending order of ``XT[f]``, and ``C`` the residuals minus the node
+    mean gathered through it; ``C`` is overwritten with its running sums.
     Position i splits after the (i+1)-th row of the feature's order.  Equal
     gains go to the lowest feature, then the lowest position: the first
-    maximum of the gain matrix in row-major order.
+    maximum of :func:`_split_gains` over all features in row-major order.
+    Only the features whose gain bound reaches the best exact gain of the
+    :data:`_PROBES` probes get their exact gains (module docstring).
     """
-    gain = _split_gains(V, C, min_leaf, scratch)
-    if gain.size == 0:
+    n_features, k = order.shape
+    lo, hi = min_leaf - 1, k - min_leaf
+    if hi <= lo:
         return -1, -1, -np.inf
-    f, j = divmod(int(np.argmax(gain)), gain.shape[1])
-    best = float(gain[f, j])
-    if not np.isfinite(best):
+    csum = np.cumsum(C, axis=1, out=C)
+    total = csum[:, -1]
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    weight = k / (n_left * (k - n_left))
+    q = _leading(scratch.gain, (n_features, hi - lo))
+    np.square(csum[:, lo:hi], out=q)
+    q *= weight
+    qmax = q.max(axis=1)
+    t_abs = np.abs(total)
+    # the weight is least where n_left * n_right is largest, at k // 2
+    s_max = np.sqrt(qmax / (k / (k // 2 * (k - k // 2))))
+    ts = t_abs * s_max
+    # the bound of the module docstring, its terms gathered by factor
+    bound = (
+        qmax * (1.0 + _REL_SLACK)
+        + ts * (2.0 / min_leaf + _REL_SLACK)
+        + total * total * (1.0 / min_leaf + _REL_SLACK)
+        + _ABS_SLACK
+    )
+    bound[t_abs + s_max > _S_OVERFLOW] = np.inf
+
+    best = np.full(n_features, -np.inf)
+    at = np.zeros(n_features, dtype=np.intp)
+
+    def evaluate(rows: np.ndarray) -> None:
+        V = XT.ravel().take(order[rows] + (rows * XT.shape[1])[:, None])
+        gain = _split_gains(V, csum[rows], min_leaf, scratch)
+        pos = gain.argmax(axis=1)
+        best[rows] = gain[np.arange(rows.size), pos]
+        at[rows] = pos
+
+    probes = np.arange(n_features)
+    if n_features > _PROBES:
+        probes = np.argpartition(qmax, n_features - _PROBES)[-_PROBES:]
+    evaluate(probes)
+    # a NaN floor compares false, so every feature is then a candidate
+    candidate = ~(bound < best[probes].max())
+    candidate[probes] = False
+    rest = np.flatnonzero(candidate)
+    if rest.size:
+        evaluate(rest)
+    f = int(np.argmax(best))
+    if not np.isfinite(best[f]):
         return -1, -1, -np.inf
-    return f, j + min_leaf - 1, best
+    return f, int(at[f]) + lo, float(best[f])
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -316,43 +435,48 @@ class _TreeBuilder:
     """Grows the trees of one fit on presorted per-feature row orders.
 
     A node is a (features, k) matrix of row indices, row f listing the
-    node's rows in ascending order of feature f, and the matching matrix of
-    values; the leaves below the last split level keep order row 0 only.
-    The nodes of one depth own disjoint row slots ``[start, start + k)`` of
-    ``[0, rows)``: a left child takes the first k_left slots of its parent,
-    the right child the rest.  The matrices of the nodes at depth d + 1
-    live in ``_orders[d]`` and ``_values[d]`` at the cells of their slots,
-    so every pending node keeps them without allocation.
+    node's rows in ascending order of feature f; the leaves below the last
+    split level keep order row 0 only.  Values are read from ``XT`` through
+    the order rows that need them.  The nodes of one depth own disjoint row
+    slots ``[start, start + k)`` of ``[0, rows)``: a left child takes the
+    first k_left slots of its parent, the right child the rest.  The order
+    matrices of the nodes at depth d + 1 live in ``_orders[d]`` at the cells
+    of their slots, so every pending node keeps them without allocation.
+    A depth's buffer is allocated when a node first reaches it, so a deep
+    ``max_depth`` costs only the levels the trees grow.
     """
 
-    def __init__(self, n_features: int, residual: np.ndarray, cfg: GBMConfig) -> None:
+    def __init__(self, XT: np.ndarray, residual: np.ndarray, cfg: GBMConfig) -> None:
+        self.XT = XT
         self.n_rows = residual.size
         self.residual = residual
         self.min_leaf = cfg.min_samples_leaf
         self.max_depth = cfg.max_depth
-        cells = n_features * self.n_rows
-        self._centered = np.empty(cells)
-        self._scratch = _Scratch.of(cells)
-        # children of the last split level are leaves and keep only row 0
-        self._orders = [
-            np.empty(cells if d + 1 < self.max_depth else self.n_rows, dtype=np.intp)
-            for d in range(self.max_depth)
-        ]
-        self._values = [np.empty(cells) for _ in range(self.max_depth - 1)]
+        self._cells = XT.size
+        self._centered = np.empty(self._cells)
+        self._scratch = _Scratch.of(self._cells)
+        self._orders: list[np.ndarray] = []
         self.nodes = _Nodes()
         # (rows, value) per leaf of the current tree, for the residual update
         self.leaves: list[tuple[np.ndarray, float]] = []
 
-    def grow(self, root: np.ndarray, V: np.ndarray) -> int:
-        """One tree from the root's order and value matrices; returns its root."""
+    def grow(self, root: np.ndarray) -> int:
+        """One tree from the root's order matrix; returns its root."""
         self.leaves = []
-        i = self._build(root, V, 0, 0)
+        i = self._build(root, 0, 0)
         self.nodes.roots.append(i)
         return i
 
-    def _build(
-        self, node_order: np.ndarray, V: np.ndarray | None, depth: int, start: int
-    ) -> int:
+    def _level(self, depth: int) -> np.ndarray:
+        """The buffer of the children of the nodes at ``depth``."""
+        while len(self._orders) <= depth:
+            # children of the last split level are leaves and keep only row 0
+            last = len(self._orders) + 1 == self.max_depth
+            self._orders.append(
+                np.empty(self.n_rows if last else self._cells, dtype=np.intp))
+        return self._orders[depth]
+
+    def _build(self, node_order: np.ndarray, depth: int, start: int) -> int:
         rows = node_order[0]
         res = self.residual[rows]
         value = float(res.mean())
@@ -369,10 +493,10 @@ class _TreeBuilder:
         C = (self.residual - value).take(
             node_order, out=_leading(self._centered, node_order.shape), mode="clip"
         )
-        f, i, gain = _best_split(V, C, self.min_leaf, self._scratch)
+        f, i, gain = _best_split(self.XT, node_order, C, self.min_leaf, self._scratch)
         if f < 0 or gain <= 0.0:
             return self._leaf(rows, value, depth)
-        thr = _midpoint(V[f, i], V[f, i + 1])
+        thr = _midpoint(self.XT[f, node_order[f, i]], self.XT[f, node_order[f, i + 1]])
 
         in_left = np.zeros(self.n_rows, dtype=bool)
         in_left[node_order[f, : i + 1]] = True
@@ -383,34 +507,24 @@ class _TreeBuilder:
         left_at = np.flatnonzero(mask)
         np.logical_not(mask, out=mask)
         right_at = np.flatnonzero(mask)
-        left = self._child(flat, V, left_at, depth, start, i + 1)
-        right = self._child(flat, V, right_at, depth, start + i + 1, k - i - 1)
+        left = self._child(flat, left_at, depth, start, i + 1)
+        right = self._child(flat, right_at, depth, start + i + 1, k - i - 1)
         node = self.nodes.add(f, thr, 0.0, depth)
         self.nodes.left[node] = self._build(*left)
         self.nodes.right[node] = self._build(*right)
         return node
 
     def _child(
-        self,
-        flat: np.ndarray,
-        V: np.ndarray,
-        at: np.ndarray,
-        depth: int,
-        slot: int,
-        size: int,
-    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+        self, flat: np.ndarray, at: np.ndarray, depth: int, slot: int, size: int
+    ) -> tuple[np.ndarray, int, int]:
         """``_build`` arguments of the child at flat positions ``at`` of its
-        parent's order, stored at the child's slot of the depth buffers."""
+        parent's order, stored at the child's slot of the depth buffer."""
         n_orders = at.size // size
         cells = slice(n_orders * slot, n_orders * (slot + size))
         # take(mode="clip") writes into out= directly; compress() and
         # mode="raise" copy through a temporary
-        order = flat.take(at, out=self._orders[depth][cells], mode="clip")
-        values = None
-        if depth + 1 < self.max_depth:
-            values = V.ravel().take(at, out=self._values[depth][cells], mode="clip")
-            values = values.reshape(n_orders, size)
-        return order.reshape(n_orders, size), values, depth + 1, slot
+        order = flat.take(at, out=self._level(depth)[cells], mode="clip")
+        return order.reshape(n_orders, size), depth + 1, slot
 
     def _leaf(self, rows: np.ndarray, value: float, depth: int) -> int:
         self.leaves.append((rows, value))
@@ -447,12 +561,10 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
     subsample = cfg.subsample_fraction < 1.0
     m_rows = max(2 * cfg.min_samples_leaf, int(cfg.subsample_fraction * n))
     root = sorted_by_feature
-    # without subsampling every tree's root is the same sorted value matrix
-    root_values = np.take_along_axis(XT, root, axis=1)
 
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
-    builder = _TreeBuilder(X.shape[1], residual, cfg)
+    builder = _TreeBuilder(XT, residual, cfg)
     for m in range(1, cfg.n_trees + 1):
         if subsample:
             chosen = rng.choice(n, size=min(m_rows, n), replace=False)
@@ -461,8 +573,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
             root = sorted_by_feature.ravel().compress(
                 in_sub.take(sorted_by_feature.ravel())
             ).reshape(X.shape[1], chosen.size)
-            root_values = np.take_along_axis(XT, root, axis=1)
-        first = builder.grow(root, root_values)
+        first = builder.grow(root)
         if subsample:
             tree = builder.nodes.arrays(first)
             residual -= cfg.learning_rate * tree.value[_leaf_nodes(tree, X)[0]]

@@ -262,7 +262,8 @@ def split_search(
     v = values[order]
     r = targets[order]
     c = r - r.mean()
-    _, i, gain = gbm._best_split(v[None, :], c[None, :], min_leaf, gbm._Scratch.of(k))
+    _, i, gain = gbm._best_split(
+        v[None, :], np.arange(k)[None, :], c[None, :], min_leaf, gbm._Scratch.of(k))
     if i < 0 or gain <= 0.0:
         return None
     return gbm._midpoint(v[i], v[i + 1]), gain

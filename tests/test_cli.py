@@ -257,6 +257,16 @@ class TestTrainPredict:
         assert capsys.readouterr().out == (
             f"wrote {out}: trained on years 2003..2005 (3 years)\n")
 
+    def test_deep_stage1_trains(self, synth_csv, tmp_path, capsys):
+        # a depth no tree can reach allocates nothing for the levels beyond
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"stage1": {"max_depth": 100000, "n_trees": 2}}))
+        out = tmp_path / "m.json"
+        assert main(["--config", str(path), "train", "--input", synth_csv,
+                     "--years", "2003-2005", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert pl.load_forecaster(str(out)).stage1.model.arrays.levels > 3
+
     def test_predict_with_anchor(self, synth_csv, trained_model, tmp_path,
                                  capsys):
         series_path = tmp_path / "series.csv"

@@ -18,11 +18,13 @@ from pollencast.features import (
     FEATURE_NAMES,
     N_FEATURES,
     WINDOW_LEN,
+    _window_stats,
     build_feature_matrix,
     flat_feature_names,
 )
 
 from pollencast.pipeline import STAGE1_COLUMNS
+from pollencast.synth import generate_synthetic
 
 from helpers import dataset_from_pollen, window_features
 
@@ -168,6 +170,46 @@ class TestWindowFeatures:
             assert scaled[name] == pytest.approx(c * base[name], rel=1e-12)
         for name in invariant:
             assert scaled[name] == pytest.approx(base[name], rel=1e-12)
+
+
+#: A window value as a dataset matrix holds it: finite and never -0.0,
+#: with ties, from subnormal to about 1e300 in magnitude.
+_window_values = (
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 300))
+    | st.integers(-3, 3).map(float)
+    | st.sampled_from([5e-324, -5e-324, 1.7e308, -1.7e308])
+).map(lambda v: v + 0.0)
+
+
+class TestOrderStatistics:
+    """q25, q75 and the median come from one sort per block; their bits
+    must equal ``np.quantile``'s and ``np.median``'s."""
+
+    @staticmethod
+    def columns(windows):
+        with np.errstate(all="ignore"):  # the moments overflow at 1e300
+            stats = _window_stats(windows, np.zeros(len(windows)))
+        return [stats[:, FEATURE_NAMES.index(n)] for n in ("q25", "q75", "median")]
+
+    @staticmethod
+    def assert_numpy_bits(windows, got):
+        want = [np.quantile(windows, 0.25, axis=1), np.quantile(windows, 0.75, axis=1),
+                np.median(windows, axis=1)]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @given(rows=st.lists(st.lists(_window_values, min_size=WINDOW_LEN,
+                                  max_size=WINDOW_LEN), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_equal_numpy(self, rows):
+        windows = np.array(rows)
+        self.assert_numpy_bits(windows, self.columns(windows))
+
+    def test_real_windows(self):
+        matrix = generate_synthetic(seed=42, years=3).series_matrix()
+        windows = np.lib.stride_tricks.sliding_window_view(
+            matrix, WINDOW_LEN, axis=0).reshape(-1, WINDOW_LEN)
+        self.assert_numpy_bits(windows, self.columns(windows))
 
 
 class TestBuildFeatureMatrix:

@@ -220,6 +220,18 @@ class TestFit:
         # legal, so depth can never exceed 1.
         assert model.arrays.levels <= 1
 
+    def test_deep_max_depth_equals_the_reachable_depth(self):
+        # a node at depth d holds at most n - d * min_leaf rows, so no tree
+        # grows past n // min_leaf levels; a larger max_depth fits the same
+        X, y = make_regression(21, rows=60, features=5)
+        y = y + np.random.default_rng(21).normal(size=60)
+        cfg = GBMConfig(n_trees=8, max_depth=10**6, min_samples_leaf=2)
+        deep, deep_curve = fit(X, y, cfg)
+        reach, reach_curve = fit(X, y, replace(cfg, max_depth=60 // 2))
+        assert deep.arrays.levels > 3
+        assert same_arrays(deep.arrays, reach.arrays)
+        np.testing.assert_array_equal(deep_curve, reach_curve)
+
     def test_too_few_rows(self):
         X, y = make_regression(7, rows=9)
         with pytest.raises(TooFewRowsError):
@@ -273,6 +285,12 @@ class TestDeterminism:
         assert to_json(a) != to_json(b)
 
 
+def identity_order(V: np.ndarray) -> np.ndarray:
+    """The order matrix of a node whose value matrix ``V`` is its own
+    ``XT``: row f of ``V`` is already in ascending order."""
+    return np.tile(np.arange(V.shape[1]), (V.shape[0], 1))
+
+
 class TestKernelEquivalence:
     """The split kernel against the plain gain expression in ``helpers``."""
 
@@ -292,7 +310,7 @@ class TestKernelEquivalence:
                 V, R, mean = self.node(rng, 7, k)
                 want = reference_split_gains(V, R, mean, min_leaf)
                 got = gbm._split_gains(
-                    V, R - mean, min_leaf, gbm._Scratch.of(V.size)
+                    V, np.cumsum(R - mean, axis=1), min_leaf, gbm._Scratch.of(V.size)
                 )
                 lo, hi = min_leaf - 1, k - min_leaf
                 # bit patterns, so that -0.0 and 0.0 differ too
@@ -302,8 +320,188 @@ class TestKernelEquivalence:
                 assert np.all(want[:, :lo] == -np.inf)
                 assert np.all(want[:, max(hi, lo):] == -np.inf)
                 assert gbm._best_split(
-                    V, R - mean, min_leaf, gbm._Scratch.of(V.size)
+                    V, identity_order(V), R - mean, min_leaf, gbm._Scratch.of(V.size)
                 ) == reference_best_split(V, R, mean, min_leaf)
+
+
+@st.composite
+def split_nodes(draw):
+    """(V, R, node_mean, min_leaf) of a node as :func:`reference_split_gains`
+    takes it: few value levels (ties, constant rows, all-tie nodes when
+    every row is constant), duplicated columns and rows, k down to
+    ``2 * min_leaf``, and residuals scaled by 1e-300 to 1e200, where the
+    squares underflow or the sums overflow."""
+    min_leaf = draw(st.integers(1, 5))
+    k = draw(st.sampled_from([2 * min_leaf, 2 * min_leaf + 1])
+             | st.integers(2 * min_leaf, 40))
+    # more than the 8 probes, mostly, so that the screen cuts features
+    n_features = draw(st.sampled_from([1, 8]) | st.integers(9, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.sampled_from([1, 2, 3, 1000])),
+                     size=(n_features, k)).astype(np.float64)
+    X[n_features - draw(st.integers(0, n_features - 1)):] = X[0]  # copies
+    kind = draw(st.sampled_from(["normal", "integers", "constant", "one_off"]))
+    if kind == "normal":
+        r = rng.normal(size=k)
+    elif kind == "integers":  # duplicate rows where the values tie too
+        r = rng.integers(-2, 3, size=k).astype(np.float64)
+    else:
+        r = np.full(k, 3.0)
+        if kind == "one_off":
+            r[rng.integers(k)] = 4.0
+    scale = 10.0 ** draw(st.sampled_from([-300, -160, 0, 150, 154, 200])
+                         | st.integers(-300, 200))
+    r *= scale
+    # the kernel must match the expression for any mean, and an off-centre
+    # one makes the total's terms of the bound count
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-3, 0.5, -2.0])) * scale
+    order = np.argsort(X, axis=1, kind="stable")
+    return (np.take_along_axis(X, order, axis=1), r[order],
+            float(r.mean()) + shift, min_leaf)
+
+
+def same_split(got: tuple, want: tuple) -> bool:
+    """Equal (feature, position, gain), the gain bit for bit."""
+    return got[:2] == want[:2] and (
+        np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes())
+
+
+class TestScreenedSplit:
+    """The screened search against the full reference search: only the
+    features whose bound reaches the best probed gain get exact gains, and
+    the choice must not move by a bit."""
+
+    @given(node=split_nodes())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference_search(self, node):
+        V, R, mean, min_leaf = node
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = reference_best_split(V, R, mean, min_leaf)
+            got = gbm._best_split(V, identity_order(V), R - mean, min_leaf,
+                                  gbm._Scratch.of(V.size))
+        event(f"split found: {want[0] >= 0}")
+        assert same_split(got, want)
+
+    def test_nan_bound_beside_finite_floor(self):
+        # ten features, so the eight probes leave two out; feature 9 sums
+        # to NaN (+inf and -inf in its last two rows, which no legal left
+        # side includes), so its bound is NaN while the probes' floor is
+        # finite: it must still be searched, and its NaN gains end the search
+        rng = np.random.default_rng(3)
+        V = np.sort(rng.normal(size=(10, 12)), axis=1)
+        R = np.stack([rng.permutation(np.arange(12.0)) for _ in range(10)])
+        mean = float(R[0].mean())
+        args = (V, identity_order(V))
+        finite = gbm._best_split(*args, R - mean, 2, gbm._Scratch.of(V.size))
+        assert finite[0] >= 0 and np.isfinite(finite[2])
+        R[9] = mean
+        R[9, -2:] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            want = reference_best_split(V, R, mean, 2)
+            got = gbm._best_split(*args, R - mean, 2, gbm._Scratch.of(V.size))
+        assert want == (-1, -1, -np.inf)
+        assert same_split(got, want)
+
+    def test_bound_covers_the_rounding_of_both_formulas(self):
+        # the total is exactly 0, so feature 0's bound without slack would
+        # be its qmax, which rounds one unit below its best gain; feature 1
+        # splits the same way and is probed, as a tied position gives it a
+        # larger qmax
+        k, s = 12, 5.0
+        q = np.float64(s) ** 2 * (k / (1.0 * (k - 1)))
+        assert q < s**2 / 1.0 + s**2 / (k - 1.0)
+        V = np.tile(np.arange(float(k)), (9, 1))
+        V[1:, 3] = V[1:, 2]
+        R = np.zeros((9, k))
+        R[0, 0], R[0, -1] = s, -s
+        R[1, :4] = s, -s, 1e3, -1e3
+        R[2:, 2:4] = 1e3, -1e3
+        want = reference_best_split(V, R, 0.0, 1)
+        assert want[:2] == (0, 0)
+        got = gbm._best_split(V, identity_order(V), R.copy(), 1,
+                              gbm._Scratch.of(V.size))
+        assert same_split(got, want)
+
+    def test_bound_reaches_the_largest_left_sum(self):
+        # the total is 4 and feature 0's left sum -3: the cross term lifts
+        # its best gain, 9.85, far above its qmax, 3.3, and a bound on
+        # |s_left| taken at weight 1 instead of the least weight 11/30
+        # would miss it; probed feature 1 gains as much at the same position
+        V = np.tile(np.arange(11.0), (9, 1))
+        V[1, 5:] -= 1.0  # a tie at the first legal position
+        V[2:, 5:7] = 4.0  # ties at both legal positions
+        R = np.zeros((9, 11))
+        R[0, 0], R[0, -1] = -3.0, 7.0
+        R[1, [0, 4, 5, 10]] = -3.0, 20.0, -20.0, 7.0
+        R[2:, 4], R[2:, -1] = 20.0, -16.0
+        want = reference_best_split(V, R, 0.0, 5)
+        assert want[:2] == (0, 5)
+        got = gbm._best_split(V, identity_order(V), R.copy(), 5,
+                              gbm._Scratch.of(V.size))
+        assert same_split(got, want)
+
+    def test_bound_covers_subnormal_rounding(self):
+        # in units of 2**-539 the squares are subnormal: feature 0's best
+        # gain rounds to 1e-323 while its bound before the 1e-300, relative
+        # slack included, rounds to 5e-324; probed feature 1 gains 1e-323
+        # too, and seven decoys get large qmax at tied positions
+        V = np.tile([0.0, 1.0, 2.0, 2.0, 3.0, 4.0], (9, 1))
+        V[0] = np.arange(6.0)
+        R = np.zeros((9, 6))
+        R[0] = -1.5, -3.0, -1.0, 1.0, 3.0, 2.0
+        R[1] = -3.0, -1.5, 0.0, 0.0, -2.5, 3.0
+        R[2:, 2:4] = 20.0, -20.0
+        R *= 2.0**-539
+        want = reference_best_split(V, R, 0.0, 1)
+        assert want[0] == 0 and want[2] == 1e-323
+        got = gbm._best_split(V, identity_order(V), R.copy(), 1,
+                              gbm._Scratch.of(V.size))
+        assert same_split(got, want)
+
+    def test_overflowing_gain_outside_the_probes(self):
+        # feature 9's running sum dips to -1.3e154 at its middle, where
+        # (total - s_left)**2 overflows; but for the overflow guard its
+        # bound stays below the probes' finite gains, yet its inf gain must
+        # end the search
+        k, t, big = 100, 0.05e154, 1.3e154
+        V = np.tile(np.arange(float(k)), (10, 1))
+        R = np.zeros((10, k))
+        R[:9, 0], R[:9, 10] = big, t - big
+        R[9, :50] = -big / 50
+        R[9, 50:] = (t + big) / 50
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_best_split(V, R, 0.0, 10)
+            assert reference_best_split(V[:9], R[:9], 0.0, 10)[0] == 0
+            got = gbm._best_split(V, identity_order(V), R.copy(), 10,
+                                  gbm._Scratch.of(V.size))
+        assert want == (-1, -1, -np.inf)
+        assert same_split(got, want)
+
+
+class TestCanonicalOrder:
+    """The order from the leading columns equals one sort by every column,
+    then y."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 60),
+           cols=st.sampled_from([1, 15, 16, 17, 40, 70]),
+           tied=st.integers(0, 70), levels=st.sampled_from([1, 2, 5]),
+           copies=st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_lexsort(self, seed, rows, cols, tied, levels, copies):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, cols))
+        # the first columns tie on many rows; whole rows repeat with their y
+        # or with another y
+        X[:, : min(tied, cols)] = rng.integers(0, levels, size=(rows, min(tied, cols)))
+        y = rng.integers(0, 3, size=rows).astype(np.float64)
+        src = rng.integers(0, rows, size=copies)
+        dst = rng.integers(0, rows, size=copies)
+        X[dst] = X[src]
+        perm = rng.permutation(rows)
+        X, y = X[perm], y[perm]
+        keys = tuple(X[:, j] for j in range(cols - 1, -1, -1))
+        np.testing.assert_array_equal(gbm._canonical_order(X, y),
+                                      np.lexsort((y,) + keys))
 
 
 def pinned_data():
