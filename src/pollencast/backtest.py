@@ -13,7 +13,6 @@ dataclass as it stands (``dataclasses.asdict``), plus ``folds.csv`` and one
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SeasonDefinition, label_season, write_table
+from .data import Dataset, SeasonDefinition, label_season, write_csv, write_json
 from .errors import (
     DegenerateSlopeError,
     EmptyInputError,
@@ -177,22 +176,15 @@ def mae(predictions: Sequence[float], truths: Sequence[float]) -> float:
 
 
 def _fold_z_range(
-    data: Dataset, cfg: BacktestConfig, fold: Fold
+    data: Dataset, cfg: BacktestConfig, fold: Fold, truth: int
 ) -> tuple[int, int]:
     if cfg.z_range_policy == "truth":
-        anchor = label_season(data, cfg.definition, fold.test_year).boundary(
-            cfg.boundary
-        )
-        if anchor is None:
-            raise MissingLabelError(f"year {fold.test_year} has no season")
+        anchor = truth
     else:
-        boundaries = []
-        for year in fold.train_years:
-            b = label_season(data, cfg.definition, year).boundary(cfg.boundary)
-            if b is None:
-                raise MissingLabelError(f"train year {year} has no season")
-            boundaries.append(b)
-        anchor = round(float(np.mean(boundaries)))
+        # train_forecaster has refused a training year with no season
+        anchor = round(float(np.mean([
+            label_season(data, cfg.definition, year).boundary(cfg.boundary)
+            for year in fold.train_years])))
     return anchor - cfg.horizon, anchor
 
 
@@ -225,7 +217,7 @@ def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
         stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
         protocol=cfg.stage2_protocol,
     )
-    z_range = _fold_z_range(data, cfg, fold)
+    z_range = _fold_z_range(data, cfg, fold, truth)
     series = fc.predict_series(data, fold.test_year, z_range)
     fit = fit_wls(series)
     final = final_forecast(fit)
@@ -290,20 +282,13 @@ def emit_report(report: BacktestReport, directory: str) -> tuple[str, ...]:
     if not report.folds:
         raise EmptyInputError("refusing to emit a report with no folds")
     os.makedirs(directory, exist_ok=True)
-    written = []
-
-    path = os.path.join(directory, "report.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
-    written.append(path)
-
+    write_json(os.path.join(directory, "report.json"), asdict(report))
     # one row per fold or trace point: the fields its columns name
     tables = [("folds.csv", FOLD_COLUMNS, report.folds)]
     tables += [(f"convergence_{r.test_year}.csv", TRACE_COLUMNS, r.trace)
                for r in report.folds]
     for name, columns, items in tables:
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_table(fh, columns, ([getattr(item, c) for c in columns] for item in items))
-        written.append(path)
-    return tuple(written)
+        write_csv(os.path.join(directory, name), columns,
+                  ([getattr(item, c) for c in columns] for item in items))
+    return tuple(os.path.join(directory, name)
+                 for name in ("report.json", *(name for name, _, _ in tables)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import functools
-import json
 import logging
 import math
 import sys
@@ -20,7 +19,7 @@ from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from . import backtest as bt
-from .data import SeasonDefinition, emit_csv, ingest_csv, label_years, write_table
+from .data import SeasonDefinition, emit_csv, ingest_csv, label_years, read_json, write_table
 from .errors import PollencastError
 from .gbm import GBMConfig
 from .pipeline import (
@@ -79,14 +78,11 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path, f"config {path}")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
+    except PollencastError as exc:
+        raise UsageError(str(exc)) from exc
     unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")

@@ -6,10 +6,11 @@ A :class:`Dataset` is matrix-first: it holds its first date, a read-only
 reading a CSV, slicing a dataset and building features make none.
 :func:`ingest_csv` reads a plain file's values with one ``np.loadtxt``
 call, and falls back to ``csv.reader`` and ``float`` for any other file
-and to name a bad file's first failing line.  Every CSV file and stdout
-table that pollencast emits is written by :func:`write_table`, in one
-format: shortest round-trip floats, an empty cell for ``None``, ``\n``
-line ends.
+and to name a bad file's first failing line.  It is the only module that
+opens a file: every CSV table goes through :func:`write_table` (shortest
+round-trip floats, an empty cell for ``None``, ``\n`` line ends), every
+JSON document through :func:`json_text` (sorted keys, indent 2) and
+:func:`parse_json` (a UTF-8 object without ``NaN`` or ``Infinity``).
 
 A season is defined by two patient-specific thresholds: a day is "typical"
 when its pollen concentration strictly exceeds ``delta_c``, and the season
@@ -24,6 +25,7 @@ import csv
 import datetime as dt
 import io
 import itertools
+import json
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -266,21 +268,20 @@ class SeasonDefinition:
 
     ``delta_c``: minimum pollen concentration (grains/m3, exclusive) for a
     typical day.  ``delta_n``: minimum count of typical days within the
-    7-day detection window.
+    ``SEASON_WINDOW_DAYS`` detection window.
     """
 
     delta_c: float
     delta_n: int
-    window_days: int = SEASON_WINDOW_DAYS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta_c) and self.delta_c > 0):
             raise InvalidRecordError(
                 f"delta_c must be finite and positive, got {self.delta_c}"
             )
-        if not 1 <= self.delta_n <= self.window_days:
+        if not 1 <= self.delta_n <= SEASON_WINDOW_DAYS:
             raise InvalidRecordError(
-                f"delta_n must be in [1, {self.window_days}], got {self.delta_n}"
+                f"delta_n must be in [1, {SEASON_WINDOW_DAYS}], got {self.delta_n}"
             )
 
 
@@ -597,6 +598,46 @@ def write_table(fh: TextIO, header: Sequence[str], rows: Iterable[Iterable]) -> 
     fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """:func:`write_table` into the UTF-8 file at ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, header, rows)
+
+
+def json_text(doc: object) -> str:
+    """``doc`` as JSON: sorted keys, an indent of 2, no final line end."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def write_json(path: str, doc: object) -> None:
+    """:func:`json_text` and a final ``\n`` into the UTF-8 file at ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json_text(doc) + "\n")
+
+
+def parse_json(text: str | bytes, what: str) -> dict:
+    """The JSON object of ``text`` (UTF-8, if bytes); any failure raises
+    one :class:`InvalidRecordError` naming the document ``what``."""
+    def refuse(constant: str) -> float:
+        raise InvalidRecordError(f"{what}: non-finite number {constant}")
+
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        doc = json.loads(text, parse_constant=refuse)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidRecordError(f"{what} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidRecordError(f"{what} must hold a JSON object")
+    return doc
+
+
+def read_json(path: str, what: str) -> dict:
+    """:func:`parse_json` of the bytes of the file at ``path``."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), what)
+
+
 def emit_csv(data: Dataset, path: str) -> None:
     """Write ``data`` in the canonical CSV schema.
 
@@ -607,9 +648,8 @@ def emit_csv(data: Dataset, path: str) -> None:
     """
     first = data.start.toordinal()
     days = map(dt.date.fromordinal, range(first, first + len(data)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, CSV_COLUMNS, ((day.isoformat(), *values) for day, values
-                                      in zip(days, data.series_matrix().tolist())))
+    write_csv(path, CSV_COLUMNS, ((day.isoformat(), *values) for day, values
+                                  in zip(days, data.series_matrix().tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +677,7 @@ def label_season(data: Dataset, definition: SeasonDefinition, year: int) -> Seas
     """Label the allergy season of ``year`` under ``definition``.
 
     The start day is the earliest day of the year whose leading
-    ``window_days`` window (the day itself plus the following days) holds at
+    ``SEASON_WINDOW_DAYS`` window (the day itself plus the following days) holds at
     least ``delta_n`` typical days; the end day is the latest day at or after
     the start whose trailing window does.  Windows may extend past the year
     into adjacent data; days beyond the dataset count as non-typical.
@@ -646,7 +686,7 @@ def label_season(data: Dataset, definition: SeasonDefinition, year: int) -> Seas
         raise InsufficientDataError(f"dataset does not fully cover year {year}")
 
     typical = data.pollen() > definition.delta_c
-    leading, trailing = _typical_window_counts(typical, definition.window_days)
+    leading, trailing = _typical_window_counts(typical, SEASON_WINDOW_DAYS)
 
     i0 = data.index_of(dt.date(year, 1, 1))
     i1 = data.index_of(dt.date(year, 12, 31))
@@ -657,7 +697,7 @@ def label_season(data: Dataset, definition: SeasonDefinition, year: int) -> Seas
     start_off = int(start_hits[0])
 
     # No qualifying trailing window at-or-after the start can happen only
-    # when the start sits within the last window_days - 1 days of the year
+    # when the start sits within the last SEASON_WINDOW_DAYS - 1 days of the year
     # and the qualifying days spill into the next year; the season is then
     # absent for this year.
     end_hits = np.nonzero(trailing[i0 + start_off : i1 + 1] >= definition.delta_n)[0]

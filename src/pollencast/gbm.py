@@ -90,13 +90,13 @@ them.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import json_text, parse_json
 from .errors import (
     InvalidRecordError,
     LengthMismatchError,
@@ -831,8 +831,8 @@ def from_obj(doc: object, what: str = "model") -> GBMModel:
 
 def to_json(model: GBMModel) -> str:
     """Lossless, versioned JSON form; stable bytes for identical models."""
-    return json.dumps(to_obj(model), sort_keys=True, indent=2)
+    return json_text(to_obj(model))
 
 
 def from_json(text: str) -> GBMModel:
-    return from_obj(json.loads(text))
+    return from_obj(parse_json(text, "model"))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import calendar
 import contextlib
 import datetime as dt
-import json
 import math
 import os
 import threading
@@ -41,7 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import gbm
-from .data import Dataset, SeasonDefinition, label_season
+from .data import (Dataset, SeasonDefinition, json_text, label_season, parse_json,
+                   read_json, write_json)
 from .errors import (
     HorizonOutOfRangeError,
     InvalidRecordError,
@@ -665,9 +665,8 @@ def predict_series(
 # ---------------------------------------------------------------------------
 
 
-def forecaster_to_json(fc: Forecaster) -> str:
-    """Serialize a trained forecaster pair to a deterministic JSON document."""
-    obj = {
+def _bundle(fc: Forecaster) -> dict:
+    return {
         "format": BUNDLE_FORMAT,
         "boundary": fc.stage1.boundary,
         "horizon": fc.stage1.horizon,
@@ -678,11 +677,11 @@ def forecaster_to_json(fc: Forecaster) -> str:
         "stage1_model": gbm.to_obj(fc.stage1.model),
         "stage2_model": gbm.to_obj(fc.stage2.model),
     }
-    return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _no_constant(text: str) -> float:
-    raise InvalidRecordError(f"model bundle: non-finite number {text}")
+def forecaster_to_json(fc: Forecaster) -> str:
+    """Serialize a trained forecaster pair to a deterministic JSON document."""
+    return json_text(_bundle(fc))
 
 
 def forecaster_from_json(text: str) -> Forecaster:
@@ -691,11 +690,7 @@ def forecaster_from_json(text: str) -> Forecaster:
     Anything but a well-formed bundle of this package's feature layout
     raises :class:`InvalidRecordError`.
     """
-    try:
-        obj = json.loads(text, parse_constant=_no_constant)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidRecordError(f"model bundle is not readable JSON: {exc}") from exc
-    return _forecaster_from_obj(obj)
+    return _forecaster_from_obj(parse_json(text, "model bundle"))
 
 
 def _forecaster_from_obj(obj: object) -> Forecaster:
@@ -752,15 +747,8 @@ def _forecaster_from_obj(obj: object) -> Forecaster:
 
 
 def save_forecaster(fc: Forecaster, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(forecaster_to_json(fc))
-        fh.write("\n")
+    write_json(path, _bundle(fc))
 
 
 def load_forecaster(path: str) -> Forecaster:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidRecordError(f"model bundle {path} is not UTF-8: {exc}") from exc
-    return forecaster_from_json(text)
+    return _forecaster_from_obj(read_json(path, f"model bundle {path}"))

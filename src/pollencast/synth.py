@@ -10,14 +10,13 @@ where the season boundary lies, which is the whole point of the exercise.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json
 from .errors import InvalidRecordError
 
 
@@ -90,14 +89,7 @@ class GeneratorProfile:
     @classmethod
     def from_json(cls, path: str) -> "GeneratorProfile":
         """Load a profile from a JSON object in a file; unknown keys are rejected."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise InvalidRecordError(
-                    f"generator profile {path} is not readable JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InvalidRecordError(f"generator profile {path} must hold a JSON object")
+        raw = read_json(path, f"generator profile {path}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -105,10 +97,6 @@ class GeneratorProfile:
                 f"unknown generator profile keys: {', '.join(sorted(unknown))}"
             )
         return cls(**raw)
-
-
-def _year_days(year: int) -> int:
-    return 366 if (dt.date(year, 12, 31) - dt.date(year, 1, 1)).days == 365 else 365
 
 
 @np.errstate(all="ignore")  # extreme profiles overflow; from_matrix refuses the result
@@ -129,11 +117,12 @@ def generate_synthetic(
         raise InvalidRecordError(f"years {p.start_year}..{last_year} go past 9999")
     rng = np.random.default_rng(seed)
 
-    year_list = list(range(p.start_year, p.start_year + years))
-    n_days = sum(_year_days(y) for y in year_list)
-    dates = [dt.date(p.start_year, 1, 1) + dt.timedelta(days=i) for i in range(n_days)]
-    doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
-    year_of_day = np.array([d.year for d in dates])
+    # datetime64 years count from 1970 and reach past 9999
+    days = np.arange(np.datetime64(p.start_year - 1970, "Y"),
+                     np.datetime64(last_year + 1 - 1970, "Y"), dtype="datetime64[D]")
+    n_days = days.size
+    doy = (days - days.astype("datetime64[Y]")).astype(np.float64) + 1.0
+    year_index = days.astype("datetime64[Y]").astype(np.int64) - (p.start_year - 1970)
 
     # Per-year draws, one batch per quantity to keep the stream layout simple
     year_offset = rng.normal(0.0, p.year_offset_sigma, size=years)
@@ -149,7 +138,7 @@ def generate_synthetic(
     cycle = p.tavg_mean - p.tavg_amplitude * np.cos(
         2.0 * math.pi * (doy - p.coldest_doy) / 365.25
     )
-    offset_by_day = year_offset[year_of_day - p.start_year]
+    offset_by_day = year_offset[year_index]
     eps = rng.normal(0.0, p.noise_sigma, size=n_days)
     noise = np.empty(n_days)
     acc = 0.0
@@ -196,8 +185,7 @@ def generate_synthetic(
     # Growing degree-days per year drive the pollen onset
     pollen = np.full(n_days, p.baseline_pollen)
     pos = 0
-    for yi, y in enumerate(year_list):
-        nd = _year_days(y)
+    for yi, nd in enumerate(np.bincount(year_index).tolist()):
         t_year = tavg[pos : pos + nd]
         gdd = np.cumsum(np.maximum(t_year - p.gdd_base, 0.0))
         crossed = np.nonzero(gdd >= gdd_req[yi])[0]
@@ -219,4 +207,4 @@ def generate_synthetic(
 
     values = np.stack([pollen, tmax, tmin, tavg, precip, humidity, wind_speed, pressure,
                        sunshine_hours, dew_point, cloud_cover, soil_temp], axis=1)
-    return Dataset.from_matrix(dates[0], values)
+    return Dataset.from_matrix(dt.date(p.start_year, 1, 1), values)

@@ -16,13 +16,12 @@ Carlo routine provides the empirical check of those closed forms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_table
+from .data import write_csv, write_json
 from .errors import (
     DegenerateDesignError,
     DegenerateSlopeError,
@@ -260,6 +259,8 @@ def min_days(
     number of prediction days worth collecting."""
     if n_max < 2:
         raise TooFewPointsError(f"n_max must be >= 2, got {n_max}")
+    if n_max > 366:  # a forecast window holds at most horizon + 1 <= 366 days
+        raise InvalidRecordError(f"n_max must be <= 366, got {n_max}")
     table = []
     n_min = None
     for n in range(2, n_max + 1):
@@ -356,28 +357,19 @@ def monte_carlo_variance(
 
 def emit_threshold_csv(analysis: ThresholdAnalysis, path: str) -> None:
     """The (N, f_th) table as CSV, the data behind a threshold plot."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, ("N", "f_th"), analysis.table)
+    write_csv(path, ("N", "f_th"), analysis.table)
 
 
-def forecast_to_json(final: FinalForecast, fit: WLSFit) -> str:
-    doc = {
+def emit_forecast_json(final: FinalForecast, fit: WLSFit, path: str) -> None:
+    write_json(path, {
         "y_star": final.y_star,
         "sigma_y_star": final.sigma_y_star,
         "beta0": fit.beta0,
         "beta1": fit.beta1,
         "n_points": fit.n_points,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def emit_forecast_json(final: FinalForecast, fit: WLSFit, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(forecast_to_json(final, fit) + "\n")
+    })
 
 
 def emit_series_csv(series: ForecastSeries, path: str) -> None:
     """Per-day predictions as CSV `z,y_hat,u_hat` (convergence plot data)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, ("z", "y_hat", "u_hat"),
-                    zip(*(a.tolist() for a in series.arrays())))
+    write_csv(path, ("z", "y_hat", "u_hat"), zip(*(a.tolist() for a in series.arrays())))

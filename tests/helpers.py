@@ -22,6 +22,7 @@ from pollencast import gbm, pipeline
 from pollencast.data import (
     CSV_COLUMNS,
     MAX_FILL_GAP_DAYS,
+    SEASON_WINDOW_DAYS,
     SERIES_NAMES,
     DailyRecord,
     Dataset,
@@ -118,7 +119,7 @@ def label_brute_force(data: Dataset, definition: SeasonDefinition, year: int) ->
             return False
         return data.records[idx].pollen > definition.delta_c
 
-    window = definition.window_days
+    window = SEASON_WINDOW_DAYS
     i0 = data.index_of(dt.date(year, 1, 1))
     i1 = data.index_of(dt.date(year, 12, 31))
 

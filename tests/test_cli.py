@@ -414,17 +414,23 @@ class TestConfigFile:
                      "--anchor", "110"])
         assert code == EXIT_OK
 
-    def test_invalid_json_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        assert main(["--config", str(cfg), "synth", "--years", "1",
-                     "--out", "x.csv"]) == EXIT_USAGE
-
-    def test_non_object_config_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("[1, 2]")
-        assert main(["--config", str(cfg), "synth", "--years", "1",
-                     "--out", "x.csv"]) == EXIT_USAGE
+    @pytest.mark.parametrize("text,message", [
+        (b"\xff{}", "is not readable JSON"),
+        (b"{not json", "is not readable JSON"),
+        (b"[" * 200_000 + b"]" * 200_000, "is not readable JSON"),
+        (b'{"delta_c": NaN}', "non-finite number NaN"),
+        (b"[1, 2]", "must hold a JSON object"),
+        (b'{"seed": 1' + b"0" * 5000 + b"}", "is not readable JSON"),
+    ], ids=["not_utf8", "not_json", "deep", "nan", "list", "int_past_str_limit"])
+    def test_unreadable_config(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        out = tmp_path / "s.csv"
+        code = main(["--config", str(path), "synth", "--years", "1",
+                     "--out", str(out)])
+        line = assert_one_error_line(capsys, code, EXIT_USAGE)
+        assert line.startswith(f"error: usage: config {path}") and message in line
+        assert not out.exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.json"), "synth",
@@ -715,15 +721,20 @@ class TestBadInputs:
                         f"'w14s30-v1', expected {CATALOG_VERSION!r}; retrain the model")
 
     @pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe\x00garbage",
-                                      b"[1, 2]"],
+                                      b"[1, 2]", b"[" * 200_000 + b"]" * 200_000,
+                                      b'{"u_floor": NaN}'],
                              ids=["not_json", "empty", "not_utf8",
-                                  "not_an_object"])
+                                  "not_an_object", "deep", "nan"])
     def test_unreadable_bundle(self, synth_csv, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
         path.write_bytes(text)
-        line = assert_one_error_line(
-            capsys, self.predict(synth_csv, path), EXIT_RUNTIME)
+        outs = [str(tmp_path / "series.csv"), str(tmp_path / "forecast.json")]
+        code = main(["predict", "--input", synth_csv, "--model", str(path),
+                     "--year", "2008", "--anchor", "110",
+                     "--out-series", outs[0], "--out-forecast", outs[1]])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert "InvalidRecordError" in line
+        assert not any(map(os.path.exists, outs))
 
     def test_valid_bundle_loads(self, synth_csv, trained_model, tmp_path):
         # the mutations above start from a bundle that predicts
@@ -898,15 +909,26 @@ class TestBadInputs:
         assert line == ("error: HorizonOutOfRangeError: horizon must be in "
                         f"1..365, got {horizon}")
 
+    @pytest.mark.parametrize("n_max", ["367", "1" + "0" * 400])
+    def test_n_max_past_a_year(self, tmp_path, capsys, n_max):
+        # the scan's work grows with n_max squared
+        out = tmp_path / "f_th.csv"
+        code = main(["threshold", "--beta0", "10", "--beta1=-1",
+                     "--n-max", n_max, "--out", str(out)])
+        line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
+        assert line == f"error: InvalidRecordError: n_max must be <= 366, got {n_max}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("years,profile,message", [
         (8000, None, "years 2003..10002 go past 9999"),
         (1, b"not json", "is not readable JSON"),
         (1, b"\xff{}", "is not readable JSON"),
         (1, b"[1, 2]", "must hold a JSON object"),
+        (1, b"[" * 200_000 + b"]" * 200_000, "is not readable JSON"),
         (1, b'{"rise_width": "a"}', "rise_width must be a finite number"),
         (1, b'{"coldest_doy": 20.5}', "coldest_doy must be a finite integer"),
         (1, b'{"peak_mean": true}', "peak_mean must be a finite number"),
-        (1, b'{"peak_mean": NaN}', "peak_mean must be a finite number"),
+        (1, b'{"peak_mean": NaN}', "non-finite number NaN"),
         (1, b'{"tavg_mean": 1e999}', "tavg_mean must be a finite number"),
         (1, b'{"gdd_base": -1' + b"0" * 400 + b"}", "gdd_base must be a finite"),
         (1, b'{"start_year": 0}', "start_year must be >= 1"),
@@ -914,7 +936,7 @@ class TestBadInputs:
         (1, b'{"noise_rho": 2.0}', "noise_rho must be in [-1, 1]"),
         (1, b'{"noise_sigma": -1}', "noise_sigma must be >= 0"),
         (1, b'{"rain_scale": -0.5}', "rain_scale must be >= 0"),
-    ], ids=["years_past_9999", "not_json", "not_utf8", "list", "string",
+    ], ids=["years_past_9999", "not_json", "not_utf8", "list", "deep", "string",
             "float_for_int", "bool", "nan", "inf", "int_past_float",
             "year_zero", "start_past_9999", "rho_past_one", "negative_sigma",
             "negative_scale"])
@@ -1183,13 +1205,10 @@ _CONFIG_VALUES = st.one_of(
     st.sampled_from(["[]", "{}", "[2008]", '{"n_trees": 1}', '"start"',
                      '"loyo"']).map(json.loads))
 
-#: ``n_max`` is the length of the threshold table and ``years`` the number of
-#: years ``synth`` generates.  Both set how long a command runs, so they take
-#: no number that would make it run long: ``years`` is 1-2 or one that
-#: ``synth`` refuses for every profile.
+#: ``years`` is the number of years ``synth`` generates.  It sets how long
+#: the command runs, so it takes no number that would make it run long: 1-2
+#: or one that ``synth`` refuses for every profile.
 _SIZE_VALUES = {
-    "n_max": _CONFIG_VALUES.filter(
-        lambda v: isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 400),
     "years": _CONFIG_VALUES.filter(
         lambda v: isinstance(v, bool) or not isinstance(v, (int, float))
         or not 2 < v <= 9999),

@@ -6,12 +6,14 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import pollencast
 from pollencast.data import (
     CSV_COLUMNS,
     SERIES_NAMES,
@@ -660,6 +662,17 @@ class TestEmitIngestRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "81a2a8b3ada2265b8aa4fb3e8a3ff6cb06a5c4f2d2c328aca31ec41fb5c0754f"
         )
+
+    def test_only_this_module_opens_files(self):
+        # every file and JSON document goes through the readers and
+        # writers of pollencast.data
+        found = [f"{path.name}:{i}"
+                 for path in sorted(Path(pollencast.__file__).parent.glob("*.py"))
+                 if path.name != "data.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\bopen\(|json\.(load|dump)", line)]
+        assert found == []
+
 
 
 # ---------------------------------------------------------------------------

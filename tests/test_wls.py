@@ -301,6 +301,11 @@ class TestMinDays:
         assert analysis.n_min is None
         assert all(f >= 1.0 for _, f in analysis.table)
 
+    def test_n_max_at_most_366(self):
+        assert len(min_days(10.0, 1.0, 0.0, n_max=366).table) == 365
+        with pytest.raises(InvalidRecordError, match="n_max must be <= 366"):
+            min_days(10.0, 1.0, 0.0, n_max=367)
+
     def test_table_contents(self):
         analysis = min_days(10.0, 1.0, 0.0, n_max=30)
         ns = [n for n, _ in analysis.table]
