@@ -5,6 +5,13 @@ held-out test year over a fixed day range, fuses the per-day predictions,
 and records how the fused estimate and its error bar evolve as more
 prediction days become available (the convergence trace).
 
+A backtest plans every fold before the first fit, so a bad input raises its
+error before any fit starts.  One :class:`~pollencast.pipeline.TrainingPlanner`
+labels each year and builds its rows once for all the folds' trainings, and
+the Stage-1 fits of every fold run on one pool
+(:func:`~pollencast.pipeline.train_plans`): while a fold is forecast and
+traced here, the workers go on with the next folds' fits.
+
 A report is emitted as ``report.json``, the :class:`BacktestReport`
 dataclass as it stands (``dataclasses.asdict``), plus ``folds.csv`` and one
 ``convergence_<year>.csv`` per fold, tables of named fields of its
@@ -20,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, SeasonDefinition, label_season, write_csv, write_json
+from .data import Dataset, SeasonDefinition, write_csv, write_json
 from .errors import (
     DegenerateSlopeError,
     EmptyInputError,
@@ -30,7 +37,16 @@ from .errors import (
     MissingLabelError,
 )
 from .gbm import GBMConfig
-from .pipeline import DEFAULT_HORIZON, train_forecaster
+# train_forecaster is not called here, but stays importable from this module:
+# the benchmark's tracer (perfbench/spans.py) wraps it by that name
+from .pipeline import (  # noqa: F401
+    DEFAULT_HORIZON,
+    Forecaster,
+    TrainingPlan,
+    TrainingPlanner,
+    train_forecaster,
+    train_plans,
+)
 from .wls import ForecastSeries, final_forecast, fit_wls, min_days
 
 __all__ = [
@@ -175,17 +191,34 @@ def mae(predictions: Sequence[float], truths: Sequence[float]) -> float:
     return float(np.abs(p - t).mean())
 
 
-def _fold_z_range(
-    data: Dataset, cfg: BacktestConfig, fold: Fold, truth: int
-) -> tuple[int, int]:
+@dataclass(frozen=True)
+class _FoldPlan:
+    """One fold as planned before any fit: its truth, its training and the
+    days its test year is forecast on."""
+
+    fold: Fold
+    truth: int
+    training: TrainingPlan
+    z_range: tuple[int, int]
+
+
+def _plan_fold(cfg: BacktestConfig, planner: TrainingPlanner, fold: Fold) -> _FoldPlan:
+    """Check and plan one fold, raising each input error in the order a
+    fold meets it: the test year's truth, the training, the forecast days."""
+    truth = planner.label(fold.test_year).boundary(cfg.boundary)
+    if truth is None:
+        raise MissingLabelError(f"test year {fold.test_year} has no season")
+    training = planner.plan(fold.train_years, cfg.stage2_protocol)
     if cfg.z_range_policy == "truth":
         anchor = truth
     else:
-        # train_forecaster has refused a training year with no season
+        # the plan has refused a training year with no season
         anchor = round(float(np.mean([
-            label_season(data, cfg.definition, year).boundary(cfg.boundary)
+            planner.label(year).boundary(cfg.boundary)
             for year in fold.train_years])))
-    return anchor - cfg.horizon, anchor
+    z_range = (anchor - cfg.horizon, anchor)
+    planner.check_forecast(fold.test_year, z_range)
+    return _FoldPlan(fold, truth, training, z_range)
 
 
 def _convergence_trace(
@@ -203,32 +236,20 @@ def _convergence_trace(
     return tuple(points)
 
 
-def _fold_result(data: Dataset, cfg: BacktestConfig, fold: Fold) -> FoldResult:
-    """Train, forecast and fuse one fold.  Its models are released on
-    return, before the next fold trains its own."""
-    truth = label_season(data, cfg.definition, fold.test_year).boundary(
-        cfg.boundary
-    )
-    if truth is None:
-        raise MissingLabelError(f"test year {fold.test_year} has no season")
-    fc = train_forecaster(
-        data, cfg.definition, fold.train_years,
-        boundary=cfg.boundary, horizon=cfg.horizon,
-        stage1_cfg=cfg.stage1_cfg, stage2_cfg=cfg.stage2_cfg,
-        protocol=cfg.stage2_protocol,
-    )
-    z_range = _fold_z_range(data, cfg, fold, truth)
-    series = fc.predict_series(data, fold.test_year, z_range)
+def _fold_result(data: Dataset, plan: _FoldPlan, fc: Forecaster) -> FoldResult:
+    """Forecast and fuse one fold with its trained forecaster."""
+    z_range = plan.z_range
+    series = fc.predict_series(data, plan.fold.test_year, z_range)
     fit = fit_wls(series)
     final = final_forecast(fit)
     analysis = min_days(fit.beta0, fit.beta1, z_start=float(z_range[0]))
     z, y_hat, _u_hat = series.arrays()
     return FoldResult(
-        test_year=fold.test_year,
-        truth=truth,
+        test_year=plan.fold.test_year,
+        truth=plan.truth,
         y_star=final.y_star,
         sigma_y_star=final.sigma_y_star,
-        abs_error=abs(final.y_star - truth),
+        abs_error=abs(final.y_star - plan.truth),
         stage1_last_day=float(z[-1] + y_hat[-1]),
         z_range=z_range,
         beta0=fit.beta0,
@@ -245,11 +266,17 @@ def rolling_backtest(data: Dataset, cfg: BacktestConfig) -> BacktestReport:
     year over the policy's day range, fuse with Stage 3, and trace the
     fused estimate at every prefix length.  Folds never see their test
     year (or any other year outside their training set) during fitting.
+    Every fold is planned before the first fit, and a fold is forecast as
+    soon as its training is in, while later folds still train.
     """
     if not cfg.folds:
         raise EmptyInputError("backtest needs at least one fold")
-    results = [_fold_result(data, cfg, fold) for fold in cfg.folds]
-    folds = tuple(results)
+    planner = TrainingPlanner(data, cfg.definition, cfg.boundary, cfg.horizon)
+    plans = [_plan_fold(cfg, planner, fold) for fold in cfg.folds]
+    with train_plans([p.training for p in plans], cfg.stage1_cfg,
+                     cfg.stage2_cfg) as forecasters:
+        folds = tuple(_fold_result(data, plan, fc)
+                      for plan, fc in zip(plans, forecasters))
     truths = [float(r.truth) for r in folds]
     return BacktestReport(
         folds=folds,

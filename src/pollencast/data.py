@@ -28,6 +28,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -505,7 +507,8 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     Gaps of up to 3 consecutive missing days are forward-filled with the
     previous record's values; the filled dates are recorded on the returned
     dataset.  Longer gaps are an error.  A leading UTF-8 byte-order mark is
-    skipped; a file that is not UTF-8 raises :class:`InvalidRecordError`.
+    skipped; a file that is not UTF-8, or longer than
+    :data:`MAX_INPUT_BYTES`, raises :class:`InvalidRecordError`.
 
     The values of a plain file (ASCII, no quotes, ``\\n`` line ends) are
     read by one ``np.loadtxt`` call (:func:`_fast_rows`).  Any other file,
@@ -526,11 +529,10 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     mapping = dict(column_map or {})
     header_for = {name: mapping.get(name, name) for name in CSV_COLUMNS}
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
+    try:
+        text = read_bytes(path, path).decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidRecordError(f"{path} is not UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         headers = next(reader, None) or []
@@ -632,10 +634,29 @@ def parse_json(text: str | bytes, what: str) -> dict:
     return doc
 
 
+#: The most bytes a reader takes from one file: about 350 times a default
+#: model bundle and 700 years of CSV with 17-digit values.  A longer file
+#: (or a path that never ends, such as ``/dev/zero``) is refused unparsed.
+MAX_INPUT_BYTES = 64 * 2**20
+
+
+def read_bytes(path: str, what: str) -> bytes:
+    """The bytes of the file at ``path``; :class:`InvalidRecordError`,
+    naming the document ``what``, past :data:`MAX_INPUT_BYTES`."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        # a regular file that fits is read whole, without a buffer the size
+        # of the cap; anything else (a device, a pipe) up to a byte past it
+        fits = stat.S_ISREG(info.st_mode) and info.st_size <= MAX_INPUT_BYTES
+        data = fh.read() if fits else fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise InvalidRecordError(f"{what} is longer than {MAX_INPUT_BYTES} bytes")
+    return data
+
+
 def read_json(path: str, what: str) -> dict:
     """:func:`parse_json` of the bytes of the file at ``path``."""
-    with open(path, "rb") as fh:
-        return parse_json(fh.read(), what)
+    return parse_json(read_bytes(path, what), what)
 
 
 def emit_csv(data: Dataset, path: str) -> None:

@@ -241,6 +241,22 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
     return FeatureMatrix(rows=rows, start=start, references=refs)
 
 
+#: The flat columns of the ``n_above_ref`` statistic, one per series: the
+#: only columns of a row whose values depend on the references.
+COUNT_COLUMNS = (np.arange(len(SERIES_NAMES)) * N_FEATURES
+                 + FEATURE_NAMES.index("n_above_ref"))
+
+
+def count_above(data: Dataset, references: Sequence[float]) -> np.ndarray:
+    """The :data:`COUNT_COLUMNS` of ``build_feature_matrix(data,
+    references).rows``, a (rows, 12) array, bit for bit: each window's count
+    of days above its series' reference."""
+    windows = np.lib.stride_tricks.sliding_window_view(
+        data.series_matrix(), WINDOW_LEN, axis=0)  # (rows, 12, 14)
+    refs = np.asarray(references, dtype=np.float64)
+    return (windows > refs[:, None]).sum(axis=2).astype(np.float64)
+
+
 def flat_feature_names() -> tuple[str, ...]:
     """The names of the columns of :attr:`FeatureMatrix.rows`."""
     names = [

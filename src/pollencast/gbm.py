@@ -285,17 +285,24 @@ def _leading(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return buf[: shape[0] * shape[1]].reshape(shape)
 
 
-class _Scratch(NamedTuple):
+class _Scratch:
     """Flat buffers for the temporaries of :func:`_split_gains` and
-    :func:`_best_split`."""
+    :func:`_best_split`.  ``gain`` and ``tie`` hold a whole node; ``right``
+    holds only the rows that get exact gains, so it starts at ``right_cells``
+    and grows when a node needs more."""
 
-    gain: np.ndarray
-    right: np.ndarray
-    tie: np.ndarray
+    __slots__ = ("gain", "right", "tie")
 
-    @classmethod
-    def of(cls, cells: int) -> "_Scratch":
-        return cls(np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool))
+    def __init__(self, cells: int, right_cells: int = 0) -> None:
+        self.gain = np.empty(cells)
+        self.right = np.empty(right_cells)
+        self.tie = np.empty(cells, dtype=bool)
+
+    def right_for(self, shape: tuple[int, int]) -> np.ndarray:
+        """The first cells of ``right`` as a ``shape`` matrix."""
+        if self.right.size < shape[0] * shape[1]:
+            self.right = np.empty(shape[0] * shape[1])
+        return _leading(self.right, shape)
 
 
 def _split_gains(
@@ -315,7 +322,7 @@ def _split_gains(
     lo, hi = min_leaf - 1, k - min_leaf
     shape = (V.shape[0], max(hi - lo, 0))
     gain = _leading(scratch.gain, shape)
-    right = _leading(scratch.right, shape)
+    right = scratch.right_for(shape)
     tie = _leading(scratch.tie, shape)
     total = csum[:, -1:]
     s_left = csum[:, lo:hi]
@@ -454,7 +461,8 @@ class _TreeBuilder:
         self.max_depth = cfg.max_depth
         self._cells = XT.size
         self._centered = np.empty(self._cells)
-        self._scratch = _Scratch.of(self._cells)
+        # the probes' exact gains; more candidate rows grow it
+        self._scratch = _Scratch(self._cells, _PROBES * self.n_rows)
         self._orders: list[np.ndarray] = []
         self.nodes = _Nodes()
         # (rows, value) per leaf of the current tree, for the residual update
@@ -547,20 +555,20 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
         raise TooFewRowsError(f"need at least {min_rows} rows, got {n}")
 
     order = _canonical_order(X, y)
-    X = np.ascontiguousarray(X[order])
+    XT = np.ascontiguousarray(X.T[:, order])  # (features, n), rows in order
     y = y[order]
+    n_features = XT.shape[0]
 
     base = float(y.mean())
     residual = y - base
-    XT = np.ascontiguousarray(X.T)
-    sorted_by_feature = np.ascontiguousarray(
-        np.argsort(X, axis=0, kind="stable").T  # (features, n)
-    )
+    sorted_by_feature = np.argsort(XT, axis=1, kind="stable")
 
     rng = np.random.default_rng(cfg.seed)
     subsample = cfg.subsample_fraction < 1.0
     m_rows = max(2 * cfg.min_samples_leaf, int(cfg.subsample_fraction * n))
     root = sorted_by_feature
+    # the rows in order, row-major, for _leaf_nodes on the subsample path
+    X = np.ascontiguousarray(X[order]) if subsample else None
 
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
@@ -572,7 +580,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
             in_sub[chosen] = True
             root = sorted_by_feature.ravel().compress(
                 in_sub.take(sorted_by_feature.ravel())
-            ).reshape(X.shape[1], chosen.size)
+            ).reshape(n_features, chosen.size)
         first = builder.grow(root)
         if subsample:
             tree = builder.nodes.arrays(first)
@@ -586,7 +594,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
         base_prediction=base,
         arrays=builder.nodes.arrays(),
         learning_rate=cfg.learning_rate,
-        feature_count=X.shape[1],
+        feature_count=n_features,
         config=cfg,
     )
     return FitResult(model=model, curve=curve)

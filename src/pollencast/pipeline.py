@@ -16,12 +16,21 @@ days it reads: it slices those days from the dataset's value matrix and
 uses the flat rows of :func:`~pollencast.features.build_feature_matrix`
 as they are, with no :class:`~pollencast.data.DailyRecord` or per-row date.
 
-The Stage-1 fits of one training are independent: one per out-of-fold split
-of the Stage-2 protocol, then the full fit.  They run on forked worker
-processes, one per available core, and each result comes back in task order
-as soon as it is in.  Stage 2 reads only the out-of-fold predictions, so it
-is fitted in this process while a worker still runs the full fit.  Each fit
-is deterministic, so the models are byte-identical for any number of cores.
+A training is planned before its first fit (:class:`TrainingPlanner`): its
+years are labeled, their rows built and every input checked.  One planner
+serves all the trainings of a backtest, so each year is labeled and its rows
+are built once.  Only the 12 ``n_above_ref`` columns of a row depend on a
+training's references, so each training keeps its own block of those counts
+and a fit stacks its rows where it runs.
+
+The Stage-1 fits of a training are independent: one per out-of-fold split
+of the Stage-2 protocol, then the full fit.  :func:`train_plans` runs the
+fits of one or more trainings on one pool of forked worker processes, one
+per available core, and each result comes back in task order as soon as it
+is in.  Stage 2 reads only the out-of-fold predictions, so it is fitted in
+this process while the workers run the full fit and the next trainings'
+fits.  Each fit is deterministic, so the models are byte-identical for any
+number of cores.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import gbm
-from .data import (Dataset, SeasonDefinition, json_text, label_season, parse_json,
-                   read_json, write_json)
+from .data import (Dataset, SeasonDefinition, SeasonLabel, json_text, label_season,
+                   parse_json, read_json, write_json)
 from .errors import (
     HorizonOutOfRangeError,
     InvalidRecordError,
@@ -52,10 +61,12 @@ from .errors import (
 )
 from .features import (
     CATALOG_VERSION,
+    COUNT_COLUMNS,
     N_FEATURES,
     SERIES_NAMES,
     WINDOW_LEN,
     build_feature_matrix,
+    count_above,
 )
 from .wls import BOUNDARIES, ForecastSeries
 
@@ -257,11 +268,11 @@ def series_references(
     return tuple(refs)
 
 
-def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
-              z_hi: int, error: type[Exception]) -> np.ndarray:
-    """Flat feature rows of days z_lo..z_hi of ``year``, built from those
-    days' windows only; ``error`` when a day leaves the year or has no full
-    window in ``data`` (dataset dates are consecutive)."""
+def _day_span(data: Dataset, year: int, z_lo: int, z_hi: int,
+              error: type[Exception]) -> Dataset:
+    """The days of ``data`` that the feature rows of days z_lo..z_hi of
+    ``year`` read: those days' windows only.  ``error`` when a day leaves the
+    year or has no full window in ``data`` (dataset dates are consecutive)."""
     n_days = 366 if calendar.isleap(year) else 365
     if z_lo < 1 or z_hi > n_days:
         raise error(f"year {year}: days {z_lo}..{z_hi} leave 1..{n_days}")
@@ -275,62 +286,135 @@ def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
             f"year {year}, days {z_lo}..{z_hi}: no feature window "
             f"(features cover {start + dt.timedelta(WINDOW_LEN - 1)}..{end})"
         )
-    return build_feature_matrix(data[first:last + 1], refs).rows
+    return data[first:last + 1]
 
 
+def _day_rows(data: Dataset, refs: tuple[float, ...], year: int, z_lo: int,
+              z_hi: int, error: type[Exception]) -> np.ndarray:
+    """Flat feature rows of days z_lo..z_hi of ``year`` (see :func:`_day_span`)."""
+    return build_feature_matrix(_day_span(data, year, z_lo, z_hi, error), refs).rows
+
+
+#: A year's countdown rows: features, targets and (year, z) provenance.
 _YearRows = tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
 
+#: (train_years, scored_years) per out-of-fold split.
+_Folds = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
-def _labeled_years(
-    data: Dataset,
-    definition: SeasonDefinition,
-    years: Iterable[int],
-    boundary: str,
-    horizon: int,
-    min_years: int,
-) -> tuple[tuple[int, ...], tuple[float, ...], dict[int, _YearRows]]:
-    """Sorted years, their references and each year's countdown rows.
 
-    Each year is labeled once; its rows are days z in [boundary-H, boundary]
-    with targets ``boundary - z``, built with the years' own references.
+@dataclass(frozen=True)
+class _Rows:
+    """The countdown rows of one training's years.
+
+    ``shared[y]`` is year y's rows, built once for every training that reads
+    the year.  Only their :data:`~pollencast.features.COUNT_COLUMNS` depend
+    on a training's references, so ``counts[y]`` holds this training's own
+    (rows, 12) block of them.
     """
-    if boundary not in BOUNDARIES:
-        raise InvalidRecordError(f"boundary must be 'start' or 'end', got {boundary!r}")
-    # the first row's day, boundary - horizon, must be day 1 or later
-    if not 1 <= horizon <= 365:
-        raise HorizonOutOfRangeError(f"horizon must be in 1..365, got {horizon}")
-    ys = tuple(sorted(set(years)))
-    if len(ys) < min_years:
-        raise TooFewYearsError(f"need >= {min_years} training years, got {len(ys)}")
-    refs = series_references(data, definition, ys)
-    targets = np.arange(horizon, -1, -1, dtype=np.float64)
-    per_year = {}
-    for year in ys:
-        label = label_season(data, definition, year)
-        if not label.present:
-            raise MissingLabelError(
-                f"year {year} has no season under delta_c={definition.delta_c}, "
-                f"delta_n={definition.delta_n}"
-            )
-        b = label.boundary(boundary)
-        rows = _day_rows(data, refs, year, b - horizon, b, HorizonOutOfRangeError)
-        prov = tuple((year, z) for z in range(b - horizon, b + 1))
-        per_year[year] = (rows, targets, prov)
-    return ys, refs, per_year
+
+    shared: dict[int, _YearRows]
+    counts: dict[int, np.ndarray]
+
+    def stack(self, years: tuple[int, ...]) -> _YearRows:
+        """The rows of ``years`` with this training's counts, concatenated
+        in that order."""
+        xs, ts, provs = zip(*(self.shared[y] for y in years))
+        x = np.concatenate(xs, axis=0)
+        x[:, COUNT_COLUMNS] = np.concatenate([self.counts[y] for y in years])
+        return x, np.concatenate(ts), tuple(zp for p in provs for zp in p)
 
 
-def _stack(per_year: dict[int, _YearRows], years: tuple[int, ...]) -> _YearRows:
-    """The rows of ``years``, concatenated in that order."""
-    xs, ts, provs = zip(*(per_year[y] for y in years))
-    prov = tuple(zp for p in provs for zp in p)
-    return np.concatenate(xs, axis=0), np.concatenate(ts), prov
+@dataclass(frozen=True)
+class TrainingPlan:
+    """One training as planned before its first fit: its sorted years, their
+    references and rows, and the out-of-fold splits of its Stage-2 protocol."""
+
+    years: tuple[int, ...]
+    references: tuple[float, ...]
+    rows: _Rows
+    boundary: str
+    horizon: int
+    protocol: str
+    folds: _Folds
 
 
-def _stage1_set(
-    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
-    boundary: str, horizon: int,
-) -> Stage1TrainingSet:
-    x, t, prov = _stack(per_year, ys)
+class TrainingPlanner:
+    """Plans trainings on one dataset under one season rule, boundary and
+    horizon.  Each year is labeled once and its rows are built once, however
+    many trainings read it, so the trainings of a backtest share them."""
+
+    def __init__(self, data: Dataset, definition: SeasonDefinition,
+                 boundary: str = "start", horizon: int = DEFAULT_HORIZON) -> None:
+        self.data = data
+        self.definition = definition
+        self.boundary = boundary
+        self.horizon = horizon
+        self._labels: dict[int, SeasonLabel] = {}
+        self._rows: dict[int, _YearRows] = {}
+
+    def label(self, year: int) -> SeasonLabel:
+        """The season label of ``year``, computed once."""
+        if year not in self._labels:
+            self._labels[year] = label_season(self.data, self.definition, year)
+        return self._labels[year]
+
+    def labeled_years(
+        self, years: Iterable[int], min_years: int
+    ) -> tuple[tuple[int, ...], tuple[float, ...], _Rows]:
+        """Sorted years, their references and their countdown rows.
+
+        A year's rows are days z in [boundary-H, boundary] with targets
+        ``boundary - z``, their counts taken with the years' own references.
+        """
+        if self.boundary not in BOUNDARIES:
+            raise InvalidRecordError(
+                f"boundary must be 'start' or 'end', got {self.boundary!r}")
+        # the first row's day, boundary - horizon, must be day 1 or later
+        if not 1 <= self.horizon <= 365:
+            raise HorizonOutOfRangeError(
+                f"horizon must be in 1..365, got {self.horizon}")
+        ys = tuple(sorted(set(years)))
+        if len(ys) < min_years:
+            raise TooFewYearsError(f"need >= {min_years} training years, got {len(ys)}")
+        refs = series_references(self.data, self.definition, ys)
+        shared, counts = {}, {}
+        for year in ys:
+            label = self.label(year)
+            if not label.present:
+                raise MissingLabelError(
+                    f"year {year} has no season under delta_c={self.definition.delta_c}, "
+                    f"delta_n={self.definition.delta_n}"
+                )
+            b = label.boundary(self.boundary)
+            days = _day_span(self.data, year, b - self.horizon, b,
+                             HorizonOutOfRangeError)
+            if year not in self._rows:
+                self._rows[year] = (
+                    build_feature_matrix(days, refs).rows,
+                    np.arange(self.horizon, -1, -1, dtype=np.float64),
+                    tuple((year, z) for z in range(b - self.horizon, b + 1)),
+                )
+            shared[year] = self._rows[year]
+            counts[year] = count_above(days, refs)
+        return ys, refs, _Rows(shared, counts)
+
+    def plan(self, years: Iterable[int], protocol: str = "loyo") -> TrainingPlan:
+        """A training on ``years`` with the Stage-2 ``protocol``; every input
+        error it would meet is raised here, before any fit."""
+        ys, refs, rows = self.labeled_years(years, min_years=2)
+        return TrainingPlan(years=ys, references=refs, rows=rows,
+                            boundary=self.boundary, horizon=self.horizon,
+                            protocol=protocol, folds=_protocol_folds(ys, protocol))
+
+    def check_forecast(self, year: int, z_range: tuple[int, int]) -> None:
+        """Raise the error :func:`predict_series` would raise on days
+        ``z_range`` of ``year`` for want of their windows."""
+        _day_span(self.data, year, z_range[0], z_range[1], WindowUnavailableError)
+
+
+def _stage1_set(ys: tuple[int, ...], refs: tuple[float, ...], rows: _Rows,
+                boundary: str, horizon: int) -> Stage1TrainingSet:
+    x, t, prov = rows.stack(ys)
     return Stage1TrainingSet(
         features=x,
         targets=t,
@@ -354,10 +438,9 @@ def build_s1(
     The count-feature references come from ``years`` only, so nothing
     outside the training years influences them.
     """
-    ys, refs, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, min_years=1
-    )
-    return _stage1_set(ys, refs, per_year, boundary, horizon)
+    ys, refs, rows = TrainingPlanner(data, definition, boundary, horizon
+                                     ).labeled_years(years, min_years=1)
+    return _stage1_set(ys, refs, rows, boundary, horizon)
 
 
 def fit_stage1(
@@ -413,10 +496,12 @@ def _fit_all(
     rows nor the fit functions are pickled and closures work; only the
     results come back.  Each result is handed back as soon as it and the
     ones before it are in, so the caller can work on them while later tasks
-    still run.  A task is handed to the pool only when a worker is free for
-    it and no task has failed.  A task's error is raised when its result is
-    taken, and a worker that dies raises :class:`WorkerLostError`.  Leaving
-    the block waits for the tasks already running; the others never start.
+    still run.  A task is handed to the pool when a worker becomes free for
+    it, whether or not the caller is taking results (:class:`_Feed`), and
+    never after a task has failed.  A task's error is raised when its result
+    is taken, and a worker that dies raises :class:`WorkerLostError`.
+    Leaving the block waits for the tasks already running; the others never
+    start.
 
     The tasks run inline, one as each result is taken, where forking is
     unavailable or unsafe: without the ``fork`` start method, inside a
@@ -444,47 +529,71 @@ def _fit_all(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_worker_tasks, initargs=(tasks,),
         ) as pool:
-            yield _in_task_order(pool, len(tasks), workers)
+            feed = _Feed(pool, len(tasks))
+            try:
+                for _ in range(workers):
+                    feed.submit()
+                yield feed.results()
+            finally:
+                feed.close()
     except BrokenProcessPool as exc:
         raise WorkerLostError(
             f"a fit worker process ended without a result: {exc}"
         ) from exc
 
 
-def _in_task_order(
-    pool: Executor, n_tasks: int, workers: int
-) -> Iterator[Stage1Model | np.ndarray]:
-    """The results of worker tasks 0..n_tasks-1, each as soon as it and the
-    ones before it are in.  At most ``workers`` tasks are submitted and not
-    done at any time, and none is submitted after one has failed."""
-    from concurrent.futures import FIRST_COMPLETED, wait
+class _Feed:
+    """Hands worker tasks 0..n_tasks-1 to a pool in order: one more each
+    time a running task completes, from its done-callback, so a worker never
+    waits for the caller to take a result.  Nothing is submitted after a task
+    has failed or once the feed is closed."""
 
-    futures: list[Future] = []
+    def __init__(self, pool: Executor, n_tasks: int) -> None:
+        self._pool = pool
+        self._n_tasks = n_tasks
+        self._futures: list[Future] = []
+        self._changed = threading.Condition()
+        self._stopped = False
+        self._error: BaseException | None = None
 
-    def running() -> list[Future]:
-        busy = [f for f in futures if not f.done()]
-        if any(f.exception() is not None for f in futures if f.done()):
-            return busy
-        while len(futures) < n_tasks and len(busy) < workers:
-            futures.append(pool.submit(_run_worker_task, len(futures)))
-            busy.append(futures[-1])
-        return busy
+    def submit(self, done: Future | None = None) -> None:
+        """Submit the next task; as a done-callback, only if ``done`` did
+        not fail.  Never raises: a callback's error would only be logged."""
+        with self._changed:
+            if done is not None and done.exception() is not None:
+                self._stopped = True
+            if self._stopped or len(self._futures) == self._n_tasks:
+                return
+            try:
+                future = self._pool.submit(_run_worker_task, len(self._futures))
+            except RuntimeError as exc:  # a broken pool; results() raises it
+                self._stopped, self._error = True, exc
+                self._changed.notify_all()
+                return
+            self._futures.append(future)
+            self._changed.notify_all()
+        future.add_done_callback(self.submit)
 
-    for i in range(n_tasks):
-        busy = running()
-        while not futures[i].done():
-            wait(busy, return_when=FIRST_COMPLETED)
-            busy = running()
-        yield futures[i].result()
+    def close(self) -> None:
+        with self._changed:
+            self._stopped = True
+
+    def results(self) -> Iterator[Stage1Model | np.ndarray]:
+        """The results of the tasks in task order, each as soon as it and
+        the ones before it are in; a failed task raises its error."""
+        for i in range(self._n_tasks):
+            with self._changed:
+                # the completion of an earlier task submits task i
+                self._changed.wait_for(
+                    lambda: len(self._futures) > i or self._error is not None)
+                if len(self._futures) <= i:
+                    raise self._error
+            yield self._futures[i].result()
 
 
 # ---------------------------------------------------------------------------
 # Stage 2
 # ---------------------------------------------------------------------------
-
-
-#: (train_years, scored_years) per out-of-fold split.
-_Folds = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def _protocol_folds(years: tuple[int, ...], protocol: str) -> _Folds:
@@ -500,38 +609,35 @@ def _protocol_folds(years: tuple[int, ...], protocol: str) -> _Folds:
 
 
 def _fold_predictions(
-    fit_fn: FitFn, per_year: dict[int, _YearRows], train_ys: tuple[int, ...],
+    fit_fn: FitFn, rows: _Rows, train_ys: tuple[int, ...],
     scored_ys: tuple[int, ...], cfg: gbm.GBMConfig,
 ) -> np.ndarray:
     """Fit Stage 1 on ``train_ys`` (concatenated in sorted order) and predict
     the rows of ``scored_ys``."""
-    x, t, _ = _stack(per_year, train_ys)
+    x, t, _ = rows.stack(train_ys)
     model = fit_fn(x, t, cfg).model
-    return gbm.predict_batch(model, _stack(per_year, scored_ys)[0])
+    return gbm.predict_batch(model, rows.stack(scored_ys)[0])
 
 
 def _fold_tasks(
-    fit_fn: FitFn, per_year: dict[int, _YearRows], folds: _Folds,
-    cfg: gbm.GBMConfig,
+    fit_fn: FitFn, rows: _Rows, folds: _Folds, cfg: gbm.GBMConfig,
 ) -> list[_FitTask]:
     """One task per out-of-fold split.  A fold's task stacks its rows when it
     runs and returns only its predictions of the held-out rows, so a process
     holds one fold's rows and model at a time."""
-    return [partial(_fold_predictions, fit_fn, per_year, train_ys, scored_ys, cfg)
+    return [partial(_fold_predictions, fit_fn, rows, train_ys, scored_ys, cfg)
             for train_ys, scored_ys in folds]
 
 
 def _stage2_set(
-    ys: tuple[int, ...], refs: tuple[float, ...], per_year: dict[int, _YearRows],
-    boundary: str, horizon: int, protocol: str, folds: _Folds,
-    predictions: Iterator[np.ndarray],
+    plan: TrainingPlan, predictions: Iterator[np.ndarray]
 ) -> Stage2TrainingSet:
-    """The Stage-2 training set of ``folds``, taking one fold's predictions
-    from ``predictions`` per fold and nothing more."""
+    """The Stage-2 training set of the plan's folds, taking one fold's
+    predictions from ``predictions`` per fold and nothing more."""
     xs, ts, prov, scorers = [], [], [], []
     # zip draws from folds first, so it stops without taking a further result
-    for (train_ys, scored_ys), y_hat in zip(folds, predictions):
-        x, t, p = _stack(per_year, scored_ys)
+    for (train_ys, scored_ys), y_hat in zip(plan.folds, predictions):
+        x, t, p = plan.rows.stack(scored_ys)
         xs.append(np.concatenate([y_hat[:, None], x], axis=1))
         ts.append(np.abs(y_hat - t))
         prov.extend(p)
@@ -541,11 +647,11 @@ def _stage2_set(
         targets=np.concatenate(ts),
         provenance=tuple(prov),
         scorer_train_years=tuple(scorers),
-        boundary=boundary,
-        horizon=horizon,
-        references=refs,
-        protocol=protocol,
-        years=ys,
+        boundary=plan.boundary,
+        horizon=plan.horizon,
+        references=plan.references,
+        protocol=plan.protocol,
+        years=plan.years,
     )
 
 
@@ -568,15 +674,11 @@ def build_s2(
     ``[y_hat, *features]`` with target ``|y_hat - true countdown|``.  The
     fold fits run on a process per available core, in fold order.
     """
-    ys, refs, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, min_years=2
-    )
+    plan = TrainingPlanner(data, definition, boundary, horizon).plan(years, protocol)
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    folds = _protocol_folds(ys, protocol)
-    with _fit_all(_fold_tasks(stage1_fit, per_year, folds, cfg),
+    with _fit_all(_fold_tasks(stage1_fit, plan.rows, plan.folds, cfg),
                   _cores()) as predictions:
-        return _stage2_set(ys, refs, per_year, boundary, horizon, protocol,
-                           folds, predictions)
+        return _stage2_set(plan, predictions)
 
 
 def fit_stage2(
@@ -595,6 +697,49 @@ def fit_stage2(
     )
 
 
+# ---------------------------------------------------------------------------
+# Trainings
+# ---------------------------------------------------------------------------
+
+
+def _full_fit(plan: TrainingPlan, cfg: gbm.GBMConfig) -> Stage1Model:
+    """The plan's Stage-1 fit on all its years, its rows stacked where it runs."""
+    return fit_stage1(_stage1_set(plan.years, plan.references, plan.rows,
+                                  plan.boundary, plan.horizon), cfg)
+
+
+@contextlib.contextmanager
+def train_plans(
+    plans: list[TrainingPlan],
+    stage1_cfg: gbm.GBMConfig | None = None,
+    stage2_cfg: gbm.GBMConfig | None = None,
+) -> Iterator[Iterator[Forecaster]]:
+    """An iterator of the forecaster of each plan, in plan order, while the
+    ``with`` block runs.
+
+    The Stage-1 fits of every plan run on one :func:`_fit_all` pool in the
+    order their results are taken: a plan's out-of-fold fits, then its full
+    fit, then the next plan's.  A plan's Stage 2 is fitted in this process
+    as soon as its out-of-fold predictions are in, while the workers go on
+    with its full fit and the next plans' fits.
+    """
+    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
+    tasks = [task for plan in plans for task in (
+        *_fold_tasks(gbm.fit, plan.rows, plan.folds, cfg), partial(_full_fit, plan, cfg))]
+    with _fit_all(tasks, _cores()) as results:
+        yield (_forecaster(plan, results, stage2_cfg) for plan in plans)
+
+
+def _forecaster(
+    plan: TrainingPlan, results: Iterator[Stage1Model | np.ndarray],
+    stage2_cfg: gbm.GBMConfig | None,
+) -> Forecaster:
+    """The plan's Stage 2, fitted here on its out-of-fold predictions, and
+    then its full Stage-1 fit, both taken from ``results``."""
+    stage2 = fit_stage2(_stage2_set(plan, results), stage2_cfg)
+    return Forecaster(stage1=next(results), stage2=stage2)
+
+
 def train_forecaster(
     data: Dataset,
     definition: SeasonDefinition,
@@ -610,22 +755,11 @@ def train_forecaster(
     The out-of-fold Stage-1 fits of the Stage-2 protocol and then the full
     Stage-1 fit run on a process per available core.  Stage 2 needs only
     the out-of-fold predictions, so it is fitted here as soon as they are
-    in, while a worker still runs the full fit.
+    in, while a worker still runs the full fit (:func:`train_plans`).
     """
-    ys, refs, per_year = _labeled_years(
-        data, definition, years, boundary, horizon, min_years=2
-    )
-    s1 = _stage1_set(ys, refs, per_year, boundary, horizon)
-    cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    folds = _protocol_folds(ys, protocol)
-    tasks = [*_fold_tasks(gbm.fit, per_year, folds, cfg),
-             partial(fit_stage1, s1, cfg)]
-    with _fit_all(tasks, _cores()) as results:
-        s2 = _stage2_set(ys, refs, per_year, boundary, horizon, protocol,
-                         folds, results)
-        stage2 = fit_stage2(s2, stage2_cfg)
-        stage1 = next(results)
-    return Forecaster(stage1=stage1, stage2=stage2)
+    plan = TrainingPlanner(data, definition, boundary, horizon).plan(years, protocol)
+    with train_plans([plan], stage1_cfg, stage2_cfg) as forecasters:
+        return next(forecasters)
 
 
 # ---------------------------------------------------------------------------

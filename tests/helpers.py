@@ -264,7 +264,7 @@ def split_search(
     r = targets[order]
     c = r - r.mean()
     _, i, gain = gbm._best_split(
-        v[None, :], np.arange(k)[None, :], c[None, :], min_leaf, gbm._Scratch.of(k))
+        v[None, :], np.arange(k)[None, :], c[None, :], min_leaf, gbm._Scratch(k))
     if i < 0 or gain <= 0.0:
         return None
     return gbm._midpoint(v[i], v[i + 1]), gain

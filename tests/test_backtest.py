@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from helpers import cores
 from pollencast import backtest as bt
+from pollencast import gbm
+from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
 from pollencast.errors import (
     EmptyInputError,
@@ -18,6 +21,7 @@ from pollencast.errors import (
     InvalidRecordError,
     LengthMismatchError,
     MissingLabelError,
+    TooFewRowsError,
 )
 from pollencast.gbm import GBMConfig
 
@@ -197,11 +201,17 @@ class TestRollingBacktest:
         again = bt.rolling_backtest(seed42_dataset, cfg)
         assert dataclasses.asdict(again) == dataclasses.asdict(report)
 
-    def test_report_bytes_pinned(self, small_report, tmp_path):
+    @pytest.mark.parametrize("n_cores", [1, 2, 3])
+    def test_report_bytes_pinned(self, small_report, seed42_dataset, tmp_path,
+                                 n_cores):
         # sha256 over file names and bytes of the emitted report, taken when
         # every fold still built its feature matrix twice and fitted inline;
-        # small_report trains on a pool of two workers
-        _cfg, report = small_report
+        # small_report trains on a pool of two workers, and every pool size
+        # gives the same bytes
+        cfg, report = small_report
+        if n_cores != 2:
+            with cores(n_cores):
+                report = bt.rolling_backtest(seed42_dataset, cfg)
         h = hashlib.sha256()
         for path in bt.emit_report(report, str(tmp_path)):
             h.update(os.path.basename(path).encode())
@@ -232,6 +242,55 @@ class TestRollingBacktest:
         fold = bt.Fold(train_years=(2003, 2004), test_year=2005)
         with pytest.raises(MissingLabelError):
             bt.rolling_backtest(seed42_dataset, light_config((fold,), sd))
+
+
+class TestFoldFailures:
+    """A backtest whose second fold fails raises that fold's error and
+    leaves no worker behind."""
+
+    FOLDS = (
+        bt.Fold(train_years=(2003, 2004), test_year=2006),
+        bt.Fold(train_years=(2003, 2004, 2005), test_year=2007),
+        bt.Fold(train_years=(2003, 2004, 2005, 2006), test_year=2008),
+    )
+
+    def test_training_year_without_season(self, seed42_dataset, season_def,
+                                          monkeypatch):
+        # 2005, a training year of the second fold only, has no pollen; the
+        # plan refuses it before any fit starts
+        matrix = seed42_dataset.series_matrix().copy()
+        lo = seed42_dataset.index_of(dt.date(2005, 1, 1))
+        hi = seed42_dataset.index_of(dt.date(2005, 12, 31))
+        matrix[lo:hi + 1, 0] = 0.0
+        data = Dataset.from_matrix(seed42_dataset.start, matrix)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(gbm, "fit", no_fit)
+        with cores(2), pytest.raises(MissingLabelError) as caught:
+            bt.rolling_backtest(data, light_config(self.FOLDS, season_def))
+        assert str(caught.value) == (
+            "year 2005 has no season under delta_c=120.0, delta_n=4")
+        assert multiprocessing.active_children() == []
+
+    def test_fit_error_in_a_worker(self, seed42_dataset, season_def,
+                                   monkeypatch):
+        # the second fold's first out-of-fold fit fails in a worker after
+        # the first fold's fits are in
+        fold_predictions = pl._fold_predictions
+
+        def failing_fold(fit_fn, rows, train_ys, scored_ys, cfg):
+            if train_ys == (2004, 2005):
+                raise TooFewRowsError("fold refused")
+            return fold_predictions(fit_fn, rows, train_ys, scored_ys, cfg)
+
+        monkeypatch.setattr(pl, "_fold_predictions", failing_fold)
+        with cores(2), pytest.raises(TooFewRowsError) as caught:
+            bt.rolling_backtest(seed42_dataset,
+                                light_config(self.FOLDS, season_def))
+        assert str(caught.value) == "fold refused"
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitReport:

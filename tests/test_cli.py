@@ -32,7 +32,7 @@ import pollencast
 from pollencast import cli, gbm
 from pollencast import pipeline as pl
 from pollencast.cli import CONFIG_KEYS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from pollencast.data import Dataset, emit_csv, ingest_csv
+from pollencast.data import MAX_INPUT_BYTES, Dataset, emit_csv, ingest_csv
 from pollencast.features import CATALOG_VERSION
 from pollencast.synth import GeneratorProfile, generate_synthetic
 
@@ -908,6 +908,27 @@ class TestBadInputs:
         line = assert_one_error_line(capsys, code, EXIT_RUNTIME)
         assert line == ("error: HorizonOutOfRangeError: horizon must be in "
                         f"1..365, got {horizon}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    @pytest.mark.parametrize("flag", ["--config", "--profile", "--model", "--input"])
+    def test_endless_file(self, synth_csv, trained_model, tmp_path, capsys, flag):
+        # a reader takes at most MAX_INPUT_BYTES + 1 bytes, so a file that
+        # never ends cannot use up the memory
+        out = str(tmp_path / "out")
+        argv, want = {
+            "--config": (["--config", "/dev/zero", "synth", "--years", "1",
+                          "--out", out], EXIT_USAGE),
+            "--profile": (["synth", "--years", "1", "--profile", "/dev/zero",
+                           "--out", out], EXIT_RUNTIME),
+            "--model": (["predict", "--input", synth_csv, "--model", "/dev/zero",
+                         "--year", "2008", "--anchor", "110",
+                         "--out-series", out], EXIT_RUNTIME),
+            "--input": (["train", "--input", "/dev/zero", "--out", out],
+                        EXIT_RUNTIME),
+        }[flag]
+        line = assert_one_error_line(capsys, main(argv), want)
+        assert line.endswith(f"/dev/zero is longer than {MAX_INPUT_BYTES} bytes")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("n_max", ["367", "1" + "0" * 400])
     def test_n_max_past_a_year(self, tmp_path, capsys, n_max):

@@ -27,7 +27,9 @@ from pollencast.data import (
     ingest_csv,
     label_season,
     label_years,
+    read_bytes,
 )
+from pollencast import data as data_module
 from pollencast.errors import (
     GapTooLargeError,
     InsufficientDataError,
@@ -201,6 +203,18 @@ def full_row(date, pollen=5.0):
         40.0,
         8.0,
     ]
+
+
+class TestReadBytes:
+    def test_regular_file_at_and_past_the_cap(self, tmp_path, monkeypatch):
+        # a regular file is read whole up to the cap, and refused past it
+        monkeypatch.setattr(data_module, "MAX_INPUT_BYTES", 10)
+        path = tmp_path / "f"
+        path.write_bytes(b"0123456789")
+        assert read_bytes(str(path), "f") == b"0123456789"
+        path.write_bytes(b"0123456789a")
+        with pytest.raises(InvalidRecordError, match="^f is longer than 10 bytes$"):
+            read_bytes(str(path), "f")
 
 
 class TestIngestCsv:

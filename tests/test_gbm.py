@@ -310,7 +310,7 @@ class TestKernelEquivalence:
                 V, R, mean = self.node(rng, 7, k)
                 want = reference_split_gains(V, R, mean, min_leaf)
                 got = gbm._split_gains(
-                    V, np.cumsum(R - mean, axis=1), min_leaf, gbm._Scratch.of(V.size)
+                    V, np.cumsum(R - mean, axis=1), min_leaf, gbm._Scratch(V.size)
                 )
                 lo, hi = min_leaf - 1, k - min_leaf
                 # bit patterns, so that -0.0 and 0.0 differ too
@@ -320,7 +320,7 @@ class TestKernelEquivalence:
                 assert np.all(want[:, :lo] == -np.inf)
                 assert np.all(want[:, max(hi, lo):] == -np.inf)
                 assert gbm._best_split(
-                    V, identity_order(V), R - mean, min_leaf, gbm._Scratch.of(V.size)
+                    V, identity_order(V), R - mean, min_leaf, gbm._Scratch(V.size)
                 ) == reference_best_split(V, R, mean, min_leaf)
 
 
@@ -378,7 +378,7 @@ class TestScreenedSplit:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             want = reference_best_split(V, R, mean, min_leaf)
             got = gbm._best_split(V, identity_order(V), R - mean, min_leaf,
-                                  gbm._Scratch.of(V.size))
+                                  gbm._Scratch(V.size))
         event(f"split found: {want[0] >= 0}")
         assert same_split(got, want)
 
@@ -392,13 +392,13 @@ class TestScreenedSplit:
         R = np.stack([rng.permutation(np.arange(12.0)) for _ in range(10)])
         mean = float(R[0].mean())
         args = (V, identity_order(V))
-        finite = gbm._best_split(*args, R - mean, 2, gbm._Scratch.of(V.size))
+        finite = gbm._best_split(*args, R - mean, 2, gbm._Scratch(V.size))
         assert finite[0] >= 0 and np.isfinite(finite[2])
         R[9] = mean
         R[9, -2:] = np.inf, -np.inf
         with np.errstate(invalid="ignore"):
             want = reference_best_split(V, R, mean, 2)
-            got = gbm._best_split(*args, R - mean, 2, gbm._Scratch.of(V.size))
+            got = gbm._best_split(*args, R - mean, 2, gbm._Scratch(V.size))
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
 
@@ -419,7 +419,7 @@ class TestScreenedSplit:
         want = reference_best_split(V, R, 0.0, 1)
         assert want[:2] == (0, 0)
         got = gbm._best_split(V, identity_order(V), R.copy(), 1,
-                              gbm._Scratch.of(V.size))
+                              gbm._Scratch(V.size))
         assert same_split(got, want)
 
     def test_bound_reaches_the_largest_left_sum(self):
@@ -437,7 +437,7 @@ class TestScreenedSplit:
         want = reference_best_split(V, R, 0.0, 5)
         assert want[:2] == (0, 5)
         got = gbm._best_split(V, identity_order(V), R.copy(), 5,
-                              gbm._Scratch.of(V.size))
+                              gbm._Scratch(V.size))
         assert same_split(got, want)
 
     def test_bound_covers_subnormal_rounding(self):
@@ -455,7 +455,7 @@ class TestScreenedSplit:
         want = reference_best_split(V, R, 0.0, 1)
         assert want[0] == 0 and want[2] == 1e-323
         got = gbm._best_split(V, identity_order(V), R.copy(), 1,
-                              gbm._Scratch.of(V.size))
+                              gbm._Scratch(V.size))
         assert same_split(got, want)
 
     def test_overflowing_gain_outside_the_probes(self):
@@ -473,7 +473,7 @@ class TestScreenedSplit:
             want = reference_best_split(V, R, 0.0, 10)
             assert reference_best_split(V[:9], R[:9], 0.0, 10)[0] == 0
             got = gbm._best_split(V, identity_order(V), R.copy(), 10,
-                                  gbm._Scratch.of(V.size))
+                                  gbm._Scratch(V.size))
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
 

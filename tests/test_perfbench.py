@@ -173,3 +173,16 @@ def test_backtest_check_reads_the_emitted_report(seed42_dataset, season_def,
     errors, stage3, stage1 = checks.check_backtest_report(str(tmp_path), truths)
     assert errors == []
     assert (stage3, stage1) == (report.mae, report.stage1_mae)
+
+
+def test_traced_backtest_round(tmp_path, monkeypatch):
+    # one round of the benchmark's backtest, untraced and then traced: the
+    # tracer installs, both runs write the same bytes and the checks pass;
+    # every year's feature rows are built once, and once more for each of
+    # the three forecasts
+    monkeypatch.syspath_prepend(PERFBENCH)  # run.py imports its neighbours
+    result = load("run").run("backtest", 1, 0, True, tmp_path / "w")
+    assert result["correct"] and result["failed"] == 0
+    calls = result["metrics"]["features.build_feature_matrix.calls"]["value"]
+    assert calls == 7 + 3
+    assert list(tmp_path.glob("spans-backtest-seed1.json"))

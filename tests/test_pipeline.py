@@ -22,6 +22,7 @@ from helpers import (
     year_dataset,
     year_length,
 )
+from pollencast import backtest as bt
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -518,6 +519,41 @@ class TestDayRows:
             pl._day_rows(cut, full[0], 2010, 90, 100, WindowUnavailableError)
 
 
+class TestTrainingPlanner:
+    def test_shared_rows_equal_each_trainings_own(self, seed42_dataset,
+                                                  season_def, seed42_labels,
+                                                  monkeypatch):
+        # each year's rows are built once, with the references of the first
+        # training that reads it; every training's stacked rows equal the
+        # rows built with its own references, bit for bit
+        built = []
+
+        def counted(data, refs):
+            built.append(data.span)
+            return build_feature_matrix(data, refs)
+
+        monkeypatch.setattr(pl, "build_feature_matrix", counted)
+        planner = pl.TrainingPlanner(seed42_dataset, season_def)
+        plans = [planner.plan(range(2003, end)) for end in (2006, 2009, 2012)]
+        assert len(built) == len(set(built)) == 2011 - 2003 + 1
+        assert len({plan.references for plan in plans}) == 3
+        monkeypatch.undo()
+        for plan in plans:
+            want = []
+            for year in plan.years:
+                b = seed42_labels[year].start_day
+                want.append(pl._day_rows(seed42_dataset, plan.references, year,
+                                         b - pl.DEFAULT_HORIZON, b,
+                                         HorizonOutOfRangeError))
+            x, t, prov = plan.rows.stack(plan.years)
+            assert x.tobytes() == np.concatenate(want).tobytes()
+            assert len(t) == len(prov) == len(x)
+        # the counts did differ: the later trainings' references moved them
+        first = plans[0].rows
+        assert any((plans[2].rows.counts[y] != first.counts[y]).any()
+                   for y in plans[0].years)
+
+
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, seed42_dataset, season_def,
                                               tmp_path):
@@ -633,6 +669,14 @@ class TestFitPool:
                 got = [r.model.base_prediction for r in results]
             assert got == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    def test_many_tasks_on_more_workers_than_cores(self):
+        # each done-callback hands out one more task: every result comes
+        # back once and in order, and no worker is left
+        tasks = [partial(int, i) for i in range(200)]
+        with pl._fit_all(tasks, 2 * pl._cores() + 1) as results:
+            assert list(results) == list(range(200))
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_stream(self, tmp_path, jobs):
         # the last task waits for a file that is written only once the
@@ -717,6 +761,36 @@ class TestFitPool:
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fold-2003", "fold-2004"]
+
+    def test_next_fold_fits_beside_stage2(self, seed42_dataset, season_def,
+                                          tmp_path, monkeypatch):
+        # a backtest runs every fold's fits on one pool: while the first
+        # fold's Stage 2 is fitted here, the workers start the second fold's
+        # first out-of-fold fit, and its second once a running fit is done
+        fold_predictions, stage2_fit = pl._fold_predictions, pl.fit_stage2
+        markers = [tmp_path / "fold-2004-2005", tmp_path / "fold-2003-2005"]
+
+        def logged_fold(fit_fn, rows, train_ys, scored_ys, cfg):
+            (tmp_path / f"fold-{'-'.join(map(str, train_ys))}").touch()
+            return fold_predictions(fit_fn, rows, train_ys, scored_ys, cfg)
+
+        seen = []
+
+        def watching_stage2(training, cfg=None):
+            if not seen:
+                seen.extend(wait_for(marker, 10.0) for marker in markers)
+            return stage2_fit(training, cfg)
+
+        monkeypatch.setattr(pl, "_fold_predictions", logged_fold)
+        monkeypatch.setattr(pl, "fit_stage2", watching_stage2)
+        folds = (bt.Fold(train_years=(2003, 2004), test_year=2005),
+                 bt.Fold(train_years=(2003, 2004, 2005), test_year=2006))
+        with cores(2):
+            bt.rolling_backtest(seed42_dataset, bt.BacktestConfig(
+                folds=folds, definition=season_def, stage1_cfg=LIGHT,
+                stage2_cfg=LIGHT))
+        assert seen == [True, True]
+        assert multiprocessing.active_children() == []
 
     def test_training_in_a_daemonic_process(self, seed42_dataset, season_def):
         # multiprocessing pool workers are daemonic and may not fork; their
