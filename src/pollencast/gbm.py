@@ -3,7 +3,9 @@
 Stagewise boosting: each tree fits the current residuals with greedy CART
 splits chosen by variance reduction.  Candidate thresholds sit at midpoints
 between consecutive distinct sorted values; ties go to the lowest feature
-index, then the smallest threshold.
+index, then the smallest threshold.  Each row's residual then drops by the
+learning rate times the value of the leaf that prediction's walk takes it
+to; a row subsample only picks the rows that grow a tree.
 
 Determinism is part of the contract: training rows are brought into a
 canonical order before fitting so the resulting model is bit-identical
@@ -192,32 +194,37 @@ class _Nodes:
         self.value: list[float] = []
         self.roots: list[int] = []
         self.levels = 0
+        self.newest_levels = 0  # depth of the tree being written
 
     def add(self, feature: int, threshold: float, value: float, depth: int) -> int:
         """Append a node pointing to itself; a split's caller links its
-        children once they exist."""
+        children once they exist, a root's caller appends it to ``roots``."""
         i = len(self.value)
         self.feature.append(feature)
         self.threshold.append(threshold)
         self.left.append(i)
         self.right.append(i)
         self.value.append(value)
+        # a node of depth 0 starts a new tree
+        self.newest_levels = max(self.newest_levels, depth) if depth else 0
         self.levels = max(self.levels, depth)
         return i
 
-    def arrays(self, first: int = 0) -> TreeArrays:
-        """The trees from node ``first`` on, indexed from 0, read-only."""
+    def arrays(self, newest: bool = False) -> TreeArrays:
+        """Every tree, or the newest alone with its nodes indexed from 0,
+        read-only.  The newest tree is read without the earlier ones."""
+        first = self.roots[-1] if newest else 0
         cols = [
             np.array(self.feature[first:], dtype=np.intp),
             np.array(self.threshold[first:], dtype=np.float64),
             np.array(self.left[first:], dtype=np.intp) - first,
             np.array(self.right[first:], dtype=np.intp) - first,
             np.array(self.value[first:], dtype=np.float64),
-            np.array([r for r in self.roots if r >= first], dtype=np.intp) - first,
+            np.array([0] if newest else self.roots, dtype=np.intp),
         ]
         for a in cols:
             a.setflags(write=False)
-        return TreeArrays(*cols, levels=self.levels)
+        return TreeArrays(*cols, levels=self.newest_levels if newest else self.levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,15 +472,11 @@ class _TreeBuilder:
         self._scratch = _Scratch(self._cells, _PROBES * self.n_rows)
         self._orders: list[np.ndarray] = []
         self.nodes = _Nodes()
-        # (rows, value) per leaf of the current tree, for the residual update
-        self.leaves: list[tuple[np.ndarray, float]] = []
 
-    def grow(self, root: np.ndarray) -> int:
-        """One tree from the root's order matrix; returns its root."""
-        self.leaves = []
-        i = self._build(root, 0, 0)
-        self.nodes.roots.append(i)
-        return i
+    def grow(self, root: np.ndarray) -> TreeArrays:
+        """One tree from the root's order matrix; returns its arrays alone."""
+        self.nodes.roots.append(self._build(root, 0, 0))
+        return self.nodes.arrays(newest=True)
 
     def _level(self, depth: int) -> np.ndarray:
         """The buffer of the children of the nodes at ``depth``."""
@@ -485,16 +488,15 @@ class _TreeBuilder:
         return self._orders[depth]
 
     def _build(self, node_order: np.ndarray, depth: int, start: int) -> int:
-        rows = node_order[0]
-        res = self.residual[rows]
+        res = self.residual[node_order[0]]
         value = float(res.mean())
-        k = rows.size
+        k = res.size
         if (
             depth >= self.max_depth
             or k < 2 * self.min_leaf
             or bool(np.all(res == res[0]))
         ):
-            return self._leaf(rows, value, depth)
+            return self.nodes.add(0, 0.0, value, depth)
 
         # centring the n residuals before the gather gives the same values
         # as centring the (features, k) gathered matrix
@@ -503,7 +505,7 @@ class _TreeBuilder:
         )
         f, i, gain = _best_split(self.XT, node_order, C, self.min_leaf, self._scratch)
         if f < 0 or gain <= 0.0:
-            return self._leaf(rows, value, depth)
+            return self.nodes.add(0, 0.0, value, depth)
         thr = _midpoint(self.XT[f, node_order[f, i]], self.XT[f, node_order[f, i + 1]])
 
         in_left = np.zeros(self.n_rows, dtype=bool)
@@ -534,18 +536,17 @@ class _TreeBuilder:
         order = flat.take(at, out=self._level(depth)[cells], mode="clip")
         return order.reshape(n_orders, size), depth + 1, slot
 
-    def _leaf(self, rows: np.ndarray, value: float, depth: int) -> int:
-        self.leaves.append((rows, value))
-        return self.nodes.add(0, 0.0, value, depth)
-
 
 def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult:
     """Train a boosted ensemble; returns the model and its training curve.
 
-    ``curve[0]`` is the MSE of the base prediction alone, ``curve[m]`` the
-    MSE after m trees; with full subsampling the curve never increases.
-    Constant targets are legal and produce a model that always predicts
-    that constant.
+    Tree m grows on a ``subsample_fraction`` of the rows drawn with ``seed``
+    (all rows at 1.0, with no draw).  Then every row's residual drops by
+    ``learning_rate`` times the value of the leaf that :func:`_leaf_nodes`,
+    the walk of :func:`predict_batch`, takes it to.  ``curve[0]`` is the
+    MSE of the base prediction alone, ``curve[m]`` the MSE after m trees;
+    with full subsampling the curve never increases.  Constant targets are
+    legal and produce a model that always predicts that constant.
     """
     cfg = cfg or GBMConfig()
     X, y = _validate_matrix(X, y)
@@ -564,30 +565,22 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
     sorted_by_feature = np.argsort(XT, axis=1, kind="stable")
 
     rng = np.random.default_rng(cfg.seed)
-    subsample = cfg.subsample_fraction < 1.0
     m_rows = max(2 * cfg.min_samples_leaf, int(cfg.subsample_fraction * n))
     root = sorted_by_feature
-    # the rows in order, row-major, for _leaf_nodes on the subsample path
-    X = np.ascontiguousarray(X[order]) if subsample else None
 
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
     builder = _TreeBuilder(XT, residual, cfg)
     for m in range(1, cfg.n_trees + 1):
-        if subsample:
+        if cfg.subsample_fraction < 1.0:
             chosen = rng.choice(n, size=min(m_rows, n), replace=False)
             in_sub = np.zeros(n, dtype=bool)
             in_sub[chosen] = True
             root = sorted_by_feature.ravel().compress(
                 in_sub.take(sorted_by_feature.ravel())
             ).reshape(n_features, chosen.size)
-        first = builder.grow(root)
-        if subsample:
-            tree = builder.nodes.arrays(first)
-            residual -= cfg.learning_rate * tree.value[_leaf_nodes(tree, X)[0]]
-        else:
-            for rows, value in builder.leaves:
-                residual[rows] -= cfg.learning_rate * value
+        tree = builder.grow(root)
+        residual -= cfg.learning_rate * tree.value.take(_leaf_nodes(tree, XT.T)[0])
         curve[m] = float(np.mean(residual**2))
 
     model = GBMModel(
@@ -614,12 +607,18 @@ def predict(model: GBMModel, x: np.ndarray) -> float:
 
 def _leaf_nodes(t: TreeArrays, X: np.ndarray) -> np.ndarray:
     """The leaf that each row of ``X`` reaches in each tree, (trees, rows):
-    ``t.levels`` steps of one level each, where a leaf is its own child."""
+    ``t.levels`` steps of one level each, where a leaf is its own child.  A
+    C- or F-contiguous ``X`` is read in place through its strides; any
+    other layout is copied to C order first."""
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    row_step, col_step = (s // X.itemsize for s in X.strides)
+    flat = X.ravel(order="K")  # X's memory, a view
+    feature = t.feature if col_step == 1 else t.feature * col_step
     node = np.repeat(t.roots[:, None], X.shape[0], axis=1)
-    row_start = np.arange(X.shape[0]) * X.shape[1]  # offsets into flat
-    flat = np.ascontiguousarray(X).ravel()
+    row_start = np.arange(X.shape[0]) * row_step  # offsets into flat
     for _ in range(t.levels):
-        x = flat.take(t.feature.take(node) + row_start)
+        x = flat.take(feature.take(node) + row_start)
         goes_left = x <= t.threshold.take(node)
         node = np.where(goes_left, t.left.take(node), t.right.take(node))
     return node

@@ -203,6 +203,18 @@ class TestFit:
         _, curve = fit(X, y, GBMConfig(n_trees=80))
         assert (np.diff(curve) <= 1e-12).all()
 
+    @pytest.mark.parametrize("cfg", [
+        GBMConfig(n_trees=40),
+        GBMConfig(n_trees=40, subsample_fraction=0.5, seed=3),
+        GBMConfig(n_trees=40, max_depth=0),
+    ], ids=["full", "subsample", "depth0"])
+    def test_curve_ends_at_prediction_mse(self, cfg):
+        # the fit's residual walk and predict_batch reach the same leaves
+        X, y = pinned_data()
+        model, curve = fit(X, y, cfg)
+        mse = np.mean((y - predict_batch(model, X)) ** 2)
+        assert curve[-1] == pytest.approx(mse, rel=1e-12, abs=0.0)
+
     def test_curve_starts_at_base_mse(self):
         X, y = make_regression(4, rows=100)
         _, curve = fit(X, y, GBMConfig(n_trees=3))
@@ -613,6 +625,24 @@ class TestPredict:
         for i in range(len(probes)):
             assert batch[i] == predict(model, probes[i])
             assert batch[i] == reference_predict(model, probes[i])
+
+    @pytest.mark.parametrize("rows", [60, gbm._ROW_BLOCK + 37])
+    def test_batch_reads_every_layout(self, rows):
+        # C order, Fortran order and strided views give the same bits: the
+        # walk reads the first two through their strides, in one block or
+        # in several, and copies the others
+        X, y = make_regression(18, rows=150)
+        model, _ = fit(X, y, GBMConfig(n_trees=25))
+        probes = np.random.default_rng(3).normal(size=(rows, X.shape[1]))
+        want = predict_batch(model, probes)
+        np.testing.assert_array_equal(want, [predict(model, x) for x in probes])
+        wide = np.full((rows, 2 * X.shape[1]), 1e6)  # read by a wrong stride
+        wide[:, ::2] = probes
+        for layout in (np.asfortranarray(probes), wide[:, ::2]):
+            got = predict_batch(model, layout)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = predict_batch(model, probes[::-1])[::-1]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_handcrafted_tree(self):
         tree = {"feature": 1, "threshold": 0.0,
