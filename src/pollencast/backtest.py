@@ -47,7 +47,7 @@ from .pipeline import (  # noqa: F401
     train_forecaster,
     train_plans,
 )
-from .wls import ForecastSeries, final_forecast, fit_wls, min_days
+from .wls import BOUNDARIES, ForecastSeries, final_forecast, fit_wls, min_days
 
 __all__ = [
     "Fold",
@@ -106,6 +106,9 @@ class BacktestConfig:
             raise InvalidRecordError(
                 f"unknown z_range policy {self.z_range_policy!r}"
             )
+        if self.boundary not in BOUNDARIES:
+            raise InvalidRecordError(
+                f"boundary must be 'start' or 'end', got {self.boundary!r}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import itertools
 import json
 import math
 import operator
@@ -445,10 +444,11 @@ def _tokenized_rows(
     reader, date_at: int, value_at: list[int]
 ) -> tuple[list[int], list[dt.date], np.ndarray, PollencastError | None]:
     """The rows that a ``csv.reader`` past the header reads, parsed with
-    ``float`` up to the first line that cannot be read or parsed: each
-    row's physical line, date and values, and that line's error (None when
-    there is none)."""
+    ``float`` up to the first line that cannot be read or parsed or holds a
+    value that is not finite: each row's physical line, date and values, and
+    that line's error (None when there is none)."""
     take = operator.itemgetter(*value_at)
+    width = len(SERIES_NAMES)
     lines: list[int] = []
     dates: list[dt.date] = []
     values: list[float] = []  # row-major, 12 per line
@@ -460,13 +460,15 @@ def _tokenized_rows(
             try:
                 dates.append(dt.date.fromisoformat(row[date_at]))
                 values.extend(map(float, take(row)))
+                if not all(map(math.isfinite, values[-width:])):
+                    raise ValueError
             except (IndexError, TypeError, ValueError):
                 failure = _field_error(row, reader.line_num, date_at, value_at)
                 break
             lines.append(reader.line_num)
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         failure = InvalidRecordError(f"line {reader.line_num}: {exc}")
-    n, width = len(lines), len(SERIES_NAMES)
+    n = len(lines)
     del dates[n:], values[n * width:]
     return lines, dates, np.array(values).reshape(n, width), failure
 
@@ -560,11 +562,6 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     gaps, bad = _row_checks(ordinals, m)
     if bad.any():
         j = int(bad.argmax())
-        if not np.isfinite(m[j]).all():
-            # the message quotes the field as written: read the line again
-            rows = (row for row in csv.reader(io.StringIO(text, newline="")) if row)
-            row = next(itertools.islice(rows, j + 1, None))
-            raise _field_error(row, lines[j], date_at, value_at)
         DailyRecord(dates[j], *m[j].tolist())  # raises
         gap = int(gaps[j - 1])
         if gap < 0:

@@ -68,6 +68,11 @@ DOY_NAME = "day_of_year"
 #: or a training year's rows, and a long dataset's temporaries stay small.
 _BLOCK_DAYS = 341
 
+#: The flat columns of the ``n_above_ref`` statistic, one per series: the
+#: only columns of a row whose values depend on the references.
+COUNT_COLUMNS = (np.arange(len(SERIES_NAMES)) * N_FEATURES
+                 + FEATURE_NAMES.index("n_above_ref"))
+
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num/den with the convention that a zero denominator yields 0."""
@@ -95,9 +100,10 @@ def _sorted_median(s: np.ndarray) -> np.ndarray:
     return np.mean(s[:, half - 1 + s.shape[1] % 2 : half + 1], axis=1)
 
 
-def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
+def _window_stats(windows: np.ndarray) -> np.ndarray:
     """The 29 catalog statistics for each row of a (rows, 14) window matrix,
-    with ``references[i]`` as row i's ``n_above_ref`` threshold."""
+    with 0.0 for ``n_above_ref``, which :func:`count_above` counts against
+    each series' reference."""
     w = windows
     n = w.shape[1]
     t = np.arange(n, dtype=np.float64)
@@ -160,7 +166,7 @@ def _window_stats(windows: np.ndarray, references: np.ndarray) -> np.ndarray:
         ewma,
         w[:, -3:].mean(axis=1),
         w[:, :3].mean(axis=1),
-        (w > references[:, None]).sum(axis=1).astype(np.float64),
+        np.zeros(len(w)),
         ((diffs[:, :-1] * diffs[:, 1:]) < 0).sum(axis=1).astype(np.float64),
     ]
     return np.stack(cols, axis=1)
@@ -206,7 +212,8 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
     gives the ``n_above_ref`` threshold per series (pollen first); use the
     season concentration threshold for pollen and training-period means for
     covariates, computed from training years only so no future information
-    leaks in.
+    leaks in.  The :data:`COUNT_COLUMNS` are those of :func:`count_above`,
+    the only columns that read ``references``.
     """
     refs = tuple(float(r) for r in references)
     if len(refs) != len(SERIES_NAMES):
@@ -226,13 +233,11 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
     windows = np.lib.stride_tricks.sliding_window_view(matrix, WINDOW_LEN, axis=0)
     n_rows, n_series = windows.shape[:2]
     rows = np.empty((n_rows, n_series * N_FEATURES + 1))
-    block_refs = np.tile(refs, _BLOCK_DAYS)
     for lo in range(0, n_rows, _BLOCK_DAYS):
         block = windows[lo:lo + _BLOCK_DAYS]  # a view; its copy lives for one pass
         rows[lo:lo + len(block), :-1] = _window_stats(
-            np.ascontiguousarray(block).reshape(-1, WINDOW_LEN),
-            block_refs[:len(block) * n_series],
-        ).reshape(len(block), -1)
+            np.ascontiguousarray(block).reshape(-1, WINDOW_LEN)).reshape(len(block), -1)
+    rows[:, COUNT_COLUMNS] = count_above(data, refs)
 
     start = data.span[0] + dt.timedelta(days=WINDOW_LEN - 1)
     days = np.datetime64(start, "D") + np.arange(n_rows)
@@ -241,16 +246,12 @@ def build_feature_matrix(data: Dataset, references: Sequence[float]) -> FeatureM
     return FeatureMatrix(rows=rows, start=start, references=refs)
 
 
-#: The flat columns of the ``n_above_ref`` statistic, one per series: the
-#: only columns of a row whose values depend on the references.
-COUNT_COLUMNS = (np.arange(len(SERIES_NAMES)) * N_FEATURES
-                 + FEATURE_NAMES.index("n_above_ref"))
-
-
 def count_above(data: Dataset, references: Sequence[float]) -> np.ndarray:
-    """The :data:`COUNT_COLUMNS` of ``build_feature_matrix(data,
-    references).rows``, a (rows, 12) array, bit for bit: each window's count
-    of days above its series' reference."""
+    """The ``n_above_ref`` statistic of every full trailing window of
+    ``data``, a (rows, 12) array: each window's count of days above its
+    series' reference.  No other code counts it: it fills the
+    :data:`COUNT_COLUMNS` of :func:`build_feature_matrix`, and a training
+    that shares rows built with other references recounts them here."""
     windows = np.lib.stride_tricks.sliding_window_view(
         data.series_matrix(), WINDOW_LEN, axis=0)  # (rows, 12, 14)
     refs = np.asarray(references, dtype=np.float64)

@@ -16,12 +16,13 @@ days it reads: it slices those days from the dataset's value matrix and
 uses the flat rows of :func:`~pollencast.features.build_feature_matrix`
 as they are, with no :class:`~pollencast.data.DailyRecord` or per-row date.
 
-A training is planned before its first fit (:class:`TrainingPlanner`): its
-years are labeled, their rows built and every input checked.  One planner
-serves all the trainings of a backtest, so each year is labeled and its rows
-are built once.  Only the 12 ``n_above_ref`` columns of a row depend on a
-training's references, so each training keeps its own block of those counts
-and a fit stacks its rows where it runs.
+A training is planned before its first fit (:meth:`TrainingPlanner.plan`):
+its years are labeled, their rows built and every input checked.  One
+planner serves all the trainings of a backtest, so each year is labeled and
+its rows are built once.  Only the 12 ``n_above_ref`` columns of a row
+depend on a training's references, so the :class:`TrainingPlan` holds the
+shared rows and its own counts of those columns, and a fit stacks the two
+where it runs.
 
 The Stage-1 fits of a training are independent: one per out-of-fold split
 of the Stage-2 protocol, then the full fit.  :func:`train_plans` runs the
@@ -303,8 +304,10 @@ _Folds = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
-class _Rows:
-    """The countdown rows of one training's years.
+class TrainingPlan:
+    """One training as planned before its first fit: its sorted years, their
+    references and countdown rows, and the out-of-fold splits of its Stage-2
+    protocol.
 
     ``shared[y]`` is year y's rows, built once for every training that reads
     the year.  Only their :data:`~pollencast.features.COUNT_COLUMNS` depend
@@ -312,8 +315,14 @@ class _Rows:
     (rows, 12) block of them.
     """
 
+    years: tuple[int, ...]
+    references: tuple[float, ...]
     shared: dict[int, _YearRows]
     counts: dict[int, np.ndarray]
+    boundary: str
+    horizon: int
+    protocol: str
+    folds: _Folds
 
     def stack(self, years: tuple[int, ...]) -> _YearRows:
         """The rows of ``years`` with this training's counts, concatenated
@@ -323,19 +332,12 @@ class _Rows:
         x[:, COUNT_COLUMNS] = np.concatenate([self.counts[y] for y in years])
         return x, np.concatenate(ts), tuple(zp for p in provs for zp in p)
 
-
-@dataclass(frozen=True)
-class TrainingPlan:
-    """One training as planned before its first fit: its sorted years, their
-    references and rows, and the out-of-fold splits of its Stage-2 protocol."""
-
-    years: tuple[int, ...]
-    references: tuple[float, ...]
-    rows: _Rows
-    boundary: str
-    horizon: int
-    protocol: str
-    folds: _Folds
+    def stage1_set(self) -> Stage1TrainingSet:
+        """The Stage-1 training set of all the plan's years."""
+        x, t, prov = self.stack(self.years)
+        return Stage1TrainingSet(features=x, targets=t, provenance=prov,
+                                 boundary=self.boundary, horizon=self.horizon,
+                                 references=self.references, years=self.years)
 
 
 class TrainingPlanner:
@@ -358,10 +360,11 @@ class TrainingPlanner:
             self._labels[year] = label_season(self.data, self.definition, year)
         return self._labels[year]
 
-    def labeled_years(
-        self, years: Iterable[int], min_years: int
-    ) -> tuple[tuple[int, ...], tuple[float, ...], _Rows]:
-        """Sorted years, their references and their countdown rows.
+    def plan(self, years: Iterable[int], protocol: str = "loyo",
+             min_years: int = 2) -> TrainingPlan:
+        """A training on at least ``min_years`` of ``years`` with the Stage-2
+        ``protocol``; every input error it would meet is raised here, before
+        any fit.
 
         A year's rows are days z in [boundary-H, boundary] with targets
         ``boundary - z``, their counts taken with the years' own references.
@@ -396,13 +399,7 @@ class TrainingPlanner:
                 )
             shared[year] = self._rows[year]
             counts[year] = count_above(days, refs)
-        return ys, refs, _Rows(shared, counts)
-
-    def plan(self, years: Iterable[int], protocol: str = "loyo") -> TrainingPlan:
-        """A training on ``years`` with the Stage-2 ``protocol``; every input
-        error it would meet is raised here, before any fit."""
-        ys, refs, rows = self.labeled_years(years, min_years=2)
-        return TrainingPlan(years=ys, references=refs, rows=rows,
+        return TrainingPlan(years=ys, references=refs, shared=shared, counts=counts,
                             boundary=self.boundary, horizon=self.horizon,
                             protocol=protocol, folds=_protocol_folds(ys, protocol))
 
@@ -410,20 +407,6 @@ class TrainingPlanner:
         """Raise the error :func:`predict_series` would raise on days
         ``z_range`` of ``year`` for want of their windows."""
         _day_span(self.data, year, z_range[0], z_range[1], WindowUnavailableError)
-
-
-def _stage1_set(ys: tuple[int, ...], refs: tuple[float, ...], rows: _Rows,
-                boundary: str, horizon: int) -> Stage1TrainingSet:
-    x, t, prov = rows.stack(ys)
-    return Stage1TrainingSet(
-        features=x,
-        targets=t,
-        provenance=prov,
-        boundary=boundary,
-        horizon=horizon,
-        references=refs,
-        years=ys,
-    )
 
 
 def build_s1(
@@ -438,9 +421,8 @@ def build_s1(
     The count-feature references come from ``years`` only, so nothing
     outside the training years influences them.
     """
-    ys, refs, rows = TrainingPlanner(data, definition, boundary, horizon
-                                     ).labeled_years(years, min_years=1)
-    return _stage1_set(ys, refs, rows, boundary, horizon)
+    planner = TrainingPlanner(data, definition, boundary, horizon)
+    return planner.plan(years, min_years=1).stage1_set()
 
 
 def fit_stage1(
@@ -609,24 +591,24 @@ def _protocol_folds(years: tuple[int, ...], protocol: str) -> _Folds:
 
 
 def _fold_predictions(
-    fit_fn: FitFn, rows: _Rows, train_ys: tuple[int, ...],
+    fit_fn: FitFn, plan: TrainingPlan, train_ys: tuple[int, ...],
     scored_ys: tuple[int, ...], cfg: gbm.GBMConfig,
 ) -> np.ndarray:
-    """Fit Stage 1 on ``train_ys`` (concatenated in sorted order) and predict
-    the rows of ``scored_ys``."""
-    x, t, _ = rows.stack(train_ys)
+    """Fit Stage 1 on the plan's rows of ``train_ys`` (concatenated in sorted
+    order) and predict its rows of ``scored_ys``."""
+    x, t, _ = plan.stack(train_ys)
     model = fit_fn(x, t, cfg).model
-    return gbm.predict_batch(model, rows.stack(scored_ys)[0])
+    return gbm.predict_batch(model, plan.stack(scored_ys)[0])
 
 
 def _fold_tasks(
-    fit_fn: FitFn, rows: _Rows, folds: _Folds, cfg: gbm.GBMConfig,
+    fit_fn: FitFn, plan: TrainingPlan, cfg: gbm.GBMConfig,
 ) -> list[_FitTask]:
-    """One task per out-of-fold split.  A fold's task stacks its rows when it
-    runs and returns only its predictions of the held-out rows, so a process
-    holds one fold's rows and model at a time."""
-    return [partial(_fold_predictions, fit_fn, rows, train_ys, scored_ys, cfg)
-            for train_ys, scored_ys in folds]
+    """One task per out-of-fold split of the plan.  A fold's task stacks its
+    rows when it runs and returns only its predictions of the held-out rows,
+    so a process holds one fold's rows and model at a time."""
+    return [partial(_fold_predictions, fit_fn, plan, train_ys, scored_ys, cfg)
+            for train_ys, scored_ys in plan.folds]
 
 
 def _stage2_set(
@@ -637,7 +619,7 @@ def _stage2_set(
     xs, ts, prov, scorers = [], [], [], []
     # zip draws from folds first, so it stops without taking a further result
     for (train_ys, scored_ys), y_hat in zip(plan.folds, predictions):
-        x, t, p = plan.rows.stack(scored_ys)
+        x, t, p = plan.stack(scored_ys)
         xs.append(np.concatenate([y_hat[:, None], x], axis=1))
         ts.append(np.abs(y_hat - t))
         prov.extend(p)
@@ -676,8 +658,7 @@ def build_s2(
     """
     plan = TrainingPlanner(data, definition, boundary, horizon).plan(years, protocol)
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
-    with _fit_all(_fold_tasks(stage1_fit, plan.rows, plan.folds, cfg),
-                  _cores()) as predictions:
+    with _fit_all(_fold_tasks(stage1_fit, plan, cfg), _cores()) as predictions:
         return _stage2_set(plan, predictions)
 
 
@@ -704,8 +685,7 @@ def fit_stage2(
 
 def _full_fit(plan: TrainingPlan, cfg: gbm.GBMConfig) -> Stage1Model:
     """The plan's Stage-1 fit on all its years, its rows stacked where it runs."""
-    return fit_stage1(_stage1_set(plan.years, plan.references, plan.rows,
-                                  plan.boundary, plan.horizon), cfg)
+    return fit_stage1(plan.stage1_set(), cfg)
 
 
 @contextlib.contextmanager
@@ -725,7 +705,7 @@ def train_plans(
     """
     cfg = stage1_cfg if stage1_cfg is not None else gbm.GBMConfig()
     tasks = [task for plan in plans for task in (
-        *_fold_tasks(gbm.fit, plan.rows, plan.folds, cfg), partial(_full_fit, plan, cfg))]
+        *_fold_tasks(gbm.fit, plan, cfg), partial(_full_fit, plan, cfg))]
     with _fit_all(tasks, _cores()) as results:
         yield (_forecaster(plan, results, stage2_cfg) for plan in plans)
 

@@ -39,7 +39,7 @@ from pollencast.errors import (
     NonMonotoneDatesError,
     WrongWindowLengthError,
 )
-from pollencast.features import WINDOW_LEN, _window_stats
+from pollencast.features import FEATURE_NAMES, WINDOW_LEN, _window_stats
 
 #: Valid placeholder covariates for records whose weather does not matter.
 NEUTRAL_WEATHER = dict(
@@ -226,9 +226,8 @@ def nested_trees(arrays: gbm.TreeArrays) -> list[dict]:
 
 def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarray:
     """The 29 catalog statistics of one 14-value window, in catalog order:
-    ``features._window_stats`` on that window alone.
-
-    ``reference`` is the series threshold behind the ``n_above_ref`` count.
+    ``features._window_stats`` on that window alone, with its count of
+    values above ``reference`` as ``n_above_ref``.
     """
     arr = np.asarray(window, dtype=np.float64)
     if arr.shape != (WINDOW_LEN,):
@@ -237,7 +236,9 @@ def window_features(window: Sequence[float], reference: float = 0.0) -> np.ndarr
         )
     if not np.isfinite(arr).all():
         raise NonFiniteError("window contains non-finite values")
-    return _window_stats(arr[None, :], np.array([float(reference)]))[0]
+    stats = _window_stats(arr[None, :])[0]
+    stats[FEATURE_NAMES.index("n_above_ref")] = np.count_nonzero(arr > reference)
+    return stats
 
 
 def split_search(

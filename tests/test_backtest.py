@@ -97,6 +97,15 @@ class TestFoldValidation:
             bt.BacktestConfig(folds=(fold,), definition=season_def,
                               z_range_policy="oracle")
 
+    def test_unknown_boundary_rejected(self, seed42_dataset, season_def):
+        # refused with the planner's message as the config is made, before a
+        # fold reads its test year's truth at that boundary
+        fold = bt.Fold(train_years=(2003, 2004), test_year=2005)
+        with pytest.raises(InvalidRecordError,
+                           match="boundary must be 'start' or 'end', got 'middle'"):
+            bt.rolling_backtest(seed42_dataset, bt.BacktestConfig(
+                folds=(fold,), definition=season_def, boundary="middle"))
+
 
 class TestMae:
     def test_identical_vectors(self):

@@ -15,11 +15,14 @@ from pollencast.errors import (
 )
 from pollencast.features import (
     CATALOG_VERSION,
+    COUNT_COLUMNS,
     FEATURE_NAMES,
     N_FEATURES,
     WINDOW_LEN,
+    _BLOCK_DAYS,
     _window_stats,
     build_feature_matrix,
+    count_above,
     flat_feature_names,
 )
 
@@ -188,7 +191,7 @@ class TestOrderStatistics:
     @staticmethod
     def columns(windows):
         with np.errstate(all="ignore"):  # the moments overflow at 1e300
-            stats = _window_stats(windows, np.zeros(len(windows)))
+            stats = _window_stats(windows)
         return [stats[:, FEATURE_NAMES.index(n)] for n in ("q25", "q75", "median")]
 
     @staticmethod
@@ -335,6 +338,27 @@ class TestStackedRows:
             for r in range(len(m))
         ])
         np.testing.assert_array_equal(m.rows.view(np.uint64), want.view(np.uint64))
+
+
+class TestCountAbove:
+    def test_count_columns_equal_a_literal_count(self):
+        # more days than one statistics pass reads, and a reference of its
+        # own per series: the feature rows' counts, count_above's and a
+        # count window by window agree bit for bit
+        data = generate_synthetic(seed=3, years=2)
+        raw = data.series_matrix()
+        refs = tuple(float(np.median(raw[:, s])) + s for s in range(12))
+        n_rows = len(raw) - WINDOW_LEN + 1
+        assert n_rows > _BLOCK_DAYS and len(set(refs)) == 12
+        want = np.array([[float(sum(v > refs[s] for v in raw[r:r + WINDOW_LEN, s]))
+                          for s in range(12)] for r in range(n_rows)])
+        assert 0 < want.mean() < WINDOW_LEN
+        names = flat_feature_names()
+        assert [names[c] for c in COUNT_COLUMNS] == [
+            f"{s}__n_above_ref" for s in SERIES_NAMES]
+        for got in (build_feature_matrix(data, refs).rows[:, COUNT_COLUMNS],
+                    count_above(data, refs)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFlatten:

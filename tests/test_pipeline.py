@@ -545,12 +545,11 @@ class TestTrainingPlanner:
                 want.append(pl._day_rows(seed42_dataset, plan.references, year,
                                          b - pl.DEFAULT_HORIZON, b,
                                          HorizonOutOfRangeError))
-            x, t, prov = plan.rows.stack(plan.years)
+            x, t, prov = plan.stack(plan.years)
             assert x.tobytes() == np.concatenate(want).tobytes()
             assert len(t) == len(prov) == len(x)
         # the counts did differ: the later trainings' references moved them
-        first = plans[0].rows
-        assert any((plans[2].rows.counts[y] != first.counts[y]).any()
+        assert any((plans[2].counts[y] != plans[0].counts[y]).any()
                    for y in plans[0].years)
 
 
