@@ -22,7 +22,9 @@ ascending order of feature f; the root is one stable argsort per fit, and
 children keep their parent's order.  The chosen split is the first maximum
 over (feature, position) of ``s_left**2/n_left + s_right**2/n_right -
 total**2/k``, where ``s_left`` is the running sum of the node's centred
-residuals in the feature's order and ``total`` its last value.
+residuals in the feature's order and ``total`` its last value.  The search
+holds those residuals positions-major, as a (k, features) matrix, so the
+running sums take one vectorised add per position over every feature.
 
 Most features cannot win, so the search screens them.  With ``n_right = k
 - n_left >= min_samples_leaf`` at every legal position and ``q =
@@ -40,10 +42,10 @@ The centred residuals sum to ``total``, 0 up to rounding, so ``B_f`` sits
 just above ``qmax_f``.  The 1e-9 and the 1e-300 cover the rounding of
 both formulas, subnormal numbers included.  A feature whose ``|total| +
 s_max`` passes 1e153, where the gain's squares may overflow, gets an
-infinite bound.  ``q`` takes two passes and a row maximum over the
-running sums.  The exact gains of the 8 features with the largest
-``qmax`` give a floor ``g_low``; every feature with ``not (B_f < g_low)``
-is a candidate, so a NaN bound is one, and a floor of -inf or NaN makes
+infinite bound.  ``q`` takes two passes over the running sums and a
+maximum down each feature's column.  The exact gains of the 8 features
+with the largest ``qmax`` give a floor ``g_low``; every feature with ``not
+(B_f < g_low)`` is a candidate, so a NaN bound is one, and a floor of -inf or NaN makes
 every feature one.  The candidates get their exact gains and the first
 maximum over them, in ascending feature order, wins: the same (feature,
 position, gain) as the full search, bit for bit.  Each step below is
@@ -55,21 +57,27 @@ to evaluating the expression on the whole matrix with fresh arrays:
 * The expression runs term by term, in place, in the same order of
   operations (square, divide, add, subtract), so each value is rounded the
   same way.  Positions where the value does not change are set to -inf
-  after the arithmetic.  Running sums are sequential along each row, so a
-  row's sums do not depend on the rows beside it.
+  after the arithmetic.
+* Running sums add row i of the positions-major matrix into row i + 1, one
+  add per position over all features.  Each feature's sums thus add its
+  values one at a time in its own order, as ``np.cumsum`` along its row
+  would, and do not depend on the features beside it.
 * The residuals are centred before the gather, which gives the same
-  numbers as centring the gathered matrix.
+  numbers as centring the gathered matrix.  The gather reads the order
+  matrix in place, features-major, and is then copied transposed into the
+  positions-major matrix; the screen, the probes and the candidates read
+  its rows and columns.
 * Nodes carry order matrices only.  The few candidate rows gather their
   values from the fit's ``XT`` through their order rows, and a threshold
   reads ``XT`` at its two rows.
 * A child's order is gathered from its parent's with 1-D ``take`` at the
   positions of the parent's rows that go to that side.  This keeps each
   row's order, so it equals sorting again.
-* The screen's temporaries, the gathered residuals and the children's
-  matrices live in buffers allocated once per fit, a depth's buffer when a
-  node first reaches that depth.  Fresh temporaries of this size are
-  returned to the system on release and page-fault again on the next
-  node, which costs more than the arithmetic.
+* The screen's temporaries, the gathered residuals, each feature's best
+  gain and position and the children's matrices live in buffers allocated
+  once per fit, a depth's buffer when a node first reaches that depth.
+  Fresh temporaries of this size are returned to the system on release and
+  page-fault again on the next node, which costs more than the arithmetic.
 * Children at ``max_depth`` are leaves and read only their first order row
   (its rows give the leaf mean, in the same summation order), so the last
   split level partitions that row only.
@@ -296,20 +304,31 @@ class _Scratch:
     """Flat buffers for the temporaries of :func:`_split_gains` and
     :func:`_best_split`.  ``gain`` and ``tie`` hold a whole node; ``right``
     holds only the rows that get exact gains, so it starts at ``right_cells``
-    and grows when a node needs more."""
+    and grows when a node needs more.  ``best`` and ``at`` hold one gain and
+    one position per feature, allocated by the first node."""
 
-    __slots__ = ("gain", "right", "tie")
+    __slots__ = ("gain", "right", "tie", "best", "at")
 
     def __init__(self, cells: int, right_cells: int = 0) -> None:
         self.gain = np.empty(cells)
         self.right = np.empty(right_cells)
         self.tie = np.empty(cells, dtype=bool)
+        self.best = np.empty(0)
+        self.at = np.empty(0, dtype=np.intp)
 
     def right_for(self, shape: tuple[int, int]) -> np.ndarray:
         """The first cells of ``right`` as a ``shape`` matrix."""
         if self.right.size < shape[0] * shape[1]:
             self.right = np.empty(shape[0] * shape[1])
         return _leading(self.right, shape)
+
+    def per_feature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``best`` and ``at`` for ``n`` features, every gain -inf."""
+        if self.best.size < n:
+            self.best = np.empty(n)
+            self.at = np.empty(n, dtype=np.intp)
+        self.best[:n] = -np.inf
+        return self.best[:n], self.at[:n]
 
 
 def _split_gains(
@@ -380,25 +399,32 @@ def _best_split(
 
     ``order`` is the node's (features, k) matrix of rows, row f in
     ascending order of ``XT[f]``, and ``C`` the residuals minus the node
-    mean gathered through it; ``C`` is overwritten with its running sums.
-    Position i splits after the (i+1)-th row of the feature's order.  Equal
-    gains go to the lowest feature, then the lowest position: the first
-    maximum of :func:`_split_gains` over all features in row-major order.
-    Only the features whose gain bound reaches the best exact gain of the
-    :data:`_PROBES` probes get their exact gains (module docstring).
+    mean gathered through it, positions-major: ``C[i, f]`` belongs to row
+    ``order[f, i]``.  ``C`` is overwritten with its running sums down the
+    positions.  Position i splits after the (i+1)-th row of the feature's
+    order.  Equal gains go to the lowest feature, then the lowest position:
+    the first maximum of :func:`_split_gains` over all features in
+    row-major order.  Only the features whose gain bound reaches the best
+    exact gain of the :data:`_PROBES` probes get their exact gains (module
+    docstring).
     """
     n_features, k = order.shape
     lo, hi = min_leaf - 1, k - min_leaf
     if hi <= lo:
         return -1, -1, -np.inf
-    csum = np.cumsum(C, axis=1, out=C)
-    total = csum[:, -1]
+    # one add per position over every feature; each feature still adds its
+    # values in position order, as np.cumsum along its row would
+    prev = C[0]
+    for row in C[1:]:
+        np.add(prev, row, out=row)
+        prev = row
+    total = C[-1]
     n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
     weight = k / (n_left * (k - n_left))
-    q = _leading(scratch.gain, (n_features, hi - lo))
-    np.square(csum[:, lo:hi], out=q)
-    q *= weight
-    qmax = q.max(axis=1)
+    q = _leading(scratch.gain, (hi - lo, n_features))
+    np.square(C[lo:hi], out=q)
+    q *= weight[:, None]
+    qmax = q.max(axis=0)
     t_abs = np.abs(total)
     # the weight is least where n_left * n_right is largest, at k // 2
     s_max = np.sqrt(qmax / (k / (k // 2 * (k - k // 2))))
@@ -412,12 +438,12 @@ def _best_split(
     )
     bound[t_abs + s_max > _S_OVERFLOW] = np.inf
 
-    best = np.full(n_features, -np.inf)
-    at = np.zeros(n_features, dtype=np.intp)
+    # at[f] is read only where best[f] is finite, so once f was evaluated
+    best, at = scratch.per_feature(n_features)
 
     def evaluate(rows: np.ndarray) -> None:
         V = XT.ravel().take(order[rows] + (rows * XT.shape[1])[:, None])
-        gain = _split_gains(V, csum[rows], min_leaf, scratch)
+        gain = _split_gains(V, C[:, rows].T, min_leaf, scratch)
         pos = gain.argmax(axis=1)
         best[rows] = gain[np.arange(rows.size), pos]
         at[rows] = pos
@@ -450,13 +476,15 @@ class _TreeBuilder:
 
     A node is a (features, k) matrix of row indices, row f listing the
     node's rows in ascending order of feature f; the leaves below the last
-    split level keep order row 0 only.  Values are read from ``XT`` through
-    the order rows that need them.  The nodes of one depth own disjoint row
-    slots ``[start, start + k)`` of ``[0, rows)``: a left child takes the
-    first k_left slots of its parent, the right child the rest.  The order
-    matrices of the nodes at depth d + 1 live in ``_orders[d]`` at the cells
-    of their slots, so every pending node keeps them without allocation.
-    A depth's buffer is allocated when a node first reaches it, so a deep
+    split level keep order row 0 only.  A split node's centred residuals
+    are gathered through it into the screen's buffer and copied transposed
+    into ``_centered``, the (k, features) matrix that :func:`_best_split`
+    sums.  Values are read from ``XT`` through the order rows that need
+    them.  The nodes of one depth own disjoint row slots ``[start, start +
+    k)`` of ``[0, rows)``: a left child takes the first k_left slots of its
+    parent, the right child the rest.  The order matrices of the nodes at
+    depth d + 1 live in ``_orders[d]`` at the cells of their slots, so every
+    pending node keeps them without allocation.  A depth's buffer is allocated when a node first reaches it, so a deep
     ``max_depth`` costs only the levels the trees grow.
     """
 
@@ -499,10 +527,13 @@ class _TreeBuilder:
             return self.nodes.add(0, 0.0, value, depth)
 
         # centring the n residuals before the gather gives the same values
-        # as centring the (features, k) gathered matrix
-        C = (self.residual - value).take(
-            node_order, out=_leading(self._centered, node_order.shape), mode="clip"
-        )
+        # as centring the gathered matrix; the gather reads node_order in
+        # place, into the screen's buffer, and its copy is positions-major
+        gathered = (self.residual - value).take(
+            node_order, out=_leading(self._scratch.gain, node_order.shape),
+            mode="clip")
+        C = _leading(self._centered, (k, node_order.shape[0]))
+        np.copyto(C, gathered.T)
         f, i, gain = _best_split(self.XT, node_order, C, self.min_leaf, self._scratch)
         if f < 0 or gain <= 0.0:
             return self.nodes.add(0, 0.0, value, depth)
@@ -605,18 +636,16 @@ def predict(model: GBMModel, x: np.ndarray) -> float:
     return float(predict_batch(model, x[None, :])[0])
 
 
-def _leaf_nodes(t: TreeArrays, X: np.ndarray) -> np.ndarray:
-    """The leaf that each row of ``X`` reaches in each tree, (trees, rows):
-    ``t.levels`` steps of one level each, where a leaf is its own child.  A
-    C- or F-contiguous ``X`` is read in place through its strides; any
-    other layout is copied to C order first."""
-    if not (X.flags.c_contiguous or X.flags.f_contiguous):
-        X = np.ascontiguousarray(X)
+def _leaf_nodes(t: TreeArrays, X: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The leaf that each row of ``X[rows]`` reaches in each tree, (trees,
+    rows): ``t.levels`` steps of one level each, where a leaf is its own
+    child.  ``X`` must be C- or F-contiguous; it is read in place through
+    its strides, whichever rows are asked for."""
     row_step, col_step = (s // X.itemsize for s in X.strides)
     flat = X.ravel(order="K")  # X's memory, a view
     feature = t.feature if col_step == 1 else t.feature * col_step
-    node = np.repeat(t.roots[:, None], X.shape[0], axis=1)
-    row_start = np.arange(X.shape[0]) * row_step  # offsets into flat
+    row_start = np.arange(*rows.indices(X.shape[0])) * row_step  # offsets into flat
+    node = np.repeat(t.roots[:, None], row_start.size, axis=1)
     for _ in range(t.levels):
         x = flat.take(feature.take(node) + row_start)
         goes_left = x <= t.threshold.take(node)
@@ -629,7 +658,10 @@ _ROW_BLOCK = 1024
 
 
 def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:
-    """Predictions for a matrix of rows; equals row-wise :func:`predict`."""
+    """Predictions for a matrix of rows; equals row-wise :func:`predict`.
+
+    A C- or F-contiguous ``X`` is read in place, block by block; any other
+    layout is copied to C order once."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise WrongFeatureCountError(
@@ -637,15 +669,17 @@ def predict_batch(model: GBMModel, X: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise NonFiniteError("feature matrix contains non-finite values")
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
     t = model.arrays
     acc = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _ROW_BLOCK):
-        block = X[lo : lo + _ROW_BLOCK]
+        rows = slice(lo, min(lo + _ROW_BLOCK, X.shape[0]))
         # 0.0, then each tree's leaf values; a running sum adds them in tree
         # order, where np.sum may add pairwise and round differently
-        leaves = np.zeros((t.roots.size + 1, block.shape[0]))
-        t.value.take(_leaf_nodes(t, block), out=leaves[1:], mode="clip")
-        acc[lo : lo + block.shape[0]] = np.cumsum(leaves, axis=0)[-1]
+        leaves = np.zeros((t.roots.size + 1, rows.stop - lo))
+        t.value.take(_leaf_nodes(t, X, rows), out=leaves[1:], mode="clip")
+        acc[rows] = np.cumsum(leaves, axis=0)[-1]
     return model.base_prediction + model.learning_rate * acc
 
 

@@ -22,7 +22,8 @@ planner serves all the trainings of a backtest, so each year is labeled and
 its rows are built once.  Only the 12 ``n_above_ref`` columns of a row
 depend on a training's references, so the :class:`TrainingPlan` holds the
 shared rows and its own counts of those columns, and a fit stacks the two
-where it runs.
+where it runs.  A year built for a training takes its counts from its new
+rows; a year built earlier under other references is counted again.
 
 The Stage-1 fits of a training are independent: one per out-of-fold split
 of the Stage-2 protocol, then the full fit.  :func:`train_plans` runs the
@@ -391,14 +392,17 @@ class TrainingPlanner:
             b = label.boundary(self.boundary)
             days = _day_span(self.data, year, b - self.horizon, b,
                              HorizonOutOfRangeError)
-            if year not in self._rows:
+            if year in self._rows:  # built under some training's references
+                counts[year] = count_above(days, refs)
+            else:
+                rows = build_feature_matrix(days, refs).rows
+                counts[year] = rows[:, COUNT_COLUMNS]  # a copy
                 self._rows[year] = (
-                    build_feature_matrix(days, refs).rows,
+                    rows,
                     np.arange(self.horizon, -1, -1, dtype=np.float64),
                     tuple((year, z) for z in range(b - self.horizon, b + 1)),
                 )
             shared[year] = self._rows[year]
-            counts[year] = count_above(days, refs)
         return TrainingPlan(years=ys, references=refs, shared=shared, counts=counts,
                             boundary=self.boundary, horizon=self.horizon,
                             protocol=protocol, folds=_protocol_folds(ys, protocol))

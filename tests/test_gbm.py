@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -332,7 +333,8 @@ class TestKernelEquivalence:
                 assert np.all(want[:, :lo] == -np.inf)
                 assert np.all(want[:, max(hi, lo):] == -np.inf)
                 assert gbm._best_split(
-                    V, identity_order(V), R - mean, min_leaf, gbm._Scratch(V.size)
+                    V, identity_order(V), (R - mean).T.copy(), min_leaf,
+                    gbm._Scratch(V.size)
                 ) == reference_best_split(V, R, mean, min_leaf)
 
 
@@ -389,7 +391,7 @@ class TestScreenedSplit:
         V, R, mean, min_leaf = node
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             want = reference_best_split(V, R, mean, min_leaf)
-            got = gbm._best_split(V, identity_order(V), R - mean, min_leaf,
+            got = gbm._best_split(V, identity_order(V), (R - mean).T.copy(), min_leaf,
                                   gbm._Scratch(V.size))
         event(f"split found: {want[0] >= 0}")
         assert same_split(got, want)
@@ -404,13 +406,13 @@ class TestScreenedSplit:
         R = np.stack([rng.permutation(np.arange(12.0)) for _ in range(10)])
         mean = float(R[0].mean())
         args = (V, identity_order(V))
-        finite = gbm._best_split(*args, R - mean, 2, gbm._Scratch(V.size))
+        finite = gbm._best_split(*args, (R - mean).T.copy(), 2, gbm._Scratch(V.size))
         assert finite[0] >= 0 and np.isfinite(finite[2])
         R[9] = mean
         R[9, -2:] = np.inf, -np.inf
         with np.errstate(invalid="ignore"):
             want = reference_best_split(V, R, mean, 2)
-            got = gbm._best_split(*args, R - mean, 2, gbm._Scratch(V.size))
+            got = gbm._best_split(*args, (R - mean).T.copy(), 2, gbm._Scratch(V.size))
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
 
@@ -430,7 +432,7 @@ class TestScreenedSplit:
         R[2:, 2:4] = 1e3, -1e3
         want = reference_best_split(V, R, 0.0, 1)
         assert want[:2] == (0, 0)
-        got = gbm._best_split(V, identity_order(V), R.copy(), 1,
+        got = gbm._best_split(V, identity_order(V), R.T.copy(), 1,
                               gbm._Scratch(V.size))
         assert same_split(got, want)
 
@@ -448,7 +450,7 @@ class TestScreenedSplit:
         R[2:, 4], R[2:, -1] = 20.0, -16.0
         want = reference_best_split(V, R, 0.0, 5)
         assert want[:2] == (0, 5)
-        got = gbm._best_split(V, identity_order(V), R.copy(), 5,
+        got = gbm._best_split(V, identity_order(V), R.T.copy(), 5,
                               gbm._Scratch(V.size))
         assert same_split(got, want)
 
@@ -466,7 +468,7 @@ class TestScreenedSplit:
         R *= 2.0**-539
         want = reference_best_split(V, R, 0.0, 1)
         assert want[0] == 0 and want[2] == 1e-323
-        got = gbm._best_split(V, identity_order(V), R.copy(), 1,
+        got = gbm._best_split(V, identity_order(V), R.T.copy(), 1,
                               gbm._Scratch(V.size))
         assert same_split(got, want)
 
@@ -484,7 +486,7 @@ class TestScreenedSplit:
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_best_split(V, R, 0.0, 10)
             assert reference_best_split(V[:9], R[:9], 0.0, 10)[0] == 0
-            got = gbm._best_split(V, identity_order(V), R.copy(), 10,
+            got = gbm._best_split(V, identity_order(V), R.T.copy(), 10,
                                   gbm._Scratch(V.size))
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
@@ -525,6 +527,17 @@ def pinned_data():
     return X, y
 
 
+def wide_data():
+    """More columns than rows, as in the benchmark's fits: every node below
+    the root holds fewer rows than there are features."""
+    rng = np.random.default_rng(2006)
+    X = rng.normal(size=(60, 150))
+    X[:, :40] = rng.integers(0, 4, size=(60, 40))
+    X[:, 40:80] = np.round(X[:, 40:80], 1)
+    y = 2.0 * X[:, 3] - X[:, 45] + 1.5 * (X[:, 120] > 0) + rng.normal(size=60)
+    return X, y
+
+
 class TestPinnedFits:
     """sha256 of the model JSON plus the training-curve bytes.
 
@@ -533,6 +546,8 @@ class TestPinnedFits:
     ``gbm-json-v1`` trees bit for bit, and for the packed ``gbm-json-v3``
     arrays, which decode to the ``gbm-json-v2`` arrays bit for bit; any
     change to the fitted trees, thresholds, leaf values or curve shows here.
+    The ``wide`` digest was taken with the features-major node matrices of
+    the split search, before it held them positions-major.
     """
 
     CASES = {
@@ -560,12 +575,19 @@ class TestPinnedFits:
             GBMConfig(n_trees=60, subsample_fraction=0.5, seed=7),
             "5aa7e2cc3e7cd3511dff3e1390b2c652374033376395e62677beb04caef7788d",
         ),
+        "wide": (
+            GBMConfig(n_trees=60, max_depth=3),
+            "5c720e4207153ccb832673fbd239a3452812412a62a43e3fc82e481fde2ac26e",
+        ),
     }
+
+    #: The cases that fit other data than :func:`pinned_data`.
+    DATA = {"wide": wide_data}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_digest(self, case):
         cfg, want = self.CASES[case]
-        X, y = pinned_data()
+        X, y = self.DATA.get(case, pinned_data)()
         model, curve = fit(X, y, cfg)
         h = hashlib.sha256(to_json(model).encode())
         h.update(np.ascontiguousarray(curve, dtype="<f8").tobytes())
@@ -643,6 +665,26 @@ class TestPredict:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         got = predict_batch(model, probes[::-1])[::-1]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_batch_reads_fortran_blocks_in_place(self):
+        # an F-ordered matrix of two blocks is walked in place: no block is
+        # copied to C order, so the call's peak allocation, the finiteness
+        # check's mask of one byte a cell included, stays below one block
+        features = 400
+        tree = {"feature": features - 1, "threshold": 0.0,
+                "left": {"value": -1.0}, "right": {"value": 1.0}}
+        model = model_from_trees((tree,), feature_count=features)
+        probes = np.random.default_rng(8).normal(size=(2 * gbm._ROW_BLOCK, features))
+        want = predict_batch(model, probes)
+        fortran = np.asfortranarray(probes)
+        tracemalloc.start()
+        try:
+            got = predict_batch(model, fortran)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert peak < gbm._ROW_BLOCK * features * fortran.itemsize
 
     def test_handcrafted_tree(self):
         tree = {"feature": 1, "threshold": 0.0,

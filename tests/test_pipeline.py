@@ -23,6 +23,7 @@ from helpers import (
     year_length,
 )
 from pollencast import backtest as bt
+from pollencast import features
 from pollencast import gbm
 from pollencast import pipeline as pl
 from pollencast.data import Dataset, SeasonDefinition, label_season
@@ -35,7 +36,7 @@ from pollencast.errors import (
     WindowUnavailableError,
     WorkerLostError,
 )
-from pollencast.features import CATALOG_VERSION, build_feature_matrix
+from pollencast.features import CATALOG_VERSION, build_feature_matrix, count_above
 from pollencast.wls import final_forecast, fit_wls
 
 LIGHT = gbm.GBMConfig(n_trees=40, max_depth=2, learning_rate=0.2)
@@ -551,6 +552,29 @@ class TestTrainingPlanner:
         # the counts did differ: the later trainings' references moved them
         assert any((plans[2].counts[y] != plans[0].counts[y]).any()
                    for y in plans[0].years)
+
+    def test_each_new_years_windows_counted_once(self, seed42_dataset, season_def,
+                                                 monkeypatch):
+        # a year built for a training takes its counts from its new rows; only
+        # a year built under another training's references is counted again
+        counted = []
+
+        def counting(data, refs):
+            counted.append(data.span)
+            return count_above(data, refs)
+
+        monkeypatch.setattr(features, "count_above", counting)
+        monkeypatch.setattr(pl, "count_above", counting)
+        planner = pl.TrainingPlanner(seed42_dataset, season_def)
+        first = planner.plan(range(2003, 2005))
+        assert len(counted) == 2
+        second = planner.plan(range(2003, 2006))
+        assert len(counted) == 2 + 2 + 1
+        monkeypatch.undo()
+        # the counts are copies: the shared rows keep the first references
+        for plan in (first, second):
+            for year in plan.years:
+                assert not np.shares_memory(plan.counts[year], plan.shared[year][0])
 
 
 class TestPersistence:
