@@ -101,6 +101,10 @@ def _check_config(flags: Sequence[Flag], args: argparse.Namespace,
             continue  # unset in the config, or its flag was given
         if spec.get("type") is str and not isinstance(value, str):
             raise UsageError(f"{name} must be a string, got {value!r}")
+        if isinstance(value, str) and "\x00" in value:
+            # no path can hold one, and open() raises ValueError for it
+            raise UsageError(f"{name} must be a string without a NUL character, "
+                             f"got {value!r}")
         if "choices" in spec and value not in spec["choices"]:
             raise UsageError(f"{name} must be one of "
                              f"{', '.join(spec['choices'])}, got {value!r}")

@@ -562,7 +562,8 @@ def ingest_csv(path: str, column_map: Mapping[str, str] | None = None) -> Datase
     gaps, bad = _row_checks(ordinals, m)
     if bad.any():
         j = int(bad.argmax())
-        DailyRecord(dates[j], *m[j].tolist())  # raises
+        # raises; + 0.0 names a -0.0 as the dataset would hold it, 0.0
+        DailyRecord(dates[j], *(m[j] + 0.0).tolist())
         gap = int(gaps[j - 1])
         if gap < 0:
             raise NonMonotoneDatesError(

@@ -61,15 +61,17 @@ to evaluating the expression on the whole matrix with fresh arrays:
 * Running sums add row i of the positions-major matrix into row i + 1, one
   add per position over all features.  Each feature's sums thus add its
   values one at a time in its own order, as ``np.cumsum`` along its row
-  would, and do not depend on the features beside it.
+  would, and do not depend on the features beside it.  The loop walks a
+  list of the buffer's row views, made once per fit, so no position makes
+  a view of its own.
 * The residuals are centred before the gather, which gives the same
   numbers as centring the gathered matrix.  The gather reads the order
   matrix in place, features-major, and is then copied transposed into the
   positions-major matrix; the screen, the probes and the candidates read
   its rows and columns.
 * Nodes carry order matrices only.  The few candidate rows gather their
-  values from the fit's ``XT`` through their order rows, and a threshold
-  reads ``XT`` at its two rows.
+  values from the fit's ``XT``, flat, through their order rows plus each
+  feature's offset in it, and a threshold reads ``XT`` at its two rows.
 * A child's order is gathered from its parent's with 1-D ``take`` at the
   positions of the parent's rows that go to that side.  This keeps each
   row's order, so it equals sorting again.
@@ -78,6 +80,12 @@ to evaluating the expression on the whole matrix with fresh arrays:
   once per fit, a depth's buffer when a node first reaches that depth.
   Fresh temporaries of this size are returned to the system on release and
   page-fault again on the next node, which costs more than the arithmetic.
+* What a node would otherwise rebuild is made once per fit too
+  (:class:`_Scratch`): the row views, ``XT`` flat with each feature's
+  offset, and the table of ``n_left`` from 1 to n, of which a node of k
+  rows reads one slice.  The node computes ``n_right`` from that slice
+  once, for the screen's weight and the exact gains alike.  Nothing is
+  kept per node size, which at 720 rows would hold megabytes.
 * Children at ``max_depth`` are leaves and read only their first order row
   (its rows give the leaf mean, in the same summation order), so the last
   split level partitions that row only.
@@ -192,14 +200,18 @@ class TreeArrays(NamedTuple):
 
 
 class _Nodes:
-    """Node fields appended in preorder, turned into :class:`TreeArrays`."""
+    """Node fields appended in preorder, turned into :class:`TreeArrays`.
+
+    The fields live in arrays whose first ``size`` cells are written; they
+    double when full, so the newest tree is read from them as slices."""
+
+    _FIELDS = (("feature", np.intp), ("threshold", np.float64),
+               ("left", np.intp), ("right", np.intp), ("value", np.float64))
 
     def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        for name, dtype in self._FIELDS:
+            setattr(self, name, np.empty(64, dtype=dtype))
+        self.size = 0
         self.roots: list[int] = []
         self.levels = 0
         self.newest_levels = 0  # depth of the tree being written
@@ -207,29 +219,36 @@ class _Nodes:
     def add(self, feature: int, threshold: float, value: float, depth: int) -> int:
         """Append a node pointing to itself; a split's caller links its
         children once they exist, a root's caller appends it to ``roots``."""
-        i = len(self.value)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(i)
-        self.right.append(i)
-        self.value.append(value)
+        i = self.size
+        if i == self.value.size:  # full: double every array
+            for name, _ in self._FIELDS:
+                setattr(self, name, np.resize(getattr(self, name), 2 * i))
+        self.feature[i] = feature
+        self.threshold[i] = threshold
+        self.left[i] = i
+        self.right[i] = i
+        self.value[i] = value
+        self.size = i + 1
         # a node of depth 0 starts a new tree
         self.newest_levels = max(self.newest_levels, depth) if depth else 0
         self.levels = max(self.levels, depth)
         return i
 
     def arrays(self, newest: bool = False) -> TreeArrays:
-        """Every tree, or the newest alone with its nodes indexed from 0,
-        read-only.  The newest tree is read without the earlier ones."""
+        """Every tree as copies, or the newest alone as slices with its
+        nodes indexed from 0, read-only."""
         first = self.roots[-1] if newest else 0
+        part = slice(first, self.size)
         cols = [
-            np.array(self.feature[first:], dtype=np.intp),
-            np.array(self.threshold[first:], dtype=np.float64),
-            np.array(self.left[first:], dtype=np.intp) - first,
-            np.array(self.right[first:], dtype=np.intp) - first,
-            np.array(self.value[first:], dtype=np.float64),
-            np.array([0] if newest else self.roots, dtype=np.intp),
+            self.feature[part],
+            self.threshold[part],
+            self.left[part] - first,
+            self.right[part] - first,
+            self.value[part],
         ]
+        if not newest:  # a model keeps none of the spare cells
+            cols = [a.copy() for a in cols]
+        cols.append(np.array([0] if newest else self.roots, dtype=np.intp))
         for a in cols:
             a.setflags(write=False)
         return TreeArrays(*cols, levels=self.newest_levels if newest else self.levels)
@@ -301,20 +320,37 @@ def _leading(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Scratch:
-    """Flat buffers for the temporaries of :func:`_split_gains` and
-    :func:`_best_split`.  ``gain`` and ``tie`` hold a whole node; ``right``
-    holds only the rows that get exact gains, so it starts at ``right_cells``
-    and grows when a node needs more.  ``best`` and ``at`` hold one gain and
-    one position per feature, allocated by the first node."""
+    """The buffers and tables of one fit's split search, made once per fit
+    from its (features, n) ``XT``.
 
-    __slots__ = ("gain", "right", "tie", "best", "at")
+    * ``xt`` is ``XT`` flat and ``offsets`` each feature's first cell in it,
+      a (features, 1) column: the probes gather their values through them.
+    * ``centered`` is the (n, features) buffer of a node's centred
+      residuals, positions-major: a node of k rows fills its first k rows.
+      ``row_views`` lists its rows as views, for the running sums.
+    * ``positions`` holds 1.0 to n, the ``n_left`` of the split after each
+      position; a node's legal splits read one slice of it.
+    * ``gain`` and ``tie`` hold a whole node; ``right`` holds only the rows
+      that get exact gains, so it starts at :data:`_PROBES` rows and grows
+      when a node needs more.  ``best`` and ``at`` hold one gain and one
+      position per feature.
+    """
 
-    def __init__(self, cells: int, right_cells: int = 0) -> None:
-        self.gain = np.empty(cells)
-        self.right = np.empty(right_cells)
-        self.tie = np.empty(cells, dtype=bool)
-        self.best = np.empty(0)
-        self.at = np.empty(0, dtype=np.intp)
+    __slots__ = ("xt", "offsets", "centered", "row_views", "positions",
+                 "gain", "right", "tie", "best", "at")
+
+    def __init__(self, XT: np.ndarray) -> None:
+        n_features, n = XT.shape
+        self.xt = XT.ravel()
+        self.offsets = np.arange(0, XT.size, n)[:, None]
+        self.centered = np.empty((n, n_features))
+        self.row_views = list(self.centered)
+        self.positions = np.arange(1.0, n + 1.0)
+        self.gain = np.empty(XT.size)
+        self.right = np.empty(_PROBES * n)
+        self.tie = np.empty(XT.size, dtype=bool)
+        self.best = np.empty(n_features)
+        self.at = np.empty(n_features, dtype=np.intp)
 
     def right_for(self, shape: tuple[int, int]) -> np.ndarray:
         """The first cells of ``right`` as a ``shape`` matrix."""
@@ -322,17 +358,14 @@ class _Scratch:
             self.right = np.empty(shape[0] * shape[1])
         return _leading(self.right, shape)
 
-    def per_feature(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``best`` and ``at`` for ``n`` features, every gain -inf."""
-        if self.best.size < n:
-            self.best = np.empty(n)
-            self.at = np.empty(n, dtype=np.intp)
-        self.best[:n] = -np.inf
-        return self.best[:n], self.at[:n]
-
 
 def _split_gains(
-    V: np.ndarray, csum: np.ndarray, min_leaf: int, scratch: _Scratch
+    V: np.ndarray,
+    csum: np.ndarray,
+    min_leaf: int,
+    n_left: np.ndarray,
+    n_right: np.ndarray,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """SSE gain of every legal split of some features of one node, one row
     per feature.
@@ -340,26 +373,28 @@ def _split_gains(
     ``V`` holds each feature's values in ascending order and ``csum`` the
     running sums of the residuals minus the node mean, in the same order.
     Column j is the split after position ``min_leaf - 1 + j``: only
-    positions that leave ``min_leaf`` rows on both sides are computed.
-    Positions where the value does not change get -inf.  The result is a
-    view of ``scratch.gain``.
+    positions that leave ``min_leaf`` rows on both sides are computed, and
+    ``n_left`` and ``n_right`` hold the rows on each side of them, as the
+    screen of :func:`_best_split` computed them.  Positions where the
+    value does not change get -inf.  The result is a view of
+    ``scratch.gain``.
     """
     k = V.shape[1]
-    lo, hi = min_leaf - 1, k - min_leaf
-    shape = (V.shape[0], max(hi - lo, 0))
+    lo = min_leaf - 1
+    hi = lo + n_left.size
+    shape = (V.shape[0], n_left.size)
     gain = _leading(scratch.gain, shape)
     right = scratch.right_for(shape)
     tie = _leading(scratch.tie, shape)
     total = csum[:, -1:]
     s_left = csum[:, lo:hi]
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
     # s_left**2/n_left + s_right**2/n_right - total**2/k, term by term
     np.square(s_left, out=gain)
     gain /= n_left
     right[...] = total  # then subtract: faster than one broadcast subtract
     right -= s_left
     np.square(right, out=right)
-    right /= k - n_left
+    right /= n_right
     gain += right
     gain -= np.square(total) / k
     np.greater_equal(V[:, lo:hi], V[:, lo + 1 : hi + 1], out=tie)
@@ -393,20 +428,22 @@ _S_OVERFLOW = 1e153
 
 
 def _best_split(
-    XT: np.ndarray, order: np.ndarray, C: np.ndarray, min_leaf: int, scratch: _Scratch
+    order: np.ndarray, min_leaf: int, scratch: _Scratch
 ) -> tuple[int, int, float]:
     """Best (feature, position, gain) of one node, or (-1, -1, -inf).
 
     ``order`` is the node's (features, k) matrix of rows, row f in
-    ascending order of ``XT[f]``, and ``C`` the residuals minus the node
-    mean gathered through it, positions-major: ``C[i, f]`` belongs to row
-    ``order[f, i]``.  ``C`` is overwritten with its running sums down the
-    positions.  Position i splits after the (i+1)-th row of the feature's
-    order.  Equal gains go to the lowest feature, then the lowest position:
-    the first maximum of :func:`_split_gains` over all features in
-    row-major order.  Only the features whose gain bound reaches the best
-    exact gain of the :data:`_PROBES` probes get their exact gains (module
-    docstring).
+    ascending order of the fit's ``XT[f]``, and ``C``, the first k rows of
+    ``scratch.centered``, the residuals minus the node mean gathered
+    through it, positions-major: ``C[i, f]`` belongs to row ``order[f,
+    i]``.  ``C`` is overwritten with its running sums down the positions.
+    Position i splits after the (i+1)-th row of the feature's order.  Equal
+    gains go to the lowest feature, then the lowest position: the first
+    maximum of :func:`_split_gains` over all features in row-major order.
+    Only the features whose gain bound reaches the best exact gain of the
+    :data:`_PROBES` probes get their exact gains (module docstring).  The
+    node's ``n_left`` is a slice of ``scratch.positions``, and its
+    ``n_right`` serves the screen's weight and the exact gains alike.
     """
     n_features, k = order.shape
     lo, hi = min_leaf - 1, k - min_leaf
@@ -414,13 +451,16 @@ def _best_split(
         return -1, -1, -np.inf
     # one add per position over every feature; each feature still adds its
     # values in position order, as np.cumsum along its row would
-    prev = C[0]
-    for row in C[1:]:
-        np.add(prev, row, out=row)
+    add = np.add
+    prev = scratch.row_views[0]
+    for row in scratch.row_views[1:k]:
+        add(prev, row, row)
         prev = row
-    total = C[-1]
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    weight = k / (n_left * (k - n_left))
+    C = scratch.centered[:k]
+    total = prev  # C[-1]
+    n_left = scratch.positions[lo:hi]
+    n_right = k - n_left
+    weight = k / (n_left * n_right)
     q = _leading(scratch.gain, (hi - lo, n_features))
     np.square(C[lo:hi], out=q)
     q *= weight[:, None]
@@ -439,26 +479,29 @@ def _best_split(
     bound[t_abs + s_max > _S_OVERFLOW] = np.inf
 
     # at[f] is read only where best[f] is finite, so once f was evaluated
-    best, at = scratch.per_feature(n_features)
+    best, at = scratch.best, scratch.at
+    best.fill(-np.inf)
 
     def evaluate(rows: np.ndarray) -> None:
-        V = XT.ravel().take(order[rows] + (rows * XT.shape[1])[:, None])
-        gain = _split_gains(V, C[:, rows].T, min_leaf, scratch)
-        pos = gain.argmax(axis=1)
-        best[rows] = gain[np.arange(rows.size), pos]
-        at[rows] = pos
+        V = scratch.xt.take(order[rows] + scratch.offsets[rows])
+        gain = _split_gains(V, C[:, rows].T, min_leaf, n_left, n_right, scratch)
+        # a gain is never -0.0, so max is the value at argmax, a NaN aside
+        best[rows] = gain.max(axis=1)
+        at[rows] = gain.argmax(axis=1)
 
-    probes = np.arange(n_features)
     if n_features > _PROBES:
-        probes = np.argpartition(qmax, n_features - _PROBES)[-_PROBES:]
+        probes = qmax.argpartition(n_features - _PROBES)[-_PROBES:]
+    else:
+        probes = np.arange(n_features)
     evaluate(probes)
-    # a NaN floor compares false, so every feature is then a candidate
-    candidate = ~(bound < best[probes].max())
+    # best is -inf but at the probes; a NaN floor compares false, so every
+    # feature is then a candidate
+    candidate = ~(bound < best.max())
     candidate[probes] = False
-    rest = np.flatnonzero(candidate)
+    rest = candidate.nonzero()[0]
     if rest.size:
         evaluate(rest)
-    f = int(np.argmax(best))
+    f = int(best.argmax())
     if not np.isfinite(best[f]):
         return -1, -1, -np.inf
     return f, int(at[f]) + lo, float(best[f])
@@ -478,14 +521,15 @@ class _TreeBuilder:
     node's rows in ascending order of feature f; the leaves below the last
     split level keep order row 0 only.  A split node's centred residuals
     are gathered through it into the screen's buffer and copied transposed
-    into ``_centered``, the (k, features) matrix that :func:`_best_split`
-    sums.  Values are read from ``XT`` through the order rows that need
-    them.  The nodes of one depth own disjoint row slots ``[start, start +
-    k)`` of ``[0, rows)``: a left child takes the first k_left slots of its
-    parent, the right child the rest.  The order matrices of the nodes at
-    depth d + 1 live in ``_orders[d]`` at the cells of their slots, so every
-    pending node keeps them without allocation.  A depth's buffer is allocated when a node first reaches it, so a deep
-    ``max_depth`` costs only the levels the trees grow.
+    into the first k rows of ``scratch.centered``, the (k, features)
+    matrix that :func:`_best_split` sums.  Values are read from ``XT``
+    through the order rows that need them.  The nodes of one depth own
+    disjoint row slots ``[start, start + k)`` of ``[0, rows)``: a left child
+    takes the first k_left slots of its parent, the right child the rest.
+    The order matrices of the nodes at depth d + 1 live in ``_orders[d]`` at
+    the cells of their slots, so every pending node keeps them without
+    allocation.  A depth's buffer is allocated when a node first reaches
+    it, so a deep ``max_depth`` costs only the levels the trees grow.
     """
 
     def __init__(self, XT: np.ndarray, residual: np.ndarray, cfg: GBMConfig) -> None:
@@ -495,9 +539,7 @@ class _TreeBuilder:
         self.min_leaf = cfg.min_samples_leaf
         self.max_depth = cfg.max_depth
         self._cells = XT.size
-        self._centered = np.empty(self._cells)
-        # the probes' exact gains; more candidate rows grow it
-        self._scratch = _Scratch(self._cells, _PROBES * self.n_rows)
+        self._scratch = _Scratch(XT)
         self._orders: list[np.ndarray] = []
         self.nodes = _Nodes()
 
@@ -516,25 +558,20 @@ class _TreeBuilder:
         return self._orders[depth]
 
     def _build(self, node_order: np.ndarray, depth: int, start: int) -> int:
-        res = self.residual[node_order[0]]
-        value = float(res.mean())
-        k = res.size
-        if (
-            depth >= self.max_depth
-            or k < 2 * self.min_leaf
-            or bool(np.all(res == res[0]))
-        ):
+        k = node_order.shape[1]
+        res = self.residual.take(node_order[0])
+        value = float(res.sum() / k)  # res.mean(), bit for bit
+        if depth >= self.max_depth or k < 2 * self.min_leaf or (res == res[0]).all():
             return self.nodes.add(0, 0.0, value, depth)
 
         # centring the n residuals before the gather gives the same values
         # as centring the gathered matrix; the gather reads node_order in
         # place, into the screen's buffer, and its copy is positions-major
+        scratch = self._scratch
         gathered = (self.residual - value).take(
-            node_order, out=_leading(self._scratch.gain, node_order.shape),
-            mode="clip")
-        C = _leading(self._centered, (k, node_order.shape[0]))
-        np.copyto(C, gathered.T)
-        f, i, gain = _best_split(self.XT, node_order, C, self.min_leaf, self._scratch)
+            node_order, out=_leading(scratch.gain, node_order.shape), mode="clip")
+        np.copyto(scratch.centered[:k], gathered.T)
+        f, i, gain = _best_split(node_order, self.min_leaf, scratch)
         if f < 0 or gain <= 0.0:
             return self.nodes.add(0, 0.0, value, depth)
         thr = _midpoint(self.XT[f, node_order[f, i]], self.XT[f, node_order[f, i + 1]])
@@ -544,13 +581,14 @@ class _TreeBuilder:
         if depth + 1 == self.max_depth:
             node_order = node_order[:1]  # the children are leaves
         flat = node_order.ravel()
-        mask = in_left.take(flat, out=self._scratch.tie[: flat.size], mode="clip")
-        left_at = np.flatnonzero(mask)
+        mask = in_left.take(flat, out=scratch.tie[: flat.size], mode="clip")
+        left_at = mask.nonzero()[0]
         np.logical_not(mask, out=mask)
-        right_at = np.flatnonzero(mask)
+        right_at = mask.nonzero()[0]
         left = self._child(flat, left_at, depth, start, i + 1)
         right = self._child(flat, right_at, depth, start + i + 1, k - i - 1)
         node = self.nodes.add(f, thr, 0.0, depth)
+        # a child may grow the node arrays; the target is read after it
         self.nodes.left[node] = self._build(*left)
         self.nodes.right[node] = self._build(*right)
         return node
@@ -573,8 +611,8 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
 
     Tree m grows on a ``subsample_fraction`` of the rows drawn with ``seed``
     (all rows at 1.0, with no draw).  Then every row's residual drops by
-    ``learning_rate`` times the value of the leaf that :func:`_leaf_nodes`,
-    the walk of :func:`predict_batch`, takes it to.  ``curve[0]`` is the
+    ``learning_rate`` times the value of the leaf that :func:`_walk`, the
+    walk of :func:`predict_batch`, takes it to.  ``curve[0]`` is the
     MSE of the base prediction alone, ``curve[m]`` the MSE after m trees;
     with full subsampling the curve never increases.  Constant targets are
     legal and produce a model that always predicts that constant.
@@ -602,6 +640,9 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
     curve = np.empty(cfg.n_trees + 1)
     curve[0] = float(np.mean(residual**2))
     builder = _TreeBuilder(XT, residual, cfg)
+    # the set-up of _leaf_nodes(tree, XT.T), made once: XT's memory, each
+    # row's offset in it and every row at the root
+    walk = (XT.ravel(), n, np.arange(n), np.zeros((1, n), dtype=np.intp))
     for m in range(1, cfg.n_trees + 1):
         if cfg.subsample_fraction < 1.0:
             chosen = rng.choice(n, size=min(m_rows, n), replace=False)
@@ -611,7 +652,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: GBMConfig | None = None) -> FitResult
                 in_sub.take(sorted_by_feature.ravel())
             ).reshape(n_features, chosen.size)
         tree = builder.grow(root)
-        residual -= cfg.learning_rate * tree.value.take(_leaf_nodes(tree, XT.T)[0])
+        residual -= cfg.learning_rate * tree.value.take(_walk(tree, *walk)[0])
         curve[m] = float(np.mean(residual**2))
 
     model = GBMModel(
@@ -642,10 +683,19 @@ def _leaf_nodes(t: TreeArrays, X: np.ndarray, rows: slice = slice(None)) -> np.n
     child.  ``X`` must be C- or F-contiguous; it is read in place through
     its strides, whichever rows are asked for."""
     row_step, col_step = (s // X.itemsize for s in X.strides)
-    flat = X.ravel(order="K")  # X's memory, a view
-    feature = t.feature if col_step == 1 else t.feature * col_step
     row_start = np.arange(*rows.indices(X.shape[0])) * row_step  # offsets into flat
     node = np.repeat(t.roots[:, None], row_start.size, axis=1)
+    return _walk(t, X.ravel(order="K"), col_step, row_start, node)
+
+
+def _walk(
+    t: TreeArrays, flat: np.ndarray, col_step: int, row_start: np.ndarray,
+    node: np.ndarray,
+) -> np.ndarray:
+    """The walk of :func:`_leaf_nodes` from ``node``, (trees, rows) start
+    nodes, over the memory ``flat`` of a matrix whose columns lie
+    ``col_step`` items apart and whose rows start at ``row_start``."""
+    feature = t.feature if col_step == 1 else t.feature * col_step
     for _ in range(t.levels):
         x = flat.take(feature.take(node) + row_start)
         goes_left = x <= t.threshold.take(node)

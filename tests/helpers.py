@@ -264,8 +264,9 @@ def split_search(
     v = values[order]
     r = targets[order]
     c = r - r.mean()
-    _, i, gain = gbm._best_split(
-        v[None, :], np.arange(k)[None, :], c[:, None], min_leaf, gbm._Scratch(k))
+    scratch = gbm._Scratch(v[None, :])
+    scratch.centered[:, 0] = c
+    _, i, gain = gbm._best_split(np.arange(k)[None, :], min_leaf, scratch)
     if i < 0 or gain <= 0.0:
         return None
     return gbm._midpoint(v[i], v[i + 1]), gain

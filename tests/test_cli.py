@@ -859,6 +859,8 @@ class TestBadInputs:
         ("train", {"protocol": "kfold"}),
         ("backtest", {"policy": "x"}),
         ("synth", {"verbose": "false"}),
+        ("label", {"input": "in\x00.csv"}),
+        ("predict", {"out_series": "s\x00.csv"}),
     ])
     def test_config_string_of_wrong_type(self, tmp_path, capsys, command,
                                          config):

@@ -250,6 +250,15 @@ class TestIngestCsv:
         assert data.records[2].pollen == 9.0
         assert data.records[3].pollen == 2.0
 
+    def test_broken_rule_names_negative_zero_as_zero(self, tmp_path):
+        # the dataset holds a -0.0 as 0.0, and so does the error's message
+        path = tmp_path / "d.csv"
+        row = full_row("2020-03-01")
+        row[2:5] = "2.0", "1.0", "-0.0"  # tmax, tmin, tavg
+        write_csv(path, [row])
+        with pytest.raises(InvalidRecordError, match=r"\(1\.0, 0\.0, 2\.0\)$"):
+            ingest_csv(str(path))
+
     def test_non_monotone_dates(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [full_row("2020-03-02"), full_row("2020-03-01")])

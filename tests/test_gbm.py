@@ -298,10 +298,14 @@ class TestDeterminism:
         assert to_json(a) != to_json(b)
 
 
-def identity_order(V: np.ndarray) -> np.ndarray:
-    """The order matrix of a node whose value matrix ``V`` is its own
-    ``XT``: row f of ``V`` is already in ascending order."""
-    return np.tile(np.arange(V.shape[1]), (V.shape[0], 1))
+def best_split(V: np.ndarray, C: np.ndarray, min_leaf: int) -> tuple[int, int, float]:
+    """``gbm._best_split`` of a node whose value matrix ``V`` is its own
+    ``XT`` (row f of ``V`` is already in ascending order), with ``C``, its
+    centred residuals positions-major, written into the scratch buffer."""
+    scratch = gbm._Scratch(V)
+    scratch.centered[...] = C
+    return gbm._best_split(np.tile(np.arange(V.shape[1]), (V.shape[0], 1)),
+                           min_leaf, scratch)
 
 
 class TestKernelEquivalence:
@@ -322,20 +326,20 @@ class TestKernelEquivalence:
             for _ in range(3):
                 V, R, mean = self.node(rng, 7, k)
                 want = reference_split_gains(V, R, mean, min_leaf)
-                got = gbm._split_gains(
-                    V, np.cumsum(R - mean, axis=1), min_leaf, gbm._Scratch(V.size)
-                )
                 lo, hi = min_leaf - 1, k - min_leaf
+                scratch = gbm._Scratch(V)
+                n_left = scratch.positions[lo:hi]
+                got = gbm._split_gains(
+                    V, np.cumsum(R - mean, axis=1), min_leaf, n_left, k - n_left, scratch
+                )
                 # bit patterns, so that -0.0 and 0.0 differ too
                 np.testing.assert_array_equal(
                     got.view(np.uint64), want[:, lo:hi].view(np.uint64)
                 )
                 assert np.all(want[:, :lo] == -np.inf)
                 assert np.all(want[:, max(hi, lo):] == -np.inf)
-                assert gbm._best_split(
-                    V, identity_order(V), (R - mean).T.copy(), min_leaf,
-                    gbm._Scratch(V.size)
-                ) == reference_best_split(V, R, mean, min_leaf)
+                assert best_split(V, (R - mean).T, min_leaf) == reference_best_split(
+                    V, R, mean, min_leaf)
 
 
 @st.composite
@@ -391,8 +395,7 @@ class TestScreenedSplit:
         V, R, mean, min_leaf = node
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             want = reference_best_split(V, R, mean, min_leaf)
-            got = gbm._best_split(V, identity_order(V), (R - mean).T.copy(), min_leaf,
-                                  gbm._Scratch(V.size))
+            got = best_split(V, (R - mean).T, min_leaf)
         event(f"split found: {want[0] >= 0}")
         assert same_split(got, want)
 
@@ -405,14 +408,13 @@ class TestScreenedSplit:
         V = np.sort(rng.normal(size=(10, 12)), axis=1)
         R = np.stack([rng.permutation(np.arange(12.0)) for _ in range(10)])
         mean = float(R[0].mean())
-        args = (V, identity_order(V))
-        finite = gbm._best_split(*args, (R - mean).T.copy(), 2, gbm._Scratch(V.size))
+        finite = best_split(V, (R - mean).T, 2)
         assert finite[0] >= 0 and np.isfinite(finite[2])
         R[9] = mean
         R[9, -2:] = np.inf, -np.inf
         with np.errstate(invalid="ignore"):
             want = reference_best_split(V, R, mean, 2)
-            got = gbm._best_split(*args, (R - mean).T.copy(), 2, gbm._Scratch(V.size))
+            got = best_split(V, (R - mean).T, 2)
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
 
@@ -432,8 +434,7 @@ class TestScreenedSplit:
         R[2:, 2:4] = 1e3, -1e3
         want = reference_best_split(V, R, 0.0, 1)
         assert want[:2] == (0, 0)
-        got = gbm._best_split(V, identity_order(V), R.T.copy(), 1,
-                              gbm._Scratch(V.size))
+        got = best_split(V, R.T, 1)
         assert same_split(got, want)
 
     def test_bound_reaches_the_largest_left_sum(self):
@@ -450,8 +451,7 @@ class TestScreenedSplit:
         R[2:, 4], R[2:, -1] = 20.0, -16.0
         want = reference_best_split(V, R, 0.0, 5)
         assert want[:2] == (0, 5)
-        got = gbm._best_split(V, identity_order(V), R.T.copy(), 5,
-                              gbm._Scratch(V.size))
+        got = best_split(V, R.T, 5)
         assert same_split(got, want)
 
     def test_bound_covers_subnormal_rounding(self):
@@ -468,8 +468,7 @@ class TestScreenedSplit:
         R *= 2.0**-539
         want = reference_best_split(V, R, 0.0, 1)
         assert want[0] == 0 and want[2] == 1e-323
-        got = gbm._best_split(V, identity_order(V), R.T.copy(), 1,
-                              gbm._Scratch(V.size))
+        got = best_split(V, R.T, 1)
         assert same_split(got, want)
 
     def test_overflowing_gain_outside_the_probes(self):
@@ -486,8 +485,7 @@ class TestScreenedSplit:
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_best_split(V, R, 0.0, 10)
             assert reference_best_split(V[:9], R[:9], 0.0, 10)[0] == 0
-            got = gbm._best_split(V, identity_order(V), R.T.copy(), 10,
-                                  gbm._Scratch(V.size))
+            got = best_split(V, R.T, 10)
         assert want == (-1, -1, -np.inf)
         assert same_split(got, want)
 
@@ -547,7 +545,11 @@ class TestPinnedFits:
     arrays, which decode to the ``gbm-json-v2`` arrays bit for bit; any
     change to the fitted trees, thresholds, leaf values or curve shows here.
     The ``wide`` digest was taken with the features-major node matrices of
-    the split search, before it held them positions-major.
+    the split search, before it held them positions-major.  The ``deep``
+    case grows nodes of ``2 * min_samples_leaf`` rows, with one legal
+    position, and reaches depth buffers that the shallower cases never
+    allocate; its digest was taken before the search built its row views
+    and position tables once per fit.
     """
 
     CASES = {
@@ -578,6 +580,10 @@ class TestPinnedFits:
         "wide": (
             GBMConfig(n_trees=60, max_depth=3),
             "5c720e4207153ccb832673fbd239a3452812412a62a43e3fc82e481fde2ac26e",
+        ),
+        "deep": (
+            GBMConfig(n_trees=40, max_depth=5, min_samples_leaf=2),
+            "af81ba0340651589d0a0e862d3ce7c254ceb48a2504aa9f2a869185b6fbff6e0",
         ),
     }
 

@@ -16,9 +16,13 @@ years=17)``, with ``delta_c=120`` and ``delta_n=4``:
   the smallest and largest Stage-1 fits of ``backtest``, with its config.
 
 ``--trees T`` sets every config's tree count to T (the Stage-2 rows' fold
-fits included), for a quick run.  The table gives each shape's median CPU
-seconds of ``gbm.fit`` per side, their ratio (change / base) and whether the
-sha256 of ``gbm.to_json`` is equal on both sides in every round.  The exit
+fits included), for a quick run.  The table gives, per shape, the median
+and the minimum CPU seconds of ``gbm.fit`` on each side, the ratio (change
+/ base) of the medians and of the minimums, the range of the ratios of the
+rounds (each round's change over its base), and whether the sha256 of
+``gbm.to_json`` is equal on both sides in every round.  On a shared machine
+the medians of a few rounds can move by a third from run to run; the
+minimums and the range of the rounds show how far to trust them.  The exit
 status is 1 if any digest differs, 2 if a child fails, else 0.
 """
 
@@ -112,15 +116,21 @@ def main(argv=None) -> int:
                 return 2
             runs[side].append(shapes)
 
-    print(f"{'shape':<18}{'base s':>9}{'change s':>10}{'ratio':>8}  digests")
+    print(f"{'shape':<18}{'base s':>9}{'base min':>9}{'change s':>10}"
+          f"{'change min':>11}{'ratio':>8}{'min ratio':>10}{'rounds':>14}  digests")
     mismatch = False
     for name, *_ in SHAPES:
-        base = statistics.median(run[name]["cpu_s"] for run in runs["base"])
-        change = statistics.median(run[name]["cpu_s"] for run in runs["change"])
+        base = [run[name]["cpu_s"] for run in runs["base"]]
+        change = [run[name]["cpu_s"] for run in runs["change"]]
+        rounds = [c / b for b, c in zip(base, change)]
         digests = {run[name]["digest"] for side in runs.values() for run in side}
         mismatch |= len(digests) > 1
         label = f"{name} {runs['base'][0][name]['shape']}"
-        print(f"{label:<18}{base:>9.3f}{change:>10.3f}{change / base:>8.3f}  "
+        base_med, change_med = statistics.median(base), statistics.median(change)
+        spread = f"{min(rounds):.3f}-{max(rounds):.3f}"
+        print(f"{label:<18}{base_med:>9.3f}{min(base):>9.3f}{change_med:>10.3f}"
+              f"{min(change):>11.3f}{change_med / base_med:>8.3f}"
+              f"{min(change) / min(base):>10.3f}{spread:>14}  "
               f"{'equal' if len(digests) == 1 else 'DIFFER'}")
     return 1 if mismatch else 0
 
